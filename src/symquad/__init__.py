@@ -2,6 +2,8 @@
 on S^1 and S^2 by polynomial least squares, with invariant bases and
 Haar-measure data augmentation, plus a symplectic drift testbed."""
 
+__version__ = "0.1.0"  # set before the submodules, which read it
+
 from .coupling import (BasisSpec, CoupledFunction, clebsch_gordan, enumerate_basis,
                        invariant_basis_sphere3, invariant_indices_circle, sym_coeffs)
 from .dynamics import (PerturbedPotential, PhaseState, Trajectory, default_potential,
@@ -19,10 +21,7 @@ from .harmonics import (SphericalIndex, WignerBlock, apply_generalized_d, eval_f
 from .regression import (AugmentationScheme, Dataset, RegressionSolution,
                          SchurDiagnostics, augmented_lsq, design_matrix, full_lsq,
                          invariant_design_matrix, invariant_lsq, l2_test_error,
-                         lsq_solve, rotate_dataset, schur_diagnostics,
-                         symmetrization_error)
+                         lsq_solve, rotate_dataset, schur_diagnostics)
 from .sampling import (AlgebraicDecay, DistributionSpec, ExponentialDecay,
                        TargetFunction, eval_target, export_dataset, import_dataset,
                        make_target, sample_config, sample_dataset, sample_points)
-
-__version__ = "0.1.0"

@@ -1,9 +1,10 @@
 """Tensor-product bases on N-fold sphere products, their rotation-invariant
-sub-bases (zero index sum on the circle, Clebsch-Gordan couplings on S^2) and
-the coefficient-space symmetrization projector."""
+sub-bases (zero index sum on the circle, the kernel of total angular momentum
+on S^2) and the coefficient-space symmetrization projector."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -80,8 +81,10 @@ def _l_tuples(n_particles: int, degree: int) -> list[tuple[int, ...]]:
             if sum(l) <= degree]
 
 
-def _m_tuples(l: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return list(itertools.product(*(range(-li, li + 1) for li in l)))
+def _m_grid(l: tuple[int, ...]) -> np.ndarray:
+    """All m-tuples of an l-tuple block, |m_p| <= l_p, as a (dim, N) integer
+    array in lexicographic order."""
+    return np.indices([2 * li + 1 for li in l]).reshape(len(l), -1).T - np.array(l)
 
 
 # ---------------------------------------------------------------------------
@@ -101,51 +104,59 @@ class CoupledFunction:
     coeffs: np.ndarray
 
 
-def _coupled_pair(l: int) -> CoupledFunction:
-    ms, cs = [], []
-    for m in range(-l, l + 1):
-        ms.append((m, -m))
-        cs.append(clebsch_gordan(l, m, l, -m, 0, 0))
-    return CoupledFunction((l, l), np.array(ms, dtype=int), np.array(cs))
+@functools.lru_cache(maxsize=None)  # one entry per l-tuple, bounded by the degree
+def _invariant_block(l: tuple[int, ...]) -> np.ndarray:
+    """Orthonormal real basis of the rotation-invariant vectors of one l-tuple
+    block, as (dim, n_inv) columns over the block's m-tuples in lexicographic
+    order.
 
-
-def _coupled_triple(l1: int, l2: int, l3: int) -> CoupledFunction:
-    # Couple l1 x l2 to l3, then contract with the third particle's l3 copy to
-    # the rotation-invariant (total angular momentum zero) combination.
-    ms, cs = [], []
-    for m1 in range(-l1, l1 + 1):
-        for m2 in range(-l2, l2 + 1):
-            m3 = -(m1 + m2)
-            if abs(m3) > l3:
-                continue
-            c = (clebsch_gordan(l1, m1, l2, m2, l3, -m3)
-                 * clebsch_gordan(l3, -m3, l3, m3, 0, 0))
-            if c != 0.0:
-                ms.append((m1, m2, m3))
-                cs.append(c)
-    return CoupledFunction((l1, l2, l3), np.array(ms, dtype=int), np.array(cs))
+    A vector is invariant iff it lies in the total-M = 0 sector and the total
+    raising operator J+ = sum_p J+^(p) annihilates it (a highest-weight state
+    of weight zero).  The kernel comes from the SVD of J+ restricted to the
+    M = 0 -> M = 1 sectors.  Each vector is signed so that its entry at the
+    last m-tuple of its support is positive, which reproduces the
+    Condon-Shortley Clebsch-Gordan couplings for N <= 3.
+    """
+    if 2 * max(l) > sum(l):  # no invariant: l_max exceeds what the rest can couple to
+        return np.zeros((math.prod(2 * li + 1 for li in l), 0))
+    grid = _m_grid(l)
+    total = grid.sum(axis=1)
+    zero, one = np.flatnonzero(total == 0), np.flatnonzero(total == 1)
+    row = np.zeros(len(grid), dtype=int)
+    row[one] = np.arange(len(one))
+    jplus = np.zeros((len(one), len(zero)))
+    stride = len(grid)
+    for p, lp in enumerate(l):
+        stride //= 2 * lp + 1  # raising m_p moves the lexicographic index by this
+        m = grid[zero, p]
+        up = np.flatnonzero(m < lp)
+        jplus[row[zero[up] + stride], up] = np.sqrt(lp * (lp + 1) - m[up] * (m[up] + 1))
+    _, s, vh = np.linalg.svd(jplus)
+    rank = int((s > _RANK_TOL * s[0]).sum()) if s.size else 0
+    kernel = vh[rank:].T
+    kernel[np.abs(kernel) < _RANK_TOL] = 0.0
+    last = [np.flatnonzero(v)[-1] for v in kernel.T]
+    kernel *= np.sign(kernel[last, np.arange(kernel.shape[1])])
+    vecs = np.zeros((len(grid), kernel.shape[1]))
+    vecs[zero] = kernel
+    vecs.setflags(write=False)  # shared through the cache
+    return vecs
 
 
 def invariant_couplings(n_particles: int, degree: int) -> list[CoupledFunction]:
-    """Invariant basis combinations for N in {1, 2, 3} up to total degree K.
+    """Orthonormal invariant basis combinations of N particles up to total
+    degree K, grouped by l-tuple in lexicographic order.
 
-    One combination per admissible l-tuple: l = (0,...,0), equal pairs, and
-    triangle-admissible triples |l1-l2| <= l3 <= l1+l2.
+    For N <= 3 there is at most one combination per l-tuple: l = (0,...,0),
+    equal pairs, and triangle-admissible triples |l1-l2| <= l3 <= l1+l2.
     """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
+    if n_particles < 1 or degree < 0:
+        raise ValueError("need n_particles >= 1 and degree >= 0")
     out = []
-    if n_particles == 1:
-        out.append(CoupledFunction((0,), np.zeros((1, 1), dtype=int), np.ones(1)))
-    elif n_particles == 2:
-        for l in range(degree // 2 + 1):
-            out.append(_coupled_pair(l))
-    elif n_particles == 3:
-        for l in _l_tuples(3, degree):
-            if abs(l[0] - l[1]) <= l[2] <= l[0] + l[1]:
-                out.append(_coupled_triple(*l))
-    else:
-        raise ValueError("invariant couplings are implemented for N <= 3")
+    for l in _l_tuples(n_particles, degree):
+        for v in _invariant_block(l).T:
+            support = np.flatnonzero(v)
+            out.append(CoupledFunction(l, _m_grid(l)[support], v[support]))
     return out
 
 
@@ -218,15 +229,6 @@ class BasisSpec:
         return len(self.indices)
 
     # -- coefficient transforms ----------------------------------------
-    def to_working_matrix(self, a_tensor: np.ndarray) -> np.ndarray:
-        """Recombine tensor-basis column evaluations into the working order."""
-        if self.d == 1:
-            return a_tensor
-        out = np.empty_like(a_tensor)
-        for b in self.blocks:
-            out[:, b.work_cols] = a_tensor[:, b.start:b.stop] @ b.u
-        return out
-
     def to_tensor_coeffs(self, beta: np.ndarray) -> np.ndarray:
         """Expand a working coefficient vector over the raw tensor functions."""
         if self.d == 1:
@@ -244,26 +246,6 @@ class BasisSpec:
             out[b.work_cols] = b.u.conj().T @ beta_tensor[b.start:b.stop]
         return out
 
-    @property
-    def invariant_keys(self) -> tuple:
-        """Multi-index labels of the invariant basis functions, in order."""
-        if self.d == 1:
-            return self.indices[:self.invariant_count]
-        return tuple(f.l for f in self.invariant_funcs)
-
-
-def _gram_schmidt_check(columns: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt pass; drops directions below the rank tolerance."""
-    kept = []
-    for j in range(columns.shape[1]):
-        v = columns[:, j].copy()
-        for u in kept:
-            v -= u * (u.conj() @ v)
-        nrm = np.linalg.norm(v)
-        if nrm > _RANK_TOL:
-            kept.append(v / nrm)
-    return np.stack(kept, axis=1) if kept else np.zeros((columns.shape[0], 0), dtype=complex)
-
 
 def enumerate_basis(d: int, n_particles: int, degree: int) -> BasisSpec:
     """Deterministic enumeration of the degree-K tensor basis plus its
@@ -271,8 +253,8 @@ def enumerate_basis(d: int, n_particles: int, degree: int) -> BasisSpec:
 
     d=1 lists every k with ||k||_1 <= K, the sum(k) = 0 elements first (each
     is itself invariant).  d=2 lists (l, m) pairs grouped by l-tuple in
-    lexicographic order and attaches the Clebsch-Gordan coupled invariant
-    combinations.
+    lexicographic order; each block's invariant columns span the kernel of
+    total angular momentum (the Clebsch-Gordan couplings for N <= 3).
     """
     if d not in (1, 2):
         raise ValueError("d must be 1 or 2")
@@ -291,56 +273,32 @@ def enumerate_basis(d: int, n_particles: int, degree: int) -> BasisSpec:
         sums = np.array([sum(k) for k in indices], dtype=int)
         return BasisSpec(1, n_particles, degree, indices, n_inv, coupling, sums=sums)
 
-    funcs = invariant_couplings(n_particles, degree)
-    by_l = {}
-    for f in funcs:
-        by_l.setdefault(f.l, []).append(f)
-
-    indices = []
-    blocks = []
-    n_inv_total = sum(len(v) for v in by_l.values())
-    inv_offset = 0
-    start = 0
-    raw_blocks = []
-    for l in _l_tuples(n_particles, degree):
-        ms = _m_tuples(l)
-        dim = len(ms)
-        indices.extend((l, m) for m in ms)
-        block_funcs = by_l.get(l, [])
-        vecs = np.zeros((dim, len(block_funcs)), dtype=complex)
-        pos = {m: i for i, m in enumerate(ms)}
-        for j, f in enumerate(block_funcs):
-            for row, c in zip(map(tuple, f.ms), f.coeffs):
-                vecs[pos[row], j] = c
-        vecs = _gram_schmidt_check(vecs)
-        n_inv_b = vecs.shape[1]
-        if n_inv_b:
-            q, _ = np.linalg.qr(np.concatenate([vecs, np.eye(dim)], axis=1))
-            u = np.concatenate([vecs, q[:, n_inv_b:dim]], axis=1)
-        else:
-            u = np.eye(dim, dtype=complex)
-        raw_blocks.append((l, start, start + dim, u, n_inv_b, inv_offset))
-        inv_offset += n_inv_b
-        start += dim
-    p = start
-    assert inv_offset == n_inv_total
-
-    non_offset = n_inv_total
+    tuples = _l_tuples(n_particles, degree)
+    kernels = [_invariant_block(l) for l in tuples]
+    p = sum(v.shape[0] for v in kernels)
+    n_inv_total = sum(v.shape[1] for v in kernels)
     coupling = np.zeros((p, n_inv_total), dtype=complex)
-    for (l, b_start, b_stop, u, n_inv_b, inv_off) in raw_blocks:
-        dim = b_stop - b_start
-        work = np.empty(dim, dtype=int)
-        work[:n_inv_b] = np.arange(inv_off, inv_off + n_inv_b)
-        work[n_inv_b:] = np.arange(non_offset, non_offset + dim - n_inv_b)
+    indices, blocks = [], []
+    start, inv_offset, non_offset = 0, 0, n_inv_total
+    for l, vecs in zip(tuples, kernels):
+        dim, n_inv_b = vecs.shape
+        indices.extend((l, tuple(m)) for m in _m_grid(l).tolist())
+        # complete the invariant columns to a unitary with the least change of
+        # the tensor basis: QR of [invariant | identity]
+        q, _ = np.linalg.qr(np.concatenate([vecs.astype(complex), np.eye(dim)], axis=1))
+        u = np.concatenate([vecs, q[:, n_inv_b:dim]], axis=1)
+        work = np.concatenate([np.arange(inv_offset, inv_offset + n_inv_b),
+                               np.arange(non_offset, non_offset + dim - n_inv_b)])
+        blocks.append(Block(l, start, start + dim, u, n_inv_b, work))
+        coupling[start:start + dim, inv_offset:inv_offset + n_inv_b] = vecs
+        start += dim
+        inv_offset += n_inv_b
         non_offset += dim - n_inv_b
-        blocks.append(Block(l, b_start, b_stop, u, n_inv_b, work))
-        coupling[b_start:b_stop, :n_inv_total][:, inv_off:inv_off + n_inv_b] = u[:, :n_inv_b]
-
-    gram = coupling.conj().T @ coupling
-    assert np.abs(gram - np.eye(n_inv_total)).max() < 1e-12
+    assert np.abs(coupling.conj().T @ coupling - np.eye(n_inv_total)).max() < 1e-12
 
     return BasisSpec(2, n_particles, degree, tuple(indices), n_inv_total, coupling,
-                     blocks=tuple(blocks), invariant_funcs=tuple(funcs))
+                     blocks=tuple(blocks),
+                     invariant_funcs=tuple(invariant_couplings(n_particles, degree)))
 
 
 def sym_coeffs(beta: np.ndarray, basis: BasisSpec) -> np.ndarray:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from . import __version__
 from .coupling import enumerate_basis, sym_coeffs
 from .dynamics import default_potential, hitting_time, simulate_batch, write_trajectory_csv, Trajectory
 from .geometry import so2_quadrature, so3_quadrature_euler
@@ -19,8 +20,6 @@ from .regression import (AugmentationScheme, RegressionSolution, augmented_lsq, 
                          invariant_lsq, l2_test_error, schur_diagnostics)
 from .sampling import (AlgebraicDecay, DistributionSpec, ExponentialDecay, export_dataset,
                        make_target, sample_dataset)
-
-VERSION = "0.1.0"
 
 RATIO_CAP = 1e16  # reported when the quadrature column is exactly symmetric
 
@@ -282,7 +281,7 @@ def _config_hash(cfg: ExperimentConfig) -> str:
 def _new_table(cfg: ExperimentConfig) -> ResultTable:
     return ResultTable(cfg.experiment, cfg.name,
                        {"config_hash": _config_hash(cfg), "seed": cfg.seed,
-                        "version": VERSION})
+                        "version": __version__})
 
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
@@ -590,15 +589,18 @@ def emit_plot(table: ResultTable, kind: str = "semilogy", path=None):
     """Log-scale line plot of a result table, one polyline per metric.
 
     Values at or below zero are clamped to a 1e-16 floor and flagged with a
-    square marker.  Output bytes depend only on the table contents; an empty
-    table produces a warning and no file.
+    square marker; non-finite means are left out and non-finite spreads drop
+    their whisker.  Output bytes depend only on the table contents; a table
+    with nothing to draw produces a warning and no file.
     """
     metrics = {}
     for sweep, metric, mean, std, _ in table.sorted_rows():
-        metrics.setdefault(metric, []).append((float(sweep), mean, std))
-    metrics = {k: v for k, v in metrics.items() if v}
+        if math.isfinite(mean):  # non-finite rows stay in the CSV but are not drawn
+            metrics.setdefault(metric, []).append(
+                (float(sweep), mean, std if math.isfinite(std) else 0.0))
     if not metrics:
-        print(f"emit_plot: table {table.name!r} is empty, no plot written", file=sys.stderr)
+        print(f"emit_plot: table {table.name!r} has no finite values, no plot written",
+              file=sys.stderr)
         return None
 
     xs = sorted({x for pts in metrics.values() for (x, _, _) in pts})

@@ -1,6 +1,6 @@
 """Least-squares machinery: design matrices over a BasisSpec, plain /
-invariant / augmented solves with an absolute SVD cutoff, symmetrization
-error and Schur-complement diagnostics."""
+invariant / augmented solves with an absolute SVD cutoff and
+Schur-complement diagnostics."""
 
 from __future__ import annotations
 
@@ -8,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import BasisSpec, eval_coupled, sym_coeffs
-from .geometry import SO2, SO3, Configuration, QuadratureRule, Rotation, sample_haar_many
+from .coupling import BasisSpec, eval_coupled
+from .geometry import (_UNIT_TOL, SO2, SO3, Configuration, QuadratureRule, Rotation,
+                       sample_haar_many)
 from .harmonics import apply_generalized_d, rotation_blocks, sph_harm_table
 
 _MACHINE_FLOOR = 1e-13
@@ -34,11 +35,17 @@ class Dataset:
             raise ValueError("d=1 expects an (n, N) array of angles")
         if self.d == 2 and (pts.ndim != 3 or pts.shape[2] != 3):
             raise ValueError("d=2 expects an (n, N, 3) array of unit vectors")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
+        if self.d == 2 and np.any(np.abs(np.linalg.norm(pts, axis=2) - 1.0) > _UNIT_TOL):
+            raise ValueError("d=2 points must be unit vectors (||r|| = 1 within 1e-12)")
         object.__setattr__(self, "points", pts)
         if self.values is not None:
             vals = np.asarray(self.values, dtype=complex)
             if vals.shape != (pts.shape[0],):
                 raise ValueError("values length must match the number of configurations")
+            if not np.all(np.isfinite(vals)):
+                raise ValueError("values must be finite")
             object.__setattr__(self, "values", vals)
 
     @property
@@ -76,22 +83,28 @@ def rotate_dataset(q: Rotation, data: Dataset) -> Dataset:
 # Design matrices
 # ---------------------------------------------------------------------------
 
-def _phase_tables(points: np.ndarray, degree: int) -> list[np.ndarray]:
+def _phase_product(points: np.ndarray, keys, degree: int) -> np.ndarray:
+    """Columns prod_p e^{i k_p theta_p} at (n, N) angles, one per multi-index
+    k in ``keys`` (all |k_p| <= degree): the d=1 basis evaluator.
+
+    The result is column-major, as the gathers leave it; the layout decides
+    the BLAS summation order of products taken with it.
+    """
+    karr = np.array(keys, dtype=int)
     ks = np.arange(-degree, degree + 1)
-    return [np.exp(1j * points[:, p, None] * ks[None, :]) for p in range(points.shape[1])]
+    tables = [np.exp(1j * points[:, p, None] * ks[None, :]) for p in range(karr.shape[1])]
+    a = tables[0][:, karr[:, 0] + degree]
+    for p in range(1, karr.shape[1]):
+        a *= tables[p][:, karr[:, p] + degree]
+    return a
 
 
 def design_matrix(basis: BasisSpec, data: Dataset) -> np.ndarray:
     """n x p evaluations of the working basis functions, in basis order."""
     if data.d != basis.d or data.n_particles != basis.n_particles:
         raise ValueError("dataset and basis dimensions do not match")
-    if basis.d == 1:
-        tables = _phase_tables(data.points, basis.degree)
-        karr = np.array(basis.indices, dtype=int)
-        a = tables[0][:, karr[:, 0] + basis.degree].copy()
-        for p in range(1, basis.n_particles):
-            a *= tables[p][:, karr[:, p] + basis.degree]
-        return a
+    if basis.d == 1:  # row-major, like the d=2 matrices
+        return np.ascontiguousarray(_phase_product(data.points, basis.indices, basis.degree))
     y_tables = [sph_harm_table(basis.degree, data.points[:, p, :])
                 for p in range(basis.n_particles)]
     out = np.empty((data.n, basis.size), dtype=complex)
@@ -107,12 +120,8 @@ def design_matrix(basis: BasisSpec, data: Dataset) -> np.ndarray:
 def invariant_design_matrix(basis: BasisSpec, data: Dataset) -> np.ndarray:
     """n x invariant_count evaluations of the invariant basis functions only."""
     if basis.d == 1:
-        tables = _phase_tables(data.points, basis.degree)
-        karr = np.array(basis.indices[:basis.invariant_count], dtype=int)
-        a = tables[0][:, karr[:, 0] + basis.degree].copy()
-        for p in range(1, basis.n_particles):
-            a *= tables[p][:, karr[:, p] + basis.degree]
-        return a
+        return np.ascontiguousarray(
+            _phase_product(data.points, basis.indices[:basis.invariant_count], basis.degree))
     y_tables = [sph_harm_table(basis.degree, data.points[:, p, :])
                 for p in range(basis.n_particles)]
     return eval_coupled(list(basis.invariant_funcs), y_tables)
@@ -167,11 +176,6 @@ class RegressionSolution:
     @property
     def eps_sym(self) -> float:
         return float(np.linalg.norm(self.beta_noninvariant))
-
-
-def symmetrization_error(sol: RegressionSolution) -> float:
-    """||beta - sym(beta)||_2, the coefficient distance to the invariant span."""
-    return float(np.linalg.norm(sol.beta - sym_coeffs(sol.beta, sol.basis)))
 
 
 def full_lsq(basis: BasisSpec, data: Dataset, cutoff: float = 0.0) -> RegressionSolution:

@@ -11,7 +11,7 @@ import numpy as np
 from .coupling import eval_coupled, invariant_basis_sphere3, invariant_indices_circle
 from .geometry import TWO_PI, Configuration, wrap_angle
 from .harmonics import sph_harm_table
-from .regression import Dataset
+from .regression import Dataset, _phase_product
 
 _N_PARTICLES = 3
 
@@ -169,14 +169,7 @@ class TargetFunction:
         """Values at (n, N) angle or (n, N, 3) vector samples."""
         points = np.asarray(points)
         if self.d == 1:
-            ks = np.arange(-self.degree, self.degree + 1)
-            karr = np.array(self.keys, dtype=int)
-            a = None
-            for p in range(_N_PARTICLES):
-                table = np.exp(1j * points[:, p, None] * ks[None, :])
-                gathered = table[:, karr[:, p] + self.degree]
-                a = gathered if a is None else a * gathered
-            return a @ self.coeffs.astype(complex)
+            return _phase_product(points, self.keys, self.degree) @ self.coeffs.astype(complex)
         y_tables = [sph_harm_table(self.degree, points[:, p, :]) for p in range(_N_PARTICLES)]
         return eval_coupled(list(self.funcs), y_tables) @ self.coeffs.astype(complex)
 

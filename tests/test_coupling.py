@@ -5,10 +5,11 @@ import pytest
 
 from oracles import brute_force_circle_indices, cg_table_by_diagonalization, random_units
 from symquad.coupling import (clebsch_gordan, enumerate_basis, eval_coupled,
-                              invariant_basis_sphere3, invariant_indices_circle,
-                              sym_coeffs)
+                              invariant_basis_sphere3, invariant_couplings,
+                              invariant_indices_circle, sym_coeffs)
 from symquad.geometry import SO3, sample_haar_many, so2_quadrature
 from symquad.harmonics import generalized_d, sph_harm_table
+from symquad.regression import Dataset, design_matrix, invariant_design_matrix, rotate_dataset
 
 
 def test_enumerate_circle_small():
@@ -85,6 +86,39 @@ def test_clebsch_gordan_swap_symmetry():
         count += 1
 
 
+def _racah_couplings(n_particles, degree):
+    """{l-tuple: {m-tuple: coefficient}} of the invariant couplings for N <= 3
+    as explicit Clebsch-Gordan products: the pair <l m; l -m | 0 0>, and for
+    triples l1 x l2 coupled to l3, contracted with the third particle's l3."""
+    out = {}
+    if n_particles == 1:
+        out[(0,)] = {(0,): 1.0}
+    for l in range(degree // 2 + 1 if n_particles == 2 else 0):
+        out[(l, l)] = {(m, -m): clebsch_gordan(l, m, l, -m, 0, 0) for m in range(-l, l + 1)}
+    for l1 in range(degree + 1 if n_particles == 3 else 0):
+        for l2 in range(degree + 1 - l1):
+            for l3 in range(abs(l1 - l2), min(l1 + l2, degree - l1 - l2) + 1):
+                out[(l1, l2, l3)] = {
+                    (m1, m2, -(m1 + m2)): clebsch_gordan(l1, m1, l2, m2, l3, m1 + m2)
+                    * clebsch_gordan(l3, m1 + m2, l3, -(m1 + m2), 0, 0)
+                    for m1 in range(-l1, l1 + 1) for m2 in range(-l2, l2 + 1)
+                    if abs(m1 + m2) <= l3}
+    return out
+
+
+def test_invariant_couplings_match_clebsch_gordan_products():
+    for n in (1, 2, 3):
+        for k in range(0, 9):
+            funcs = invariant_couplings(n, k)
+            oracle = _racah_couplings(n, k)
+            assert [f.l for f in funcs] == sorted(oracle)
+            for f in funcs:
+                got = {tuple(int(m) for m in ms): c for ms, c in zip(f.ms, f.coeffs)}
+                ref = oracle[f.l]
+                assert set(got) <= set(ref)
+                assert max(abs(got.get(m, 0.0) - c) for m, c in ref.items()) < 1e-12
+
+
 def test_invariant_basis_sphere3_constant():
     funcs = invariant_basis_sphere3(0)
     assert len(funcs) == 1
@@ -142,8 +176,8 @@ def test_coupling_columns_block_supported():
 def test_invariant_dimension_matches_projector_rank():
     # Haar average of D (exact by quadrature) is the coefficient projector;
     # its rank counts the invariant subspace dimension
-    for d_dim, k in ((1, 4), (2, 3), (2, 4)):
-        basis = enumerate_basis(d_dim, 3, k)
+    for d_dim, n, k in ((1, 3, 4), (2, 3, 3), (2, 3, 4), (2, 4, 3)):
+        basis = enumerate_basis(d_dim, n, k)
         if d_dim == 1:
             rule = so2_quadrature(k + 1)
         else:
@@ -155,6 +189,20 @@ def test_invariant_dimension_matches_projector_rank():
         eigs = np.linalg.eigvalsh((acc + acc.conj().T) / 2.0)
         assert int((eigs > 0.5).sum()) == basis.invariant_count
         assert np.abs(acc @ acc - acc).max() < 1e-10  # projector
+
+
+def test_four_particle_invariant_columns_fixed_by_rotations():
+    basis = enumerate_basis(2, 4, 3)
+    assert basis.invariant_count == 11  # 1 constant, 6 equal pairs, 4 triples (1, 1, 1)
+    rng = np.random.default_rng(8)
+    data = Dataset(2, random_units(4 * 6, rng).reshape(6, 4, 3))
+    a_inv = invariant_design_matrix(basis, data)
+    assert np.abs(design_matrix(basis, data)[:, :basis.invariant_count] - a_inv).max() < 1e-12
+    for q in sample_haar_many(SO3, 10, rng):
+        rotated = rotate_dataset(q, data)
+        assert np.abs(invariant_design_matrix(basis, rotated) - a_inv).max() < 1e-10
+        a_rot = design_matrix(basis, rotated)[:, :basis.invariant_count]
+        assert np.abs(a_rot - a_inv).max() < 1e-10
 
 
 def test_sym_coeffs_circle_rules():

@@ -290,6 +290,41 @@ def test_cli_drift(tmp_path, capsys):
     assert (tmp_path / "drift" / "drift.csv").is_file()
 
 
+def test_drift_without_hits_plots_without_nan(tmp_path, capsys):
+    # at eps = 0 the hit target is never reached: the CSV keeps its nan rows,
+    # the plot leaves those points out
+    ini = tmp_path / "still.ini"
+    ini.write_text("[drift.still]\neps_list = 0 0.01\nsteps = 200\nrecord_every = 10\n"
+                   f"trials = 2\noutdir = {tmp_path / 'run'}\n")
+    written = run_config_file(ini)
+    assert main(["drift", "--eps", "0", "--steps", "200", "--record-every", "10",
+                 "--outdir", str(tmp_path / "cli")]) == 0
+    written += capsys.readouterr().out.split()
+    assert len(written) == 4
+    for path in written:
+        text = open(path, encoding="utf-8").read()
+        if path.endswith(".csv"):
+            assert "nan" in text
+        else:
+            assert "<polyline" in text and "nan" not in text
+
+
+def test_emit_plot_skips_non_finite():
+    table = ResultTable("quad-sweep", "t", {"seed": 0})
+    for sweep in (1, 2, 3):
+        table.add(sweep, "a", [10.0 ** -sweep, 10.0 ** -sweep])
+    table.add(4, "a", [math.nan, 1.0])
+    table.rows.append((5, "a", 1.0, math.nan, 2))  # finite mean, no whisker
+    table.add(1, "b", [math.nan])
+    svg = emit_plot(table, "semilogy")
+    assert "nan" not in svg and "inf" not in svg
+    assert svg.count("<polyline") == 1 and ">b</text>" not in svg
+    assert svg.split("<polyline")[1].count(",") == 4  # sweeps 1, 2, 3 and 5
+    only_nan = ResultTable("quad-sweep", "n", {})
+    only_nan.add(1, "a", [math.nan])
+    assert emit_plot(only_nan, "semilogy") is None
+
+
 def test_cli_numerical_abort_exit_code(tmp_path, capsys):
     # a blown-up integration (dt astronomically large) must exit with code 3
     ini = tmp_path / "blow.ini"

@@ -11,7 +11,7 @@ from symquad.regression import (AugmentationScheme, Dataset, RegressionSolution,
                                 augmented_lsq, design_matrix, full_lsq,
                                 invariant_design_matrix, invariant_lsq, l2_test_error,
                                 lsq_solve, rotate_dataset, schur_diagnostics,
-                                symmetrization_error, _compressed_stack)
+                                _compressed_stack)
 from symquad.sampling import DistributionSpec, ExponentialDecay, make_target, sample_dataset
 
 
@@ -24,6 +24,17 @@ def test_dataset_validation():
         Dataset(1, np.zeros((4, 3)), np.zeros(3))
     with pytest.raises(ValueError):
         Dataset(2, np.zeros((4, 3)))
+    units = np.tile([0.0, 0.0, 1.0], (2, 3, 1))
+    Dataset(2, units, np.ones(2))
+    for bad_points in (np.full((2, 3, 3), np.nan), 1.5 * units, units + 1e-9):
+        with pytest.raises(ValueError):
+            Dataset(2, bad_points)
+    for bad_angle in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            Dataset(1, np.array([[0.0, bad_angle, 1.0]]))
+    for bad_value in (np.nan, complex(0.0, np.inf)):
+        with pytest.raises(ValueError):
+            Dataset(1, np.zeros((2, 3)), np.array([1.0, bad_value]))
     configs = [Configuration(1, np.array([0.0, 1.0, 2.0])) for _ in range(3)]
     ds = Dataset.from_configurations(configs, np.ones(3))
     assert ds.n == 3 and ds.n_particles == 3
@@ -62,6 +73,25 @@ def test_invariant_design_matches_leading_columns():
         full = design_matrix(basis, data)
         inv = invariant_design_matrix(basis, data)
         assert np.abs(full[:, :basis.invariant_count] - inv).max() < 1e-12
+
+
+def test_circle_evaluator_bitwise_and_row_major():
+    # every d=1 evaluation multiplies e^{i k_p theta_p} in particle order; the
+    # design matrices are row-major, which fixes the summation order of the
+    # BLAS calls downstream and so the result CSV bytes
+    basis = enumerate_basis(1, 3, 4)
+    data = _uniform_data(1, 13, 6)
+    karr = np.array(basis.indices)
+    expect = np.exp(1j * data.points[:, None, 0] * karr[None, :, 0])
+    for p in (1, 2):
+        expect = expect * np.exp(1j * data.points[:, None, p] * karr[None, :, p])
+    full = design_matrix(basis, data)
+    inv = invariant_design_matrix(basis, data)
+    assert np.array_equal(full, expect) and np.array_equal(inv, expect[:, :basis.invariant_count])
+    assert full.flags["C_CONTIGUOUS"] and inv.flags["C_CONTIGUOUS"]
+    target = make_target(1, ExponentialDecay(2.0), 4, seed=7)
+    assert target.keys == basis.indices[:basis.invariant_count]
+    assert np.abs(target(data) - inv @ target.coeffs).max() < 1e-12
 
 
 def test_lsq_solve_identity():
@@ -155,22 +185,22 @@ def test_augmented_scheme_validation():
         augmented_lsq(basis, Dataset(2, data.points, np.zeros(5, dtype=complex)), scheme)
 
 
-def test_symmetrization_error_cases():
+def test_eps_sym_cases():
     basis = enumerate_basis(1, 3, 2)
     beta = np.zeros(basis.size, dtype=complex)
     beta[0] = 3.0
-    assert symmetrization_error(RegressionSolution(basis, beta, 0.0, 0.0)) == 0.0
+    assert RegressionSolution(basis, beta, 0.0, 0.0).eps_sym == 0.0
     beta2 = np.zeros(basis.size, dtype=complex)
     beta2[basis.invariant_count] = 1.0
-    assert abs(symmetrization_error(RegressionSolution(basis, beta2, 0.0, 0.0)) - 1.0) < 1e-15
+    assert abs(RegressionSolution(basis, beta2, 0.0, 0.0).eps_sym - 1.0) < 1e-15
 
 
-def test_symmetrization_error_pythagoras():
+def test_eps_sym_pythagoras():
     rng = np.random.default_rng(16)
     basis = enumerate_basis(1, 3, 3)
     beta = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     sol = RegressionSolution(basis, beta, 0.0, 0.0)
-    e = symmetrization_error(sol)
+    e = sol.eps_sym
     s = np.linalg.norm(sym_coeffs(beta, basis))
     assert abs(e ** 2 + s ** 2 - np.linalg.norm(beta) ** 2) < 1e-12
 
