@@ -130,48 +130,21 @@ def simulate(pot: PerturbedPotential, init: PhaseState, dt: float, n_steps: int,
     """Integrate and record (step, t, J, H) every ``record_every`` steps.
 
     A non-finite state aborts the run; the trajectory then ends at the last
-    valid record.
+    valid record.  This is the single-run case of `simulate_batch`.
     """
-    if n_steps < 1 or record_every < 1:
-        raise ValueError("need n_steps >= 1 and record_every >= 1")
-    theta = init.theta.copy()
-    p = init.p.copy()
-    half_dt = 0.5 * dt
-
-    n_rec = n_steps // record_every + 1
-    steps = np.zeros(n_rec, dtype=np.int64)
-    times = np.zeros(n_rec)
-    j_series = np.zeros(n_rec)
-    h_series = np.zeros(n_rec)
-    steps[0] = 0
-    times[0] = init.time
-    j_series[0] = p.sum()
-    h_series[0] = 0.5 * (p @ p) + float(pot.energy(theta))
-
-    f = force(pot, theta)
-    k = 1
-    aborted = False
-    for step in range(1, n_steps + 1):
-        p += half_dt * f
-        theta += dt * p
-        f = force(pot, theta)
-        p += half_dt * f
-        if step % record_every == 0:
-            if not (np.isfinite(theta).all() and np.isfinite(p).all()):
-                aborted = True
-                break
-            steps[k] = step
-            times[k] = init.time + step * dt
-            j_series[k] = p.sum()
-            h_series[k] = 0.5 * (p @ p) + float(pot.energy(theta))
-            k += 1
-    return Trajectory(steps[:k], times[:k], j_series[:k], h_series[:k], aborted)
+    traj = simulate_batch(pot, init.theta[None, :], init.p[None, :], dt, n_steps,
+                          record_every)
+    return Trajectory(traj.steps, traj.times + init.time, traj.angular_momentum[0],
+                      traj.energy[0], traj.aborted)
 
 
 def simulate_batch(pot: PerturbedPotential, thetas: np.ndarray, ps: np.ndarray,
                    dt: float, n_steps: int, record_every: int = 1) -> Trajectory:
     """Integrate B independent runs in lockstep; recorded arrays get a
-    leading batch axis.  Used by the drift sweeps."""
+    leading batch axis and times start at 0.  A non-finite state in any run
+    aborts all of them at the last valid record."""
+    if n_steps < 1 or record_every < 1:
+        raise ValueError("need n_steps >= 1 and record_every >= 1")
     theta = np.array(thetas, dtype=float)
     p = np.array(ps, dtype=float)
     half_dt = 0.5 * dt
@@ -193,7 +166,7 @@ def simulate_batch(pot: PerturbedPotential, thetas: np.ndarray, ps: np.ndarray,
         f = force(pot, theta)
         p += half_dt * f
         if step % record_every == 0:
-            if not np.isfinite(theta).all():
+            if not (np.isfinite(theta).all() and np.isfinite(p).all()):
                 aborted = True
                 break
             steps[k] = step

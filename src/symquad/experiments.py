@@ -149,10 +149,17 @@ def _validate(cfg: ExperimentConfig):
     for key in _REQUIRED[cfg.experiment]:
         if not getattr(cfg, key):
             raise ConfigError(f"[{cfg.name}] missing required field {key!r}")
+    for key in _FLOATS + _FLOAT_TUPLE:
+        if not np.all(np.isfinite(getattr(cfg, key))):
+            raise ConfigError(f"[{cfg.name}] field {key!r} must be finite")
     exp = cfg.experiment
     if exp != "drift":
         if cfg.d not in (1, 2):
             raise ConfigError(f"[{cfg.name}] field 'd' must be 1 or 2")
+        if cfg.kappa <= 0.0:
+            raise ConfigError(f"[{cfg.name}] field 'kappa' must be > 0")
+        if cfg.sigma < 0.0:
+            raise ConfigError(f"[{cfg.name}] field 'sigma' must be >= 0")
     if cfg.trials < 1:
         raise ConfigError(f"[{cfg.name}] field 'trials' must be >= 1")
     if exp in ("approx-rates", "quad-sweep", "random-sweep", "compare", "regularity-sweep"):
@@ -162,7 +169,10 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"[{cfg.name}] field 'train_size' must be >= 1")
         if cfg.test_size < 1:
             raise ConfigError(f"[{cfg.name}] field 'test_size' must be >= 1")
-        DistributionSpec(cfg.d, cfg.distribution, cfg.kappa, cfg.sigma)
+        try:
+            DistributionSpec(cfg.d, cfg.distribution)
+        except ValueError as exc:
+            raise ConfigError(f"[{cfg.name}] field 'distribution': {exc}") from exc
     if exp in ("random-sweep", "regularity-sweep") and not cfg.t_list:
         raise ConfigError(f"[{cfg.name}] field 't_list' must be non-empty")
     if exp in ("quad-sweep", "compare") and not cfg.quad_degrees:
@@ -174,11 +184,17 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"[{cfg.name}] field 'steps' must be >= 1")
         if cfg.dt <= 0:
             raise ConfigError(f"[{cfg.name}] field 'dt' must be > 0")
+        if cfg.record_every < 1:
+            raise ConfigError(f"[{cfg.name}] field 'record_every' must be >= 1")
+        if min(cfg.eps_list) < 0.0:
+            raise ConfigError(f"[{cfg.name}] field 'eps_list' must be >= 0")
     if cfg.cutoff != "auto":
         try:
-            float(cfg.cutoff)
+            cutoff = float(cfg.cutoff)
         except ValueError:
-            raise ConfigError(f"[{cfg.name}] field 'cutoff' must be 'auto' or a number")
+            cutoff = math.nan
+        if not 0.0 <= cutoff < math.inf:
+            raise ConfigError(f"[{cfg.name}] field 'cutoff' must be 'auto' or a finite number >= 0")
 
 
 def _apply_size_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -316,23 +332,37 @@ def _make_rule(d: int, degree: int):
 # Runners
 # ---------------------------------------------------------------------------
 
-def run_approx_rates(cfg: ExperimentConfig) -> ResultTable:
-    """Full / invariant / sym-projected test errors per model degree."""
+def _setup(cfg: ExperimentConfig, target=None, test: bool = True):
+    """Shared set-up of the regression runners: size defaults, cutoff, target
+    (the exponential-decay one unless given) and each trial's (train, test)
+    pair, drawn once so that every sweep point of a trial fits the same data.
+
+    Train comes from seed path (2, trial), test from the uniform distribution
+    on (3, trial); test is None when ``test`` is false.
+    """
     cfg = _apply_size_defaults(cfg)
-    cutoff = _resolve_cutoff(cfg)
+    if target is None:
+        target = make_target(cfg.d, ExponentialDecay(cfg.alpha), _target_degree(cfg),
+                             _int_seed(cfg.seed, 1))
     dist = DistributionSpec(cfg.d, cfg.distribution, cfg.kappa, cfg.sigma)
     uniform = DistributionSpec(cfg.d, "UUU")
-    target = make_target(cfg.d, ExponentialDecay(cfg.alpha), _target_degree(cfg),
-                         _int_seed(cfg.seed, 1))
+    data = [(sample_dataset(dist, cfg.train_size, _rng(cfg.seed, 2, trial), target),
+             sample_dataset(uniform, cfg.test_size, _rng(cfg.seed, 3, trial), target)
+             if test else None)
+            for trial in range(cfg.trials)]
+    return cfg, _resolve_cutoff(cfg), target, data
+
+
+def run_approx_rates(cfg: ExperimentConfig) -> ResultTable:
+    """Full / invariant / sym-projected test errors per model degree."""
+    cfg, cutoff, target, data = _setup(cfg)
     table = _new_table(cfg)
-    bases = {}
+    bases = {k: enumerate_basis(cfg.d, 3, k) for k in cfg.degrees}
     results = {k: {name: [] for name in ("full", "invariant", "projected", "full_eps_sym")}
                for k in cfg.degrees}
-    for trial in range(cfg.trials):
-        train = sample_dataset(dist, cfg.train_size, _rng(cfg.seed, 2, trial), target)
-        test = sample_dataset(uniform, cfg.test_size, _rng(cfg.seed, 3, trial), target)
+    for train, test in data:
         for k in cfg.degrees:
-            basis = bases.setdefault(k, enumerate_basis(cfg.d, 3, k))
+            basis = bases[k]
             sol_full = full_lsq(basis, train, cutoff)
             sol_inv = invariant_lsq(basis, train, cutoff)
             sol_proj = RegressionSolution(basis, sym_coeffs(sol_full.beta, basis),
@@ -352,21 +382,14 @@ def run_approx_rates(cfg: ExperimentConfig) -> ResultTable:
 
 def run_quad_sweep(cfg: ExperimentConfig) -> ResultTable:
     """eps_sym and test error vs quadrature degree, per model degree."""
-    cfg = _apply_size_defaults(cfg)
-    cutoff = _resolve_cutoff(cfg)
-    dist = DistributionSpec(cfg.d, cfg.distribution, cfg.kappa, cfg.sigma)
-    uniform = DistributionSpec(cfg.d, "UUU")
-    target = make_target(cfg.d, ExponentialDecay(cfg.alpha), _target_degree(cfg),
-                         _int_seed(cfg.seed, 1))
+    cfg, cutoff, target, data = _setup(cfg)
     table = _new_table(cfg)
     rules = {q: _make_rule(cfg.d, q) for q in cfg.quad_degrees}
     for k in cfg.degrees:
         basis = enumerate_basis(cfg.d, 3, k)
         eps = {q: [] for q in cfg.quad_degrees}
         err = {q: [] for q in cfg.quad_degrees}
-        for trial in range(cfg.trials):
-            train = sample_dataset(dist, cfg.train_size, _rng(cfg.seed, 2, trial), target)
-            test = sample_dataset(uniform, cfg.test_size, _rng(cfg.seed, 3, trial), target)
+        for train, test in data:
             for q in cfg.quad_degrees:
                 scheme = AugmentationScheme("quadrature", rule=rules[q])
                 sol = augmented_lsq(basis, train, scheme, cutoff)
@@ -381,20 +404,13 @@ def run_quad_sweep(cfg: ExperimentConfig) -> ResultTable:
 
 def run_random_sweep(cfg: ExperimentConfig) -> ResultTable:
     """eps_sym (with Schur bound) vs number of random rotations."""
-    cfg = _apply_size_defaults(cfg)
-    cutoff = _resolve_cutoff(cfg)
-    dist = DistributionSpec(cfg.d, cfg.distribution, cfg.kappa, cfg.sigma)
-    uniform = DistributionSpec(cfg.d, "UUU")
-    target = make_target(cfg.d, ExponentialDecay(cfg.alpha), _target_degree(cfg),
-                         _int_seed(cfg.seed, 1))
+    cfg, cutoff, target, data = _setup(cfg)
     table = _new_table(cfg)
     for k in cfg.degrees:
         basis = enumerate_basis(cfg.d, 3, k)
         for ti, t in enumerate(cfg.t_list):
             eps, errs, bounds = [], [], []
-            for trial in range(cfg.trials):
-                train = sample_dataset(dist, cfg.train_size, _rng(cfg.seed, 2, trial), target)
-                test = sample_dataset(uniform, cfg.test_size, _rng(cfg.seed, 3, trial), target)
+            for trial, (train, test) in enumerate(data):
                 scheme = AugmentationScheme("random", t=t,
                                             seed=_int_seed(cfg.seed, 4, ti, trial))
                 sol = augmented_lsq(basis, train, scheme, cutoff)
@@ -410,11 +426,7 @@ def run_random_sweep(cfg: ExperimentConfig) -> ResultTable:
 
 def run_compare(cfg: ExperimentConfig) -> ResultTable:
     """Quadrature vs random augmentation on a shared rotation-count axis."""
-    cfg = _apply_size_defaults(cfg)
-    cutoff = _resolve_cutoff(cfg)
-    dist = DistributionSpec(cfg.d, cfg.distribution, cfg.kappa, cfg.sigma)
-    target = make_target(cfg.d, ExponentialDecay(cfg.alpha), _target_degree(cfg),
-                         _int_seed(cfg.seed, 1))
+    cfg, cutoff, _, data = _setup(cfg, test=False)
     table = _new_table(cfg)
     for k in cfg.degrees:
         basis = enumerate_basis(cfg.d, 3, k)
@@ -422,8 +434,7 @@ def run_compare(cfg: ExperimentConfig) -> ResultTable:
             rule = _make_rule(cfg.d, q)
             budget = len(rule)
             quad_eps, rand_eps = [], []
-            for trial in range(cfg.trials):
-                train = sample_dataset(dist, cfg.train_size, _rng(cfg.seed, 2, trial), target)
+            for trial, (train, _) in enumerate(data):
                 sol_q = augmented_lsq(basis, train,
                                       AugmentationScheme("quadrature", rule=rule), cutoff)
                 sol_r = augmented_lsq(basis, train,
@@ -492,20 +503,16 @@ def regularity_target(d: int, power: float, degree: int, seed: int):
 
 def run_regularity_sweep(cfg: ExperimentConfig) -> ResultTable:
     """Random-augmentation eps_sym across algebraic smoothness classes."""
-    cfg = _apply_size_defaults(cfg)
-    cutoff = _resolve_cutoff(cfg)
-    dist = DistributionSpec(cfg.d, cfg.distribution, cfg.kappa, cfg.sigma)
-    table = _new_table(cfg)
+    table = _new_table(_apply_size_defaults(cfg))
     for pi, power in enumerate(cfg.powers):
         target = regularity_target(cfg.d, power, _target_degree(cfg),
                                    _int_seed(cfg.seed, 1, pi))
+        _, cutoff, _, data = _setup(cfg, target, test=False)
         for k in cfg.degrees:
             basis = enumerate_basis(cfg.d, 3, k)
             for ti, t in enumerate(cfg.t_list):
                 eps = []
-                for trial in range(cfg.trials):
-                    train = sample_dataset(dist, cfg.train_size,
-                                           _rng(cfg.seed, 2, trial), target)
+                for trial, (train, _) in enumerate(data):
                     scheme = AugmentationScheme("random", t=t,
                                                 seed=_int_seed(cfg.seed, 7, pi, ti, trial))
                     eps.append(augmented_lsq(basis, train, scheme, cutoff).eps_sym)
@@ -620,9 +627,7 @@ def emit_plot(table: ResultTable, kind: str = "semilogy", path=None):
             ys.append(max(mean + std, _FLOOR))
             ys.append(max(mean - std, _FLOOR))
     ylo = math.floor(math.log10(min(ys)))
-    yhi = math.ceil(math.log10(max(ys))) or ylo + 1
-    if yhi == ylo:
-        yhi = ylo + 1
+    yhi = max(math.ceil(math.log10(max(ys))), ylo + 1)
 
     def ty(y):
         v = math.log10(max(y, _FLOOR))

@@ -325,6 +325,10 @@ def load_quadrature_file(path) -> QuadratureRule:
             w, a, b, g = (float(p) for p in parts)
         except ValueError as exc:
             raise QuadratureFormatError(f"{path}:{lineno}: bad number") from exc
+        if not all(map(math.isfinite, (w, a, b, g))):
+            raise QuadratureFormatError(f"{path}:{lineno}: non-finite number")
+        if w <= 0.0:
+            raise QuadratureFormatError(f"{path}:{lineno}: weight must be > 0")
         weights[i] = w
         rotations.append(Rotation.from_euler_zyz(a, b, g))
     total = weights.sum()

@@ -109,6 +109,15 @@ def test_simulate_batch_matches_single():
     assert np.abs(single.energy - batch.energy[0]).max() < 1e-12
 
 
+def test_simulate_batch_rejects_bad_arguments():
+    pot = default_potential(0.0)
+    theta, p = np.zeros((2, 3)), np.zeros((2, 3))
+    with pytest.raises(ValueError, match="record_every"):
+        simulate_batch(pot, theta, p, 0.05, 10, record_every=0)
+    with pytest.raises(ValueError, match="n_steps"):
+        simulate_batch(pot, theta, p, 0.05, 0)
+
+
 def test_simulate_aborts_on_blowup():
     pot = default_potential(0.0)
     init = PhaseState(np.array([0.0, 1.0, 2.0]), np.array([1e300, -1e300, 0.0]))

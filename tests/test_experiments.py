@@ -157,6 +157,44 @@ def test_compare_ratio_capped_past_threshold(tmp_path):
     assert all(ratios[b] >= 1.0 for b in pre)
 
 
+def test_runners_draw_each_trials_data_once(monkeypatch):
+    from symquad import experiments
+
+    calls = []
+    real = experiments.sample_dataset
+    monkeypatch.setattr(experiments, "sample_dataset",
+                        lambda *args: calls.append(args) or real(*args))
+    run_random_sweep(_cfg("random-sweep", d=1, degrees="2", t_list="4 8 16", trials=2,
+                          train_size=30, test_size=10, seed=1))
+    assert len(calls) == 4  # one (train, test) pair per trial
+    calls.clear()
+    run_quad_sweep(_cfg("quad-sweep", d=1, degrees="2 3", quad_degrees="0 3", trials=2,
+                        train_size=30, test_size=10, seed=1))
+    assert len(calls) == 2 * 2
+    calls.clear()
+    run_regularity_sweep(_cfg("regularity-sweep", d=1, degrees="2", t_list="4 8",
+                              powers="1 2", trials=2, train_size=30, test_size=10,
+                              target_degree=6, seed=1))
+    assert len(calls) == 2 * 2  # train only, once per (power, trial)
+
+
+def test_random_sweep_cell_matches_direct_solve():
+    from symquad.coupling import enumerate_basis
+    from symquad.experiments import _int_seed, _rng
+    from symquad.regression import AugmentationScheme, augmented_lsq
+    from symquad.sampling import DistributionSpec, ExponentialDecay, make_target, sample_dataset
+
+    table = run_random_sweep(_cfg("random-sweep", d=1, degrees="3", t_list="4 8", trials=2,
+                                  train_size=40, test_size=20, seed=21))
+    target = make_target(1, ExponentialDecay(2.0), 30, _int_seed(21, 1))
+    eps = []
+    for trial in range(2):
+        train = sample_dataset(DistributionSpec(1, "UUU"), 40, _rng(21, 2, trial), target)
+        scheme = AugmentationScheme("random", t=8, seed=_int_seed(21, 4, 1, trial))
+        eps.append(augmented_lsq(enumerate_basis(1, 3, 3), train, scheme).eps_sym)
+    assert table.metric("eps_sym[K=3]")[8] == float(np.mean(eps))
+
+
 def test_identical_schemes_give_ratio_one():
     from symquad.coupling import enumerate_basis
     from symquad.regression import AugmentationScheme, augmented_lsq
@@ -264,6 +302,17 @@ def test_cli_list_and_errors(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[approx-rates]\nbogus = 1\n")
     assert main(["run", str(bad)]) == 2
+    capsys.readouterr()
+    for field, text in (("distribution", "[quad-sweep]\nd = 1\ndistribution = XYZ\n"),
+                        ("kappa", "[quad-sweep]\nd = 1\nkappa = -1\n"),
+                        ("eps_list", "[drift]\neps_list = -1\n"),
+                        ("record_every", "[drift]\neps_list = 0.1\nrecord_every = 0\n"),
+                        ("dt", "[drift]\neps_list = 0.1\ndt = nan\n"),
+                        ("alpha", "[quad-sweep]\nd = 1\nalpha = nan\n"),
+                        ("cutoff", "[quad-sweep]\nd = 1\ncutoff = nan\n")):
+        bad.write_text(text)
+        assert main(["run", str(bad)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
 
 
 def test_cli_run_and_verify(tmp_path, capsys):
@@ -280,6 +329,11 @@ def test_cli_run_and_verify(tmp_path, capsys):
     assert main(["verify-quadrature", str(rule_path), "--lmax", "4"]) == 0
     assert "verified_degree=3" in capsys.readouterr().out
     assert main(["verify-quadrature", str(tmp_path / "nope.txt")]) == 2
+    capsys.readouterr()
+    for body in ("-0.5 0 0 0\n1.5 0 1 0\n", "0.5 0 0 0\n0.5 inf 1 0\n"):
+        rule_path.write_text("degree 1\ncount 2\n" + body)
+        assert main(["verify-quadrature", str(rule_path)]) == 2
+        assert "rule.txt:" in capsys.readouterr().err
 
 
 def test_cli_drift(tmp_path, capsys):
@@ -307,6 +361,19 @@ def test_drift_without_hits_plots_without_nan(tmp_path, capsys):
             assert "nan" in text
         else:
             assert "<polyline" in text and "nan" not in text
+
+
+def test_emit_plot_axis_reaches_decade_zero():
+    # a largest value in (0.1, 1] puts the top tick at 1e0
+    from symquad.experiments import _H, _MB, _MT
+
+    table = ResultTable("quad-sweep", "t", {"seed": 0})
+    for sweep in range(4):
+        table.add(sweep, "a", [10.0 ** (sweep - 3)])
+    svg = emit_plot(table, "semilogy")
+    assert [f">1e{dec}<" in svg for dec in range(-4, 2)] == [False, True, True, True, True, False]
+    points = svg.split('<polyline points="')[1].split('"')[0].split()
+    assert all(_MT <= float(pt.split(",")[1]) <= _H - _MB for pt in points)
 
 
 def test_emit_plot_skips_non_finite():
