@@ -135,6 +135,7 @@ def lsq_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0,
               relative: bool = False) -> np.ndarray:
     """Minimum-norm least-squares solution via the SVD pseudo-inverse.
 
+    Tall systems are first reduced to the triangular factor of [a | y].
     Singular values below ``cutoff`` (an absolute threshold unless
     ``relative``) are discarded; cutoff 0 keeps everything above the machine
     floor 1e-13 * sigma_max.
@@ -142,6 +143,12 @@ def lsq_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0,
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] < 1:
         raise ValueError("empty least-squares system")
+    p = a.shape[1]
+    if a.shape[0] > p + 1:
+        # [a | y] = Q R: a and y share the orthonormal factor Q, so R[:, :p]
+        # has the singular values of a and the same minimum-norm solution
+        r = np.linalg.qr(np.column_stack([a, y]), mode="r")
+        a, y = r[:, :p], r[:, p]
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros(a.shape[1], dtype=complex)
@@ -235,11 +242,12 @@ class AugmentationScheme:
         return np.full(self.t, 1.0 / self.t), rots
 
 
-def _compressed_stack(blocks, width: int, chunk_rows: int = _COMPRESS_ROWS) -> np.ndarray:
-    """QR-compress vertically stacked blocks to an upper-triangular factor.
+def _compressed_stack(blocks, chunk_rows: int = _COMPRESS_ROWS) -> np.ndarray:
+    """Vertically stacked blocks, QR-compressed whenever ``chunk_rows`` rows
+    have gathered, so memory stays bounded for any number of blocks.
 
     Orthogonal reductions preserve singular values and least-squares
-    solutions, so solving on the compressed factor is exact.
+    solutions, so solving on the compressed stack is exact.
     """
     r = None
     buf, buffered = [], 0
@@ -253,37 +261,61 @@ def _compressed_stack(blocks, width: int, chunk_rows: int = _COMPRESS_ROWS) -> n
     stacked = np.concatenate(([r] if r is not None else []) + buf, axis=0) if buf else r
     if stacked is None:
         raise ValueError("no augmentation blocks")
-    if stacked.shape[0] > width:
-        stacked = np.linalg.qr(stacked, mode="r")
     return stacked
+
+
+def _charge_phases(rotations, charges) -> np.ndarray:
+    """e^{i s theta_t}: one row per SO(2) rotation, one column per charge s."""
+    return np.exp(1j * np.outer([q.angle for q in rotations], charges))
+
+
+def _charge_blocks(basis: BasisSpec, a: np.ndarray, y: np.ndarray, weights, rotations):
+    """Row blocks of the d=1 augmented stack, reduced to one block per charge.
+
+    Row block t of the plain stack is sqrt(w_t) [A diag(e^{i s_j theta_t}) | y],
+    which is sum_c V[t, c] B_c with V[t, c] = sqrt(w_t) e^{i s_c theta_t} and
+    B_c = [A restricted to the columns of charge s_c | y if s_c = 0].  With
+    V = Q R the plain stack is (Q (x) I_n) times the stack of R B, and
+    Q (x) I_n has orthonormal columns: the reduced stack has the same singular
+    values, minimum-norm solution and residual, in min(T, C) n rows.
+    """
+    charges, col = np.unique(np.append(basis.sums, 0), return_inverse=True)
+    v = np.sqrt(weights)[:, None] * _charge_phases(rotations, charges)
+    r = np.linalg.qr(v, mode="r")
+    col_a, col_y = col[:-1], col[-1]
+    for row in r:
+        yield np.concatenate([a * row[col_a], (row[col_y] * y)[:, None]], axis=1)
 
 
 def augmented_lsq(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
                   cutoff: float = 0.0) -> RegressionSolution:
     """Symmetry-augmented least squares.
 
-    Minimizes (1/2) sum_t w_t ||A D(Q_t) beta - Y||^2 by row-stacking the
-    sqrt(w_t)-scaled rotated design blocks; the data vector is replicated,
-    never rotated.  Large stacks are QR-compressed chunk by chunk, which
-    leaves the solution bit-for-bit identical to the plain stacked solve up
-    to the orthogonal reduction.
+    Minimizes (1/2) sum_t w_t ||A D(Q_t) beta - Y||^2, the least-squares
+    problem of the row stack of the sqrt(w_t)-scaled rotated design blocks
+    with the data vector replicated, never rotated.  The stack is reduced
+    exactly before it is factored.  For d=1, D(Q_t) is diagonal and reaches
+    the data only through the phases e^{i s theta_t} of the distinct charges
+    s = sum(k), so the stack collapses to at most one block of n rows per
+    charge whatever the number of rotations (``_charge_blocks``).  For d=2 the stack
+    keeps one block per node and is QR-compressed chunk by chunk once it
+    grows past ``_COMPRESS_ROWS`` rows.  ``lsq_solve`` then factors the tall
+    result through QR before its SVD.  Both reductions are orthogonal, so
+    beta, the kept rank and the residual are those of the plain stacked solve
+    up to roundoff.
     """
     weights, rotations = scheme.nodes(basis.d)
     a = design_matrix(basis, data)
     y = data.values
     p = basis.size
 
-    def blocks():
-        for w, q in zip(weights, rotations):
-            sw = np.sqrt(w)
-            yield np.concatenate([sw * apply_generalized_d(basis, a, q),
-                                  (sw * y)[:, None]], axis=1)
-
-    total_rows = data.n * len(weights)
-    if total_rows <= _COMPRESS_ROWS:
-        stacked = np.concatenate(list(blocks()), axis=0)
+    if basis.d == 1:
+        blocks = _charge_blocks(basis, a, y, weights, rotations)
     else:
-        stacked = _compressed_stack(blocks(), p + 1)
+        blocks = (np.sqrt(w) * np.concatenate([apply_generalized_d(basis, a, q), y[:, None]],
+                                              axis=1)
+                  for w, q in zip(weights, rotations))
+    stacked = _compressed_stack(blocks)
     beta = lsq_solve(stacked[:, :p], stacked[:, p], cutoff)
     res = float(np.linalg.norm(stacked[:, :p] @ beta - stacked[:, p]))
     return RegressionSolution(basis, beta, cutoff, res)
@@ -318,12 +350,10 @@ class SchurDiagnostics:
 
 
 def _noninvariant_rotation(basis: BasisSpec, q: Rotation) -> np.ndarray:
-    """Dense lower-right (non-invariant) block of D(Q) in working order."""
+    """Dense lower-right (non-invariant) block of D(Q) in working order (d=2)."""
     n_inv = basis.invariant_count
     p_n = basis.size - n_inv
     blocks = rotation_blocks(basis, q)
-    if basis.d == 1:
-        return np.diag(blocks[n_inv:])
     out = np.zeros((p_n, p_n), dtype=complex)
     for blk, mat in zip(basis.blocks, blocks):
         cols = blk.work_cols[blk.n_inv:] - n_inv
@@ -347,7 +377,7 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     p_n = basis.size - n_inv
 
     if basis.d == 1:
-        phases = np.stack([rotation_blocks(basis, q)[n_inv:] for q in rotations])
+        phases = _charge_phases(rotations, basis.sums[n_inv:])
         d_bar = np.diag(phases.T @ weights.astype(complex))
         gram_n = a_n.conj().T @ a_n
         d_block = gram_n * (phases.conj().T @ (weights[:, None] * phases))

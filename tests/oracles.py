@@ -7,6 +7,9 @@ the code paths it is used to check.
 
 import numpy as np
 
+from symquad.harmonics import generalized_d
+from symquad.regression import design_matrix
+
 
 def angular_momentum_ops(j: int):
     """(Jz, J+, J-) for spin j in the basis |j,m>, m = -j..j."""
@@ -85,3 +88,33 @@ def brute_force_circle_indices(n_particles: int, degree: int):
 def random_units(n: int, rng) -> np.ndarray:
     v = rng.normal(size=(n, 3))
     return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def pinv_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0,
+               relative: bool = False) -> np.ndarray:
+    """Minimum-norm least squares from the thin SVD of ``a`` itself.
+
+    Keeps singular values >= cutoff (times sigma_max if ``relative``);
+    cutoff 0 keeps those above 1e-13 sigma_max.
+    """
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    if cutoff == 0.0:
+        keep = s > 1e-13 * s[0]
+    else:
+        keep = s >= (cutoff * s[0] if relative else cutoff)
+    return vh[keep].conj().T @ ((u[:, keep].conj().T @ y) / s[keep])
+
+
+def stacked_augmented_solve(basis, data, scheme, cutoff: float = 0.0):
+    """The augmented fit as one plain row stack: blocks sqrt(w_t) A D(Q_t)
+    with the data vector replicated, solved by ``pinv_solve``.
+
+    Returns (beta, residual of the stacked system).
+    """
+    weights, rotations = scheme.nodes(basis.d)
+    a = design_matrix(basis, data)
+    stack = np.concatenate([np.sqrt(w) * (a @ generalized_d(basis, q))
+                            for w, q in zip(weights, rotations)], axis=0)
+    ys = np.concatenate([np.sqrt(w) * data.values for w in weights])
+    beta = pinv_solve(stack, ys, cutoff)
+    return beta, float(np.linalg.norm(stack @ beta - ys))

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import pinv_solve, stacked_augmented_solve
+from symquad import regression
 from symquad.coupling import enumerate_basis, sym_coeffs
 from symquad.geometry import (SO2, Configuration, identity_rule, sample_haar,
-                              so2_quadrature)
+                              so2_quadrature, so3_quadrature_euler)
 from symquad.harmonics import generalized_d
 from symquad.regression import (AugmentationScheme, Dataset, RegressionSolution,
                                 augmented_lsq, design_matrix, full_lsq,
@@ -249,13 +252,91 @@ def test_compressed_stack_equals_direct():
     rng = np.random.default_rng(25)
     blocks = [rng.normal(size=(40, 12)) + 1j * rng.normal(size=(40, 12)) for _ in range(6)]
     direct = np.concatenate(blocks, axis=0)
-    compressed = _compressed_stack(iter(blocks), 11, chunk_rows=64)
+    compressed = _compressed_stack(iter(blocks), chunk_rows=64)
     y_d = lsq_solve(direct[:, :11], direct[:, 11], 0.0)
     y_c = lsq_solve(compressed[:, :11], compressed[:, 11], 0.0)
     assert np.abs(y_d - y_c).max() < 1e-10
     s_d = np.linalg.svd(direct, compute_uv=False)
     s_c = np.linalg.svd(compressed, compute_uv=False)
     assert np.abs(s_d - s_c).max() < 1e-10
+
+
+def test_lsq_solve_qr_first_matches_svd_pseudo_inverse():
+    rng = np.random.default_rng(41)
+
+    def cmat(m, n):
+        return rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+
+    u, _ = np.linalg.qr(cmat(40, 6))
+    v, _ = np.linalg.qr(cmat(10, 6))
+    systems = {"tall": cmat(50, 8), "square": cmat(8, 8), "wide": cmat(5, 12),
+               "rank-deficient": u @ np.diag([3.0, 1.0, 0.5, 0.2, 1e-2, 1e-3]) @ v.conj().T}
+    cutoffs = [(0.0, False), (1e-3, False), (0.3, False), (1e-6, True), (0.05, True)]
+    for name, a in systems.items():
+        y = cmat(a.shape[0], 1)[:, 0]
+        for cutoff, relative in cutoffs:
+            ref = pinv_solve(a, y, cutoff, relative)
+            beta = lsq_solve(a, y, cutoff, relative)
+            assert np.abs(beta - ref).max() <= 1e-12 * np.abs(ref).max(), (name, cutoff)
+
+
+def _oracle_case(d, k, dist, n, scheme, cutoff, seed):
+    target = make_target(d, ExponentialDecay(2.0), 8 if d == 1 else 4, seed=seed)
+    basis = enumerate_basis(d, 3, k)
+    data = sample_dataset(DistributionSpec(d, dist), n, np.random.default_rng(seed + 1), target)
+    sol = augmented_lsq(basis, data, scheme, cutoff)
+    ref, ref_res = stacked_augmented_solve(basis, data, scheme, cutoff)
+    label = (d, k, dist, scheme.kind, scheme.t, cutoff)
+    assert np.abs(sol.beta - ref).max() <= 1e-12 * np.abs(ref).max(), label
+    assert abs(sol.train_residual - ref_res) <= 1e-12 * np.linalg.norm(data.values), label
+
+
+@pytest.mark.parametrize("dist", ["UUU", "dUU"])
+@pytest.mark.parametrize("cutoff", [0.0, 1e-3])
+def test_augmented_lsq_matches_stacked_oracle(dist, cutoff):
+    # d=1, K=5 has 11 charges: T=3 is below the charge count, T=64 far above;
+    # so2_quadrature(m) has degree m-1, so m=3 is under-resolved (q=2 < K) and
+    # m=6, 8 are exact (q=5, 7 >= K); so3_quadrature_euler(q) has degree q;
+    # dUU pins one particle, which makes the design matrix rank deficient
+    schemes1 = [AugmentationScheme("random", t=t, seed=42 + t) for t in (3, 16, 64)]
+    schemes1 += [AugmentationScheme("quadrature", rule=so2_quadrature(m)) for m in (3, 6, 8)]
+    for i, scheme in enumerate(schemes1):
+        _oracle_case(1, 5, dist, 80, scheme, cutoff, 300 + i)
+    schemes2 = [AugmentationScheme("random", t=t, seed=42 + t) for t in (3, 16)]
+    schemes2 += [AugmentationScheme("quadrature", rule=so3_quadrature_euler(q)) for q in (1, 2)]
+    for i, scheme in enumerate(schemes2):
+        _oracle_case(2, 2, dist, 40, scheme, cutoff, 320 + i)
+
+
+@settings(max_examples=15, deadline=None)
+@given(k=st.integers(0, 4), t=st.integers(1, 40), n=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 32 - 1), dist=st.sampled_from(["UUU", "dUU"]))
+def test_compressed_solve_equals_stacked_solve(k, t, n, seed, dist):
+    target = make_target(1, ExponentialDecay(2.0), 6, seed=seed)
+    basis = enumerate_basis(1, 3, k)
+    data = sample_dataset(DistributionSpec(1, dist), n, np.random.default_rng(seed), target)
+    scheme = AugmentationScheme("random", t=t, seed=seed)
+    sol = augmented_lsq(basis, data, scheme)
+    ref, ref_res = stacked_augmented_solve(basis, data, scheme)
+    assert np.abs(sol.beta - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert abs(sol.train_residual - ref_res) <= 1e-12 * np.linalg.norm(data.values)
+
+
+def test_augmented_rows_independent_of_t(monkeypatch):
+    rows = []
+
+    def counting_solve(a, y, *args, **kwargs):
+        rows.append(a.shape[0])
+        return lsq_solve(a, y, *args, **kwargs)
+
+    monkeypatch.setattr(regression, "lsq_solve", counting_solve)
+    target = make_target(1, ExponentialDecay(2.0), 8, seed=43)
+    basis = enumerate_basis(1, 3, 5)
+    data = _uniform_data(1, 100, 44, target)
+    for t in (16, 256):
+        augmented_lsq(basis, data, AugmentationScheme("random", t=t, seed=45))
+    assert len(rows) == 2
+    assert rows[0] == rows[1] <= 11 * 100
 
 
 def test_full_rank_propagates_to_blocks():
