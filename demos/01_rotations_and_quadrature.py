@@ -5,27 +5,29 @@ Run from the repository root:  python3 demos/01_rotations_and_quadrature.py
 """
 import numpy as np
 
-from symquad import (SO2, SO3, Configuration, Rotation, compose, rotate_config,
+from symquad import (SO3, Dataset, Rotation, compose, rotate_dataset,
                      sample_haar, sample_haar_many, so2_quadrature,
                      so3_quadrature_euler, verify_exactness, wigner_d)
 
 rng = np.random.default_rng(0)
 
 # A configuration is N particles on a sphere: angles on the circle, unit
-# vectors on S^2.  Rotations act on every particle at once.
-theta = Configuration(1, np.array([0.0, 2.1, 4.2]))
-print("circle configuration:", np.round(theta.points, 3))
-print("rotated by pi/2:     ", np.round(rotate_config(Rotation.circle(np.pi / 2), theta).points, 3))
+# vectors on S^2.  A Dataset holds a batch of them (here a batch of one), and
+# a rotation acts on every particle of every configuration at once.
+theta = Dataset(1, np.array([[0.0, 2.1, 4.2]]))
+print("circle configuration:", np.round(theta.points[0], 3))
+print("rotated by pi/2:     ",
+      np.round(rotate_dataset(Rotation.circle(np.pi / 2), theta).points[0], 3))
 
 q = sample_haar(SO3, rng)
-r = Configuration(2, np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+r = Dataset(2, np.array([[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]))
 print("\nrandom SO(3) rotation (zyz Euler angles):", np.round(q.euler_zyz(), 3))
-print("acts on the sphere configuration:\n", np.round(rotate_config(q, r).points, 3))
+print("acts on the sphere configuration:\n", np.round(rotate_dataset(q, r).points[0], 3))
 
 # Composition is plain matrix (or angle) composition.
 q2 = sample_haar(SO3, rng)
-both = rotate_config(compose(q, q2), r).points
-nested = rotate_config(q, rotate_config(q2, r)).points
+both = rotate_dataset(compose(q, q2), r).points
+nested = rotate_dataset(q, rotate_dataset(q2, r)).points
 print("composition consistent to", np.abs(both - nested).max())
 
 # Haar samples average the Wigner blocks to zero; that is exactly what makes

@@ -11,17 +11,15 @@ from .dynamics import (PerturbedPotential, PhaseState, Trajectory, default_poten
                        write_trajectory_csv)
 from .experiments import (ConfigError, ExperimentConfig, ResultTable, emit_plot,
                           list_experiments, load_configs, run_config_file, run_experiment)
-from .geometry import (SO2, SO3, Configuration, QuadratureRule, Rotation, compose,
-                       identity_rule, load_quadrature_file, rotate_config, sample_haar,
-                       sample_haar_many, so2_quadrature, so3_quadrature_euler,
-                       verify_exactness, write_quadrature_file)
-from .harmonics import (SphericalIndex, WignerBlock, apply_generalized_d, eval_fourier,
-                        eval_sph_harm, generalized_d, sph_harm_table, wigner_d,
-                        wigner_little_d)
+from .geometry import (SO2, SO3, QuadratureRule, Rotation, compose, identity_rule,
+                       load_quadrature_file, sample_haar, sample_haar_many, so2_quadrature,
+                       so3_quadrature_euler, verify_exactness, write_quadrature_file)
+from .harmonics import (WignerBlock, apply_generalized_d, generalized_d, sph_harm_table,
+                        wigner_d, wigner_little_d)
 from .regression import (AugmentationScheme, Dataset, RegressionSolution,
                          SchurDiagnostics, augmented_lsq, design_matrix, full_lsq,
                          invariant_design_matrix, invariant_lsq, l2_test_error,
                          lsq_solve, rotate_dataset, schur_diagnostics)
 from .sampling import (AlgebraicDecay, DistributionSpec, ExponentialDecay,
-                       TargetFunction, eval_target, export_dataset, import_dataset,
-                       make_target, sample_config, sample_dataset, sample_points)
+                       TargetFunction, export_dataset, import_dataset, make_target,
+                       sample_dataset, sample_points)

@@ -4,13 +4,12 @@ quadrature rule files, and launch drift simulations."""
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
 
-from .experiments import (ConfigError, NumericalAbort, config_from_items,
-                          emit_plot, list_experiments, run_config_file, run_drift)
+from .experiments import (ConfigError, NumericalAbort, _write_outputs, config_from_items,
+                          list_experiments, run_config_file, run_drift)
 from .geometry import QuadratureFormatError, load_quadrature_file, verify_exactness
 
 EXIT_OK = 0
@@ -78,15 +77,8 @@ def _cmd_drift(args) -> int:
         "outdir": args.outdir,
     }
     cfg = config_from_items("drift", "drift", items)
-    table = run_drift(cfg)
-    exp_dir = os.path.join(cfg.outdir, cfg.experiment)
-    os.makedirs(exp_dir, exist_ok=True)
-    csv_path = os.path.join(exp_dir, f"{cfg.name}.csv")
-    table.to_csv(csv_path)
-    print(csv_path)
-    svg = emit_plot(table, "loglog", os.path.join(exp_dir, f"{cfg.name}.svg"))
-    if svg:
-        print(svg)
+    for path in _write_outputs(cfg, run_drift(cfg)):
+        print(path)
     return EXIT_OK
 
 

@@ -228,24 +228,6 @@ class BasisSpec:
     def size(self) -> int:
         return len(self.indices)
 
-    # -- coefficient transforms ----------------------------------------
-    def to_tensor_coeffs(self, beta: np.ndarray) -> np.ndarray:
-        """Expand a working coefficient vector over the raw tensor functions."""
-        if self.d == 1:
-            return np.asarray(beta)
-        out = np.empty_like(beta)
-        for b in self.blocks:
-            out[b.start:b.stop] = b.u @ beta[b.work_cols]
-        return out
-
-    def from_tensor_coeffs(self, beta_tensor: np.ndarray) -> np.ndarray:
-        if self.d == 1:
-            return np.asarray(beta_tensor)
-        out = np.empty_like(beta_tensor)
-        for b in self.blocks:
-            out[b.work_cols] = b.u.conj().T @ beta_tensor[b.start:b.stop]
-        return out
-
 
 def enumerate_basis(d: int, n_particles: int, degree: int) -> BasisSpec:
     """Deterministic enumeration of the degree-K tensor basis plus its

@@ -559,21 +559,25 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     return _RUNNERS[cfg.experiment](cfg)
 
 
+def _write_outputs(cfg: ExperimentConfig, table: ResultTable) -> list[str]:
+    """Write ``outdir/<experiment>/<name>.csv`` and, when there is anything to
+    plot, the matching ``.svg``; returns the paths written."""
+    stem = os.path.join(cfg.outdir, cfg.experiment, cfg.name)
+    os.makedirs(os.path.dirname(stem), exist_ok=True)
+    table.to_csv(stem + ".csv")
+    written = [stem + ".csv"]
+    if emit_plot(table, _PLOT_KIND[cfg.experiment], stem + ".svg") is not None:
+        written.append(stem + ".svg")
+    return written
+
+
 def run_config_file(path, outdir_override=None) -> list[str]:
     """Run every section of a config file; returns the paths written."""
     written = []
     for cfg in load_configs(path):
         if outdir_override:
             cfg = replace(cfg, outdir=outdir_override)
-        table = run_experiment(cfg)
-        exp_dir = os.path.join(cfg.outdir, cfg.experiment)
-        os.makedirs(exp_dir, exist_ok=True)
-        csv_path = os.path.join(exp_dir, f"{cfg.name}.csv")
-        table.to_csv(csv_path)
-        written.append(csv_path)
-        svg_path = os.path.join(exp_dir, f"{cfg.name}.svg")
-        if emit_plot(table, _PLOT_KIND[cfg.experiment], svg_path) is not None:
-            written.append(svg_path)
+        written += _write_outputs(cfg, run_experiment(cfg))
     return written
 
 

@@ -1,5 +1,5 @@
-"""Configurations on products of spheres, SO(2)/SO(3) rotations, Haar sampling
-and quadrature rules over the rotation group."""
+"""SO(2)/SO(3) rotations, Haar sampling and quadrature rules over the
+rotation group."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ SO2 = "SO(2)"
 SO3 = "SO(3)"
 
 _ORTHO_TOL = 1e-12
-_UNIT_TOL = 1e-12
 
 
 class DimensionError(ValueError):
@@ -28,39 +27,6 @@ class QuadratureFormatError(ValueError):
 def wrap_angle(a):
     """Map angles to [0, 2*pi)."""
     return np.mod(a, TWO_PI)
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """N particles on the d-sphere.
-
-    For dim=1 ``points`` is an (N,) array of angles in [0, 2*pi); for dim=2 it
-    is an (N, 3) array of unit vectors.
-    """
-
-    dim: int
-    points: np.ndarray
-
-    def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        pts = np.asarray(self.points, dtype=float)
-        if self.dim == 1:
-            if pts.ndim != 1 or pts.size < 1:
-                raise ValueError("dim=1 expects a 1-d array of at least one angle")
-            pts = wrap_angle(pts)
-        else:
-            if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-                raise ValueError("dim=2 expects an (N, 3) array of unit vectors")
-            norms = np.linalg.norm(pts, axis=1)
-            if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
-                raise ValueError("points must be unit vectors (||r|| = 1 within 1e-12)")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def n_particles(self) -> int:
-        return self.points.shape[0]
 
 
 @dataclass(frozen=True)
@@ -144,15 +110,6 @@ def _ry(b: float) -> np.ndarray:
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
-def rotate_config(q: Rotation, config: Configuration) -> Configuration:
-    """Apply q to every particle of the configuration."""
-    if (q.group == SO2) != (config.dim == 1):
-        raise DimensionError(f"{q.group} cannot act on points of S^{config.dim}")
-    if config.dim == 1:
-        return Configuration(1, wrap_angle(config.points + q.angle))
-    return Configuration(2, config.points @ q.matrix.T)
-
-
 def compose(q1: Rotation, q2: Rotation) -> Rotation:
     """q1 o q2, i.e. rotate by q2 first: (q1 o q2) r = q1 (q2 r)."""
     if q1.group != q2.group:
@@ -168,18 +125,16 @@ def compose(q1: Rotation, q2: Rotation) -> Rotation:
 
 def sample_haar(group: str, rng: np.random.Generator) -> Rotation:
     """One Haar-distributed rotation from a seeded generator."""
-    if group == SO2:
-        return Rotation.circle(rng.uniform(0.0, TWO_PI))
-    if group == SO3:
-        return Rotation(SO3, matrix=_haar_matrices(1, rng)[0])
-    raise ValueError(f"unknown group {group!r}")
+    return sample_haar_many(group, 1, rng)[0]
 
 
 def sample_haar_many(group: str, n: int, rng: np.random.Generator) -> list[Rotation]:
-    """n iid Haar rotations; batched equivalent of repeated sample_haar calls."""
+    """n iid Haar rotations from a seeded generator."""
     if group == SO2:
         return [Rotation.circle(a) for a in rng.uniform(0.0, TWO_PI, size=n)]
-    return [Rotation(SO3, matrix=m) for m in _haar_matrices(n, rng)]
+    if group == SO3:
+        return [Rotation(SO3, matrix=m) for m in _haar_matrices(n, rng)]
+    raise ValueError(f"unknown group {group!r}")
 
 
 def _haar_matrices(n: int, rng: np.random.Generator) -> np.ndarray:

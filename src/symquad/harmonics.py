@@ -1,6 +1,5 @@
-"""Single-particle basis functions (circular exponentials, complex spherical
-harmonics) and the unitary matrices describing how tensor-product bases
-transform under rotations."""
+"""Complex spherical harmonics and the unitary matrices describing how
+tensor-product bases transform under rotations."""
 
 from __future__ import annotations
 
@@ -12,25 +11,6 @@ import numpy as np
 
 from .coupling import BasisSpec
 from .geometry import SO2, SO3, Rotation
-
-_UNIT_TOL = 1e-10
-
-
-def eval_fourier(k: int, theta) -> complex:
-    """e^{i k theta}, the circular basis factor."""
-    return np.exp(1j * k * np.asarray(theta, dtype=float))
-
-
-@dataclass(frozen=True)
-class SphericalIndex:
-    """Degree/order pair (l, m) with |m| <= l."""
-
-    l: int
-    m: int
-
-    def __post_init__(self):
-        if self.l < 0 or abs(self.m) > self.l:
-            raise ValueError(f"invalid spherical index l={self.l}, m={self.m}")
 
 
 def sph_harm_table(l_max: int, vecs: np.ndarray) -> np.ndarray:
@@ -76,15 +56,6 @@ def sph_harm_table(l_max: int, vecs: np.ndarray) -> np.ndarray:
             out[:, base + m] = val
             out[:, base - m] = (-1) ** m * np.conj(val)
     return out
-
-
-def eval_sph_harm(idx: SphericalIndex, r) -> complex:
-    """Y_l^m at a single unit vector."""
-    r = np.asarray(r, dtype=float)
-    if abs(np.linalg.norm(r) - 1.0) > _UNIT_TOL:
-        raise ValueError("eval_sph_harm expects a unit vector")
-    table = sph_harm_table(idx.l, r.reshape(1, 3))
-    return complex(table[0, idx.l * idx.l + idx.l + idx.m])
 
 
 # ---------------------------------------------------------------------------

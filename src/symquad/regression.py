@@ -9,11 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import BasisSpec, eval_coupled
-from .geometry import (_UNIT_TOL, SO2, SO3, Configuration, QuadratureRule, Rotation,
-                       sample_haar_many)
-from .harmonics import apply_generalized_d, rotation_blocks, sph_harm_table
+from .geometry import SO2, SO3, DimensionError, QuadratureRule, Rotation, sample_haar_many
+from .harmonics import apply_generalized_d, generalized_d, sph_harm_table
 
 _MACHINE_FLOOR = 1e-13
+_UNIT_TOL = 1e-12
 _COMPRESS_ROWS = 16384
 
 
@@ -56,26 +56,13 @@ class Dataset:
     def n_particles(self) -> int:
         return self.points.shape[1]
 
-    @classmethod
-    def from_configurations(cls, configs, values=None) -> "Dataset":
-        d = configs[0].dim
-        if any(c.dim != d or c.n_particles != configs[0].n_particles for c in configs):
-            raise ValueError("all configurations must share (d, N)")
-        return cls(d, np.stack([c.points for c in configs]), values)
-
-    @property
-    def configurations(self) -> list[Configuration]:
-        return [Configuration(self.d, p) for p in self.points]
-
 
 def rotate_dataset(q: Rotation, data: Dataset) -> Dataset:
     """Element-wise rotation of every configuration; values are untouched."""
+    if q.group != (SO2 if data.d == 1 else SO3):
+        raise DimensionError(f"{q.group} cannot act on points of S^{data.d}")
     if data.d == 1:
-        if q.group != SO2:
-            raise ValueError("d=1 data needs an SO(2) rotation")
         return Dataset(1, np.mod(data.points + q.angle, 2.0 * np.pi), data.values)
-    if q.group != SO3:
-        raise ValueError("d=2 data needs an SO(3) rotation")
     return Dataset(2, data.points @ q.matrix.T, data.values)
 
 
@@ -169,8 +156,6 @@ class RegressionSolution:
     beta: np.ndarray
     cutoff_used: float
     train_residual: float
-    test_error: float | None = None
-    schur_bound: float | None = None
 
     @property
     def beta_invariant(self) -> np.ndarray:
@@ -349,18 +334,6 @@ class SchurDiagnostics:
     c2: float | None
 
 
-def _noninvariant_rotation(basis: BasisSpec, q: Rotation) -> np.ndarray:
-    """Dense lower-right (non-invariant) block of D(Q) in working order (d=2)."""
-    n_inv = basis.invariant_count
-    p_n = basis.size - n_inv
-    blocks = rotation_blocks(basis, q)
-    out = np.zeros((p_n, p_n), dtype=complex)
-    for blk, mat in zip(basis.blocks, blocks):
-        cols = blk.work_cols[blk.n_inv:] - n_inv
-        out[np.ix_(cols, cols)] = mat[blk.n_inv:, blk.n_inv:]
-    return out
-
-
 def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
                       sol: RegressionSolution) -> SchurDiagnostics:
     """Schur-complement bound for the augmented solve that produced ``sol``.
@@ -386,7 +359,7 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
         d_block = np.zeros((p_n, p_n), dtype=complex)
         gram_n = a_n.conj().T @ a_n
         for w, q in zip(weights, rotations):
-            d_t = _noninvariant_rotation(basis, q)
+            d_t = generalized_d(basis, q)[n_inv:, n_inv:]
             d_bar += w * d_t
             d_block += w * (d_t.conj().T @ (gram_n @ d_t))
 

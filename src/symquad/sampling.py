@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import eval_coupled, invariant_basis_sphere3, invariant_indices_circle
-from .geometry import TWO_PI, Configuration, wrap_angle
+from .geometry import TWO_PI, wrap_angle
 from .harmonics import sph_harm_table
 from .regression import Dataset, _phase_product
 
@@ -106,12 +106,6 @@ def sample_points(spec: DistributionSpec, n: int, rng: np.random.Generator) -> n
     return np.stack(cols, axis=1)
 
 
-def sample_config(spec: DistributionSpec, rng: np.random.Generator) -> Configuration:
-    """A single three-particle configuration."""
-    pts = sample_points(spec, 1, rng)[0]
-    return Configuration(spec.d, pts)
-
-
 def sample_dataset(spec: DistributionSpec, n: int, rng: np.random.Generator,
                    target=None) -> Dataset:
     """n samples, with values filled in from ``target`` when given."""
@@ -168,20 +162,18 @@ class TargetFunction:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Values at (n, N) angle or (n, N, 3) vector samples."""
         points = np.asarray(points)
+        n = self.n_particles
+        if points.shape[1:] != ((n,) if self.d == 1 else (n, 3)):
+            raise ValueError(f"points of shape {points.shape} do not fit a d={self.d} "
+                             f"target of {n} particles")
         if self.d == 1:
             return _phase_product(points, self.keys, self.degree) @ self.coeffs.astype(complex)
-        y_tables = [sph_harm_table(self.degree, points[:, p, :]) for p in range(_N_PARTICLES)]
+        y_tables = [sph_harm_table(self.degree, points[:, p, :]) for p in range(n)]
         return eval_coupled(list(self.funcs), y_tables) @ self.coeffs.astype(complex)
 
     def __call__(self, data) -> np.ndarray:
         pts = data.points if isinstance(data, Dataset) else data
         return self.evaluate(pts)
-
-    def coefficient_for(self, key) -> float:
-        try:
-            return float(self.coeffs[self.keys.index(key)])
-        except ValueError:
-            return 0.0
 
     def tail_norm(self, k: int) -> float:
         """l2 norm of the coefficients beyond total degree k."""
@@ -192,19 +184,6 @@ class TargetFunction:
         """l1 mass of the coefficients beyond total degree k (sup-norm bound)."""
         degs = np.array([sum(abs(c) for c in key) for key in self.keys])
         return float(np.abs(self.coeffs[degs > k]).sum())
-
-
-def eval_target(target: TargetFunction, config) -> complex:
-    """Target value at a single Configuration (or batch values for a Dataset
-    / raw point array)."""
-    if isinstance(config, Configuration):
-        if config.dim != target.d or config.n_particles != target.n_particles:
-            raise ValueError("configuration and target dimensions do not match")
-        return complex(target.evaluate(config.points[None, ...])[0])
-    pts = config.points if isinstance(config, Dataset) else np.asarray(config)
-    if pts.shape[1] != target.n_particles:
-        raise ValueError("configuration and target dimensions do not match")
-    return target.evaluate(pts)
 
 
 def make_target(d: int, decay, degree: int, seed: int) -> TargetFunction:

@@ -90,6 +90,15 @@ def random_units(n: int, rng) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
+def _pinv(a, y, cutoff, relative):
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    if cutoff == 0.0:
+        keep = s > 1e-13 * s[0]
+    else:
+        keep = s >= (cutoff * s[0] if relative else cutoff)
+    return vh[keep].conj().T @ ((u[:, keep].conj().T @ y) / s[keep]), s[keep]
+
+
 def pinv_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0,
                relative: bool = False) -> np.ndarray:
     """Minimum-norm least squares from the thin SVD of ``a`` itself.
@@ -97,24 +106,20 @@ def pinv_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0,
     Keeps singular values >= cutoff (times sigma_max if ``relative``);
     cutoff 0 keeps those above 1e-13 sigma_max.
     """
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if cutoff == 0.0:
-        keep = s > 1e-13 * s[0]
-    else:
-        keep = s >= (cutoff * s[0] if relative else cutoff)
-    return vh[keep].conj().T @ ((u[:, keep].conj().T @ y) / s[keep])
+    return _pinv(a, y, cutoff, relative)[0]
 
 
 def stacked_augmented_solve(basis, data, scheme, cutoff: float = 0.0):
     """The augmented fit as one plain row stack: blocks sqrt(w_t) A D(Q_t)
-    with the data vector replicated, solved by ``pinv_solve``.
+    with the data vector replicated, solved as ``pinv_solve`` does.
 
-    Returns (beta, residual of the stacked system).
+    Returns (beta, residual of the stacked system, condition number
+    sigma_max / sigma_min over the singular values the solve keeps).
     """
     weights, rotations = scheme.nodes(basis.d)
     a = design_matrix(basis, data)
     stack = np.concatenate([np.sqrt(w) * (a @ generalized_d(basis, q))
                             for w, q in zip(weights, rotations)], axis=0)
     ys = np.concatenate([np.sqrt(w) * data.values for w in weights])
-    beta = pinv_solve(stack, ys, cutoff)
-    return beta, float(np.linalg.norm(stack @ beta - ys))
+    beta, kept = _pinv(stack, ys, cutoff, False)
+    return beta, float(np.linalg.norm(stack @ beta - ys)), float(kept[0] / kept[-1])

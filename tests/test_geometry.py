@@ -3,22 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from symquad.geometry import (SO2, SO3, Configuration, DimensionError, QuadratureFormatError,
+from symquad.geometry import (SO2, SO3, DimensionError, QuadratureFormatError,
                               QuadratureRule, Rotation, compose, identity_rule,
-                              load_quadrature_file, rotate_config, sample_haar,
+                              load_quadrature_file, sample_haar,
                               sample_haar_many, so2_quadrature, so3_quadrature_euler,
                               verify_exactness, write_quadrature_file)
 from symquad.harmonics import wigner_d
+from symquad.regression import Dataset, rotate_dataset
 
 TWO_PI = 2.0 * math.pi
-
-
-def test_configuration_validation():
-    c = Configuration(1, np.array([0.0, 7.0]))  # angles wrap into [0, 2pi)
-    assert 0.0 <= c.points[1] < TWO_PI
-    with pytest.raises(ValueError):
-        Configuration(2, np.array([[1.0, 1.0, 0.0]]))
-    Configuration(2, np.array([[1.0, 0.0, 0.0]]))
 
 
 def test_rotation_validation():
@@ -32,30 +25,30 @@ def test_rotation_validation():
 
 def test_rotate_identity_fixes_configs():
     rng = np.random.default_rng(0)
-    c1 = Configuration(1, rng.uniform(0, TWO_PI, 3))
-    assert np.allclose(rotate_config(Rotation.identity(SO2), c1).points, c1.points)
+    c1 = Dataset(1, rng.uniform(0, TWO_PI, (1, 3)))
+    assert np.allclose(rotate_dataset(Rotation.identity(SO2), c1).points, c1.points)
     v = rng.normal(size=(3, 3))
-    c2 = Configuration(2, v / np.linalg.norm(v, axis=1)[:, None])
-    assert np.allclose(rotate_config(Rotation.identity(SO3), c2).points, c2.points)
+    c2 = Dataset(2, (v / np.linalg.norm(v, axis=1)[:, None])[None])
+    assert np.allclose(rotate_dataset(Rotation.identity(SO3), c2).points, c2.points)
 
 
 def test_rotate_circle_addition():
-    c = Configuration(1, np.array([0.0, math.pi]))
-    out = rotate_config(Rotation.circle(math.pi / 2), c)
-    assert np.allclose(out.points, [math.pi / 2, 3 * math.pi / 2])
+    c = Dataset(1, np.array([[0.0, math.pi]]))
+    out = rotate_dataset(Rotation.circle(math.pi / 2), c)
+    assert np.allclose(out.points, [[math.pi / 2, 3 * math.pi / 2]])
 
 
 def test_rotate_sphere_quarter_turn():
     q = Rotation.from_euler_zyz(math.pi / 2, 0.0, 0.0)  # 90 degrees about z
-    c = Configuration(2, np.array([[1.0, 0.0, 0.0]]))
-    out = rotate_config(q, c)
-    assert np.abs(out.points[0] - [0.0, 1.0, 0.0]).max() < 1e-12
+    c = Dataset(2, np.array([[[1.0, 0.0, 0.0]]]))
+    out = rotate_dataset(q, c)
+    assert np.abs(out.points[0, 0] - [0.0, 1.0, 0.0]).max() < 1e-12
 
 
 def test_rotate_group_mismatch():
-    c = Configuration(1, np.array([0.0]))
+    c = Dataset(1, np.array([[0.0]]))
     with pytest.raises(DimensionError):
-        rotate_config(Rotation.identity(SO3), c)
+        rotate_dataset(Rotation.identity(SO3), c)
 
 
 def test_compose_circle_angles_add():
@@ -87,15 +80,15 @@ def test_action_associativity_random_triples():
     for _ in range(100):
         q1, q2 = sample_haar_many(SO3, 2, rng)
         v = rng.normal(size=(3, 3))
-        c = Configuration(2, v / np.linalg.norm(v, axis=1)[:, None])
-        lhs = rotate_config(q1, rotate_config(q2, c)).points
-        rhs = rotate_config(compose(q1, q2), c).points
+        c = Dataset(2, (v / np.linalg.norm(v, axis=1)[:, None])[None])
+        lhs = rotate_dataset(q1, rotate_dataset(q2, c)).points
+        rhs = rotate_dataset(compose(q1, q2), c).points
         assert np.abs(lhs - rhs).max() < 1e-12
     for _ in range(100):
         q1, q2 = sample_haar_many(SO2, 2, rng)
-        c = Configuration(1, rng.uniform(0, TWO_PI, 3))
-        lhs = rotate_config(q1, rotate_config(q2, c)).points
-        rhs = rotate_config(compose(q1, q2), c).points
+        c = Dataset(1, rng.uniform(0, TWO_PI, 3)[None])
+        lhs = rotate_dataset(q1, rotate_dataset(q2, c)).points
+        rhs = rotate_dataset(compose(q1, q2), c).points
         err = np.abs(lhs - rhs)
         assert np.minimum(err, TWO_PI - err).max() < 1e-12
 
@@ -117,6 +110,15 @@ def test_sample_haar_deterministic():
     x = sample_haar(SO2, np.random.default_rng(5)).angle
     y = sample_haar(SO2, np.random.default_rng(5)).angle
     assert x == y
+    # one draw is the scalar uniform draw of the generator
+    assert x == Rotation.circle(np.random.default_rng(5).uniform(0.0, TWO_PI)).angle
+
+
+def test_sample_haar_rejects_unknown_group():
+    with pytest.raises(ValueError, match=r"SO\(4\)"):
+        sample_haar("SO(4)", np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"SO\(4\)"):
+        sample_haar_many("SO(4)", 3, np.random.default_rng(0))
 
 
 def test_haar_so3_mean_wigner_vanishes():

@@ -6,41 +6,21 @@ import pytest
 from oracles import random_units, sphere_product_rule
 from symquad.coupling import enumerate_basis
 from symquad.geometry import SO2, SO3, Rotation, compose, sample_haar, sample_haar_many, so2_quadrature
-from symquad.harmonics import (SphericalIndex, apply_generalized_d, eval_fourier,
-                               eval_sph_harm, generalized_d, rotation_blocks,
+from symquad.harmonics import (apply_generalized_d, generalized_d, rotation_blocks,
                                sph_harm_table, wigner_d, wigner_little_d)
-
-
-def test_eval_fourier_basics():
-    assert eval_fourier(0, 1.234) == 1.0
-    assert abs(eval_fourier(1, math.pi / 2) - 1j) < 1e-15
-    assert abs(eval_fourier(-3, 0.7) - np.conj(eval_fourier(3, 0.7))) < 1e-15
-    assert abs(abs(eval_fourier(5, 2.1)) - 1.0) < 1e-15
-
-
-def test_spherical_index_validation():
-    SphericalIndex(2, -2)
-    with pytest.raises(ValueError):
-        SphericalIndex(1, 2)
-    with pytest.raises(ValueError):
-        SphericalIndex(-1, 0)
 
 
 def test_sph_harm_constant():
     # closed form: Y_0^0 = 1 / (2 sqrt(pi))
     r = random_units(1, np.random.default_rng(0))[0]
-    assert abs(eval_sph_harm(SphericalIndex(0, 0), r) - 0.2820947917738781) < 1e-12
+    assert abs(sph_harm_table(0, r[None])[0, 0] - 0.2820947917738781) < 1e-12
 
 
 def test_sph_harm_pole():
     # closed form with P_1^0(1) = 1: Y_1^0(north pole) = sqrt(3 / 4pi)
-    val = eval_sph_harm(SphericalIndex(1, 0), np.array([0.0, 0.0, 1.0]))
+    l, m = 1, 0
+    val = sph_harm_table(l, np.array([[0.0, 0.0, 1.0]]))[0, l * l + l + m]
     assert abs(val - 0.4886025119029199) < 1e-12
-
-
-def test_sph_harm_rejects_non_unit():
-    with pytest.raises(ValueError):
-        eval_sph_harm(SphericalIndex(1, 0), np.array([0.0, 0.0, 2.0]))
 
 
 def test_sph_harm_orthonormality_by_quadrature():

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import pinv_solve, stacked_augmented_solve
 from symquad import regression
 from symquad.coupling import enumerate_basis, sym_coeffs
-from symquad.geometry import (SO2, Configuration, identity_rule, sample_haar,
+from symquad.geometry import (SO2, identity_rule, sample_haar,
                               so2_quadrature, so3_quadrature_euler)
 from symquad.harmonics import generalized_d
 from symquad.regression import (AugmentationScheme, Dataset, RegressionSolution,
@@ -38,10 +38,6 @@ def test_dataset_validation():
     for bad_value in (np.nan, complex(0.0, np.inf)):
         with pytest.raises(ValueError):
             Dataset(1, np.zeros((2, 3)), np.array([1.0, bad_value]))
-    configs = [Configuration(1, np.array([0.0, 1.0, 2.0])) for _ in range(3)]
-    ds = Dataset.from_configurations(configs, np.ones(3))
-    assert ds.n == 3 and ds.n_particles == 3
-    assert all(c.dim == 1 for c in ds.configurations)
 
 
 def test_design_matrix_constant_column():
@@ -285,7 +281,7 @@ def _oracle_case(d, k, dist, n, scheme, cutoff, seed):
     basis = enumerate_basis(d, 3, k)
     data = sample_dataset(DistributionSpec(d, dist), n, np.random.default_rng(seed + 1), target)
     sol = augmented_lsq(basis, data, scheme, cutoff)
-    ref, ref_res = stacked_augmented_solve(basis, data, scheme, cutoff)
+    ref, ref_res, _ = stacked_augmented_solve(basis, data, scheme, cutoff)
     label = (d, k, dist, scheme.kind, scheme.t, cutoff)
     assert np.abs(sol.beta - ref).max() <= 1e-12 * np.abs(ref).max(), label
     assert abs(sol.train_residual - ref_res) <= 1e-12 * np.linalg.norm(data.values), label
@@ -311,15 +307,19 @@ def test_augmented_lsq_matches_stacked_oracle(dist, cutoff):
 @settings(max_examples=15, deadline=None)
 @given(k=st.integers(0, 4), t=st.integers(1, 40), n=st.integers(1, 30),
        seed=st.integers(0, 2 ** 32 - 1), dist=st.sampled_from(["UUU", "dUU"]))
+@example(k=2, t=4, n=1, seed=543, dist="dUU")  # kappa ~ 1.7e4
 def test_compressed_solve_equals_stacked_solve(k, t, n, seed, dist):
     target = make_target(1, ExponentialDecay(2.0), 6, seed=seed)
     basis = enumerate_basis(1, 3, k)
     data = sample_dataset(DistributionSpec(1, dist), n, np.random.default_rng(seed), target)
     scheme = AugmentationScheme("random", t=t, seed=seed)
     sol = augmented_lsq(basis, data, scheme)
-    ref, ref_res = stacked_augmented_solve(basis, data, scheme)
-    assert np.abs(sol.beta - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert abs(sol.train_residual - ref_res) <= 1e-12 * np.linalg.norm(data.values)
+    ref, ref_res, kappa = stacked_augmented_solve(basis, data, scheme)
+    # two backward-stable solves agree to O(kappa * eps), not to a fixed
+    # tolerance (Golub & Van Loan, Matrix Computations, sec. 5.3)
+    tol = max(1e-12, 100 * kappa * np.finfo(float).eps)
+    assert np.abs(sol.beta - ref).max() <= tol * np.abs(ref).max()
+    assert abs(sol.train_residual - ref_res) <= tol * np.linalg.norm(data.values)
 
 
 def test_augmented_rows_independent_of_t(monkeypatch):

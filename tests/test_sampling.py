@@ -7,7 +7,7 @@ from symquad.geometry import SO2, SO3, sample_haar
 from symquad.regression import Dataset, rotate_dataset
 from symquad.sampling import (AlgebraicDecay, DistributionSpec, ExponentialDecay,
                               export_dataset, import_dataset, make_target,
-                              sample_config, sample_dataset, sample_points)
+                              sample_dataset, sample_points)
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,11 +54,6 @@ def test_sphere_mollified_unit_norm():
     assert np.abs(np.linalg.norm(pts.reshape(-1, 3), axis=1) - 1.0).max() < 1e-12
 
 
-def test_sample_config_single():
-    cfg = sample_config(DistributionSpec(2, "dUU"), np.random.default_rng(5))
-    assert cfg.dim == 2 and cfg.n_particles == 3
-
-
 def test_haar_rotation_uniformizes_concentrated_marginal():
     # rotating each mollified-point-mass sample by a Haar angle must give a
     # uniform particle-1 marginal (16-bin chi-square)
@@ -82,7 +77,7 @@ def test_make_target_determinism_and_bounds():
     t2 = make_target(1, ExponentialDecay(2.0), 10, seed=8)
     assert np.array_equal(t1.coeffs, t2.coeffs)
     assert t1.keys == t2.keys
-    assert abs(t1.coefficient_for((0, 0, 0))) <= 1.0
+    assert abs(t1.coeffs[t1.keys.index((0, 0, 0))]) <= 1.0
     degs = [sum(abs(c) for c in k) for k in t1.keys]
     env = np.exp(-2.0 * np.array(degs))
     assert np.all(np.abs(t1.coeffs) <= env + 1e-15)
@@ -164,16 +159,13 @@ def test_dataset_csv_roundtrip(tmp_path):
 
 
 def test_eval_target_on_configuration():
-    from symquad.geometry import Configuration
-    from symquad.sampling import eval_target
-
+    # one configuration is a batch of one; a mis-shaped batch is rejected
     t = make_target(1, ExponentialDecay(2.0), 4, seed=23)
-    cfg = Configuration(1, np.array([0.3, 1.1, 5.0]))
-    single = eval_target(t, cfg)
-    batch = t.evaluate(cfg.points[None, :])[0]
-    assert single == batch
+    pts = np.array([[0.3, 1.1, 5.0], [2.0, 0.1, 4.4]])
+    single = t.evaluate(pts[1:])[0]
+    assert abs(single - t.evaluate(pts)[1]) <= 1e-14 * abs(single)
     with pytest.raises(ValueError):
-        eval_target(t, Configuration(1, np.array([0.3, 1.1])))
+        t.evaluate(pts[:, :2])  # two particles
     t2 = make_target(2, ExponentialDecay(2.0), 2, seed=24)
     with pytest.raises(ValueError):
-        eval_target(t2, cfg)
+        t2.evaluate(pts)  # circle angles given to a sphere target
