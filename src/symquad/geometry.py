@@ -14,6 +14,7 @@ SO2 = "SO(2)"
 SO3 = "SO(3)"
 
 _ORTHO_TOL = 1e-12
+_VERIFY_ENTRIES = 1 << 20  # Wigner-block entries per verify_exactness call
 
 
 class DimensionError(ValueError):
@@ -97,7 +98,8 @@ class Rotation:
             alpha, beta, gamma = math.atan2(q[1, 0], q[0, 0]), 0.0, 0.0
         else:  # beta = pi, only alpha-gamma is defined
             alpha, beta, gamma = math.atan2(-q[0, 1], q[1, 1]), math.pi, 0.0
-        return float(wrap_angle(alpha)), float(beta), float(wrap_angle(gamma))
+        # float % is np.mod (wrap_angle) bit for bit, without the ufunc call
+        return alpha % TWO_PI, float(beta), gamma % TWO_PI
 
 
 def _rz(a: float) -> np.ndarray:
@@ -325,12 +327,14 @@ def verify_exactness(rule: QuadratureRule, l_max: int, tol: float = 1e-10) -> in
 
     from .harmonics import wigner_block  # deferred: harmonics depends on geometry
 
-    eulers = [rot.euler_zyz() for rot in rule.rotations]
+    eulers = np.array([rot.euler_zyz() for rot in rule.rotations])
     best = 0
     for l in range(1, l_max + 1):
-        acc = np.zeros((2 * l + 1, 2 * l + 1), dtype=complex)
-        for w, (a, b, g) in zip(rule.weights, eulers):
-            acc += w * wigner_block(l, a, b, g)
+        # all nodes in one broadcast call, split only where the block array
+        # would pass _VERIFY_ENTRIES entries (large loaded rules)
+        step = max(1, _VERIFY_ENTRIES // (2 * l + 1) ** 2)
+        acc = sum(np.tensordot(rule.weights[i:i + step], wigner_block(l, *eulers[i:i + step].T), 1)
+                  for i in range(0, len(rule), step))
         if np.abs(acc).max() >= tol:
             break
         best = l

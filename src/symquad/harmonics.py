@@ -64,42 +64,58 @@ def sph_harm_table(l_max: int, vecs: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _little_d_tables(l: int):
+    """(C, 2l - e, e, i m) for Wigner's sum d^l_{m'm}(beta) =
+    sum_e C[e, (m', m)] cos(beta/2)^(2l-e) sin(beta/2)^e, with C of shape
+    (2l+1, (2l+1)^2), e = 0..2l and m = -l..l."""
     mm = np.arange(-l, l + 1)
     mp = mm[:, None, None]
     m = mm[None, :, None]
     k = np.arange(0, 2 * l + 1)[None, None, :]
     a1 = l + m - k
-    a2 = k
     a3 = mp - m + k
     a4 = l - mp - k
     valid = (a1 >= 0) & (a3 >= 0) & (a4 >= 0)
     logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 4 * l + 2)))))
     pref = 0.5 * (logfact[l + mp] + logfact[l - mp] + logfact[l + m] + logfact[l - m])
-    den = (logfact[np.where(valid, a1, 0)] + logfact[a2]
+    den = (logfact[np.where(valid, a1, 0)] + logfact[k]
            + logfact[np.where(valid, a3, 0)] + logfact[np.where(valid, a4, 0)])
-    mag = np.where(valid, np.exp(pref - den), 0.0)
     sign = np.where((a3 % 2) == 0, 1.0, -1.0)
-    pc = np.where(valid, 2 * l + m - mp - 2 * k, 0)
-    ps = np.where(valid, mp - m + 2 * k, 0)
-    return mag * sign, pc, ps
+    # the sin exponent e = m' - m + 2k lies in [0, 2l] for every valid term
+    # and differs between the terms of one (m', m)
+    e = np.where(valid, mp - m + 2 * k, 0)
+    iq, ip, _ = np.nonzero(valid)
+    coef = np.zeros((2 * l + 1, 2 * l + 1, 2 * l + 1))
+    coef[e[valid], iq, ip] = (sign * np.exp(pref - den))[valid]
+    e_sin = k.ravel().astype(float)
+    out = (coef.reshape(2 * l + 1, -1), 2 * l - e_sin, e_sin, 1j * mm)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
-def wigner_little_d(l: int, beta: float) -> np.ndarray:
-    """Real little-d matrix d^l_{m'm}(beta), rows m' and columns m from -l to l."""
-    if l == 0:
-        return np.ones((1, 1))
-    coef, pc, ps = _little_d_tables(l)
-    c = math.cos(beta / 2.0)
-    s = math.sin(beta / 2.0)
-    return np.sum(coef * (c ** pc) * (s ** ps), axis=2)
+def wigner_little_d(l: int, beta) -> np.ndarray:
+    """Real little-d matrix d^l_{m'm}(beta), rows m' and columns m from -l to l.
+
+    Broadcasts over array-valued ``beta``: the result has shape
+    beta.shape + (2l+1, 2l+1).
+    """
+    half = np.asarray(beta, dtype=float) / 2.0
+    coef, e_cos, e_sin, _ = _little_d_tables(l)
+    mono = np.cos(half)[..., None] ** e_cos * np.sin(half)[..., None] ** e_sin
+    return (mono @ coef).reshape(half.shape + (2 * l + 1, 2 * l + 1))
 
 
-def wigner_block(l: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
+def wigner_block(l: int, alpha, beta, gamma) -> np.ndarray:
     """Unitary block W with Y_l^m(Q r) = sum_m' Y_l^{m'}(r) W_{m'm} for the
-    active zyz rotation Q = Rz(alpha) Ry(beta) Rz(gamma)."""
+    active zyz rotation Q = Rz(alpha) Ry(beta) Rz(gamma).
+
+    Broadcasts over array-valued angles of one shape S: the result is
+    (*S, 2l+1, 2l+1).
+    """
     d = wigner_little_d(l, beta)
-    mm = np.arange(-l, l + 1)
-    return np.exp(1j * gamma * mm)[:, None] * d.T * np.exp(1j * alpha * mm)[None, :]
+    phase_g, phase_a = np.exp(np.array([gamma, alpha], dtype=float)[..., None]
+                              * _little_d_tables(l)[3])
+    return phase_g[..., :, None] * d.swapaxes(-1, -2) * phase_a[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -125,28 +141,32 @@ def wigner_d(l: int, q: Rotation) -> WignerBlock:
 # Generalized rotation matrices on tensor bases
 # ---------------------------------------------------------------------------
 
-def _check_group(basis: BasisSpec, q: Rotation):
-    if (q.group == SO2) != (basis.d == 1):
-        raise ValueError(f"{q.group} rotation does not act on a d={basis.d} basis")
+def rotation_blocks(basis: BasisSpec, rotations):
+    """Blockwise data of the working-basis rotation matrices of a sequence of
+    T rotations, with a leading node axis.
 
-
-def rotation_blocks(basis: BasisSpec, q: Rotation):
-    """Blockwise data of the working-basis rotation matrix.
-
-    d=1: the diagonal phase vector e^{i alpha sum(k)} in basis order.
-    d=2: one dense unitary per l-block, rows/columns in the block's working
-    order (invariant columns first), aligned with ``basis.blocks``.
+    d=1: the (T, p) diagonal phases e^{i alpha_t sum(k)} in basis order.
+    d=2: one (T, dim, dim) array of unitaries per l-block, rows/columns in the
+    block's working order (invariant columns first), aligned with
+    ``basis.blocks``.
     """
-    _check_group(basis, q)
+    group = SO2 if basis.d == 1 else SO3
+    for q in rotations:
+        if q.group != group:
+            raise ValueError(f"{q.group} rotation does not act on a d={basis.d} basis")
     if basis.d == 1:
-        return np.exp(1j * q.angle * basis.sums)
-    a, b, g = q.euler_zyz()
-    w = [wigner_block(l, a, b, g) for l in range(basis.degree + 1)]
+        angles = np.array([q.angle for q in rotations], dtype=float)
+        return np.exp(1j * angles[:, None] * basis.sums)
+    alpha, beta, gamma = np.array([q.euler_zyz() for q in rotations], dtype=float).reshape(-1, 3).T
+    w = [wigner_block(l, alpha, beta, gamma) for l in range(basis.degree + 1)]
     out = []
     for blk in basis.blocks:
         kron = w[blk.l[0]]
         for li in blk.l[1:]:
-            kron = np.kron(kron, w[li])
+            # batched np.kron: kron[t, (i, j), (k, l)] = kron[t, i, k] w[t, j, l]
+            nxt = w[li]
+            kron = (kron[:, :, None, :, None] * nxt[:, None, :, None, :]).reshape(
+                alpha.size, kron.shape[1] * nxt.shape[1], -1)
         out.append(blk.u.conj().T @ kron @ blk.u)
     return out
 
@@ -159,21 +179,22 @@ def generalized_d(basis: BasisSpec, q: Rotation) -> np.ndarray:
     the row-vector convention the map reverses composition order:
     D(Q1 o Q2) = D(Q2) D(Q1).
     """
-    blocks = rotation_blocks(basis, q)
+    blocks = rotation_blocks(basis, [q])
     if basis.d == 1:
-        return np.diag(blocks)
+        return np.diag(blocks[0])
     out = np.zeros((basis.size, basis.size), dtype=complex)
-    for blk, mat in zip(basis.blocks, blocks):
-        out[np.ix_(blk.work_cols, blk.work_cols)] = mat
+    for blk, mats in zip(basis.blocks, blocks):
+        out[np.ix_(blk.work_cols, blk.work_cols)] = mats[0]
     return out
 
 
-def apply_generalized_d(basis: BasisSpec, a_work: np.ndarray, q: Rotation) -> np.ndarray:
-    """A . D(Q) computed blockwise, without materializing D."""
-    blocks = rotation_blocks(basis, q)
+def apply_generalized_d(basis: BasisSpec, a_work: np.ndarray, rotations) -> np.ndarray:
+    """(T, n, p) stack of A . D(Q_t) over a sequence of T rotations, computed
+    blockwise without materializing any D."""
+    blocks = rotation_blocks(basis, rotations)
     if basis.d == 1:
-        return a_work * blocks[None, :]
-    out = np.empty_like(a_work)
-    for blk, mat in zip(basis.blocks, blocks):
-        out[:, blk.work_cols] = a_work[:, blk.work_cols] @ mat
+        return a_work[None, :, :] * blocks[:, None, :]
+    out = np.empty((len(rotations),) + a_work.shape, dtype=complex)
+    for blk, mats in zip(basis.blocks, blocks):
+        out[:, :, blk.work_cols] = a_work[:, blk.work_cols] @ mats
     return out

@@ -10,7 +10,7 @@ import numpy as np
 
 from .coupling import BasisSpec, eval_coupled
 from .geometry import SO2, SO3, DimensionError, QuadratureRule, Rotation, sample_haar_many
-from .harmonics import apply_generalized_d, generalized_d, sph_harm_table
+from .harmonics import apply_generalized_d, rotation_blocks, sph_harm_table
 
 _MACHINE_FLOOR = 1e-13
 _UNIT_TOL = 1e-12
@@ -227,26 +227,28 @@ class AugmentationScheme:
         return np.full(self.t, 1.0 / self.t), rots
 
 
-def _compressed_stack(blocks, chunk_rows: int = _COMPRESS_ROWS) -> np.ndarray:
-    """Vertically stacked blocks, QR-compressed whenever ``chunk_rows`` rows
-    have gathered, so memory stays bounded for any number of blocks.
+def _compressed_stack(blocks, chunk_rows: int | None = None) -> np.ndarray:
+    """Vertically stacked blocks, QR-compressed whenever the next block would
+    take the buffer past ``chunk_rows`` rows (default ``_COMPRESS_ROWS``), so
+    memory stays bounded for any number of blocks.
 
     Orthogonal reductions preserve singular values and least-squares
     solutions, so solving on the compressed stack is exact.
     """
+    if chunk_rows is None:
+        chunk_rows = _COMPRESS_ROWS
     r = None
     buf, buffered = [], 0
     for block in blocks:
+        if buf and buffered + block.shape[0] > chunk_rows:
+            r = np.linalg.qr(np.concatenate(([r] if r is not None else []) + buf, axis=0),
+                             mode="r")
+            buf, buffered = [], 0
         buf.append(block)
         buffered += block.shape[0]
-        if buffered >= chunk_rows:
-            stacked = np.concatenate(([r] if r is not None else []) + buf, axis=0)
-            r = np.linalg.qr(stacked, mode="r")
-            buf, buffered = [], 0
-    stacked = np.concatenate(([r] if r is not None else []) + buf, axis=0) if buf else r
-    if stacked is None:
+    if not buf:
         raise ValueError("no augmentation blocks")
-    return stacked
+    return np.concatenate(([r] if r is not None else []) + buf, axis=0)
 
 
 def _charge_phases(rotations, charges) -> np.ndarray:
@@ -272,6 +274,31 @@ def _charge_blocks(basis: BasisSpec, a: np.ndarray, y: np.ndarray, weights, rota
         yield np.concatenate([a * row[col_a], (row[col_y] * y)[:, None]], axis=1)
 
 
+def _rotated_blocks(basis: BasisSpec, a: np.ndarray, y: np.ndarray, weights, rotations):
+    """Row blocks of the d=2 augmented stack, one array pass per chunk of nodes.
+
+    When n > p+1, [A | y] is first cut to its (p+1)-row triangular factor
+    [R_a | r_y]: D(Q) acts on columns only, so [A D(Q_t) | y] =
+    Q [R_a D(Q_t) | r_y] with the same orthonormal Q for every node, and the
+    stack of the reduced blocks has the singular values, minimum-norm solution
+    and residual of the plain stack.  Each yielded block holds the rows
+    sqrt(w_t) [R_a D(Q_t) | r_y] of up to ``_COMPRESS_ROWS`` rows' worth of
+    nodes.
+    """
+    p = basis.size
+    if a.shape[0] > p + 1:
+        r = np.linalg.qr(np.column_stack([a, y]), mode="r")
+        a, y = r[:, :p], r[:, p]
+    per_chunk = max(1, _COMPRESS_ROWS // a.shape[0])
+    for start in range(0, len(rotations), per_chunk):
+        nodes = rotations[start:start + per_chunk]
+        block = np.empty((len(nodes), a.shape[0], p + 1), dtype=complex)
+        block[:, :, :p] = apply_generalized_d(basis, a, nodes)
+        block[:, :, p] = y
+        block *= np.sqrt(weights[start:start + per_chunk])[:, None, None]
+        yield block.reshape(-1, p + 1)
+
+
 def augmented_lsq(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
                   cutoff: float = 0.0) -> RegressionSolution:
     """Symmetry-augmented least squares.
@@ -282,12 +309,15 @@ def augmented_lsq(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
     exactly before it is factored.  For d=1, D(Q_t) is diagonal and reaches
     the data only through the phases e^{i s theta_t} of the distinct charges
     s = sum(k), so the stack collapses to at most one block of n rows per
-    charge whatever the number of rotations (``_charge_blocks``).  For d=2 the stack
-    keeps one block per node and is QR-compressed chunk by chunk once it
-    grows past ``_COMPRESS_ROWS`` rows.  ``lsq_solve`` then factors the tall
-    result through QR before its SVD.  Both reductions are orthogonal, so
-    beta, the kept rank and the residual are those of the plain stacked solve
-    up to roundoff.
+    charge whatever the number of rotations (``_charge_blocks``).  For d=2,
+    [A | y] is cut to its triangular factor of min(n, p+1) rows first, so
+    each node contributes that many rows rather than n; the nodes are rotated
+    a chunk of at most ``_COMPRESS_ROWS`` rows at a time, and each chunk is
+    QR-compressed into the running factor before the next is added
+    (``_rotated_blocks``, ``_compressed_stack``).
+    ``lsq_solve`` then factors the tall result through QR before its SVD.
+    All reductions are orthogonal, so beta, the kept rank and the residual
+    are those of the plain stacked solve up to roundoff.
     """
     weights, rotations = scheme.nodes(basis.d)
     a = design_matrix(basis, data)
@@ -297,9 +327,7 @@ def augmented_lsq(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
     if basis.d == 1:
         blocks = _charge_blocks(basis, a, y, weights, rotations)
     else:
-        blocks = (np.sqrt(w) * np.concatenate([apply_generalized_d(basis, a, q), y[:, None]],
-                                              axis=1)
-                  for w, q in zip(weights, rotations))
+        blocks = _rotated_blocks(basis, a, y, weights, rotations)
     stacked = _compressed_stack(blocks)
     beta = lsq_solve(stacked[:, :p], stacked[:, p], cutoff)
     res = float(np.linalg.norm(stacked[:, :p] @ beta - stacked[:, p]))
@@ -325,13 +353,49 @@ def l2_test_error(sol: RegressionSolution, target, test_data: Dataset) -> float:
 
 @dataclass(frozen=True)
 class SchurDiagnostics:
-    """Upper bound (1/c2) ||A_N Dbar|| ||A_I beta_I - Y|| on eps_sym."""
+    """Upper bound (1/c2) ||A_N Dbar|| ||A_I beta_I - Y|| on eps_sym.
+
+    ``reason`` says why an unavailable bound is missing.
+    """
 
     available: bool
     bound: float | None
     d_bar_norm: float | None
     invariant_residual: float | None
     c2: float | None
+    reason: str | None = None
+
+
+def _noninvariant_moments(basis: BasisSpec, gram_n: np.ndarray, weights, rotations):
+    """(sum_t w_t D_{t,N}, sum_t w_t D_{t,N}^H G_N D_{t,N}) for d=2, where
+    D_{t,N} is the non-invariant block of D(Q_t) and G_N = A_N^H A_N.
+
+    D_{t,N} is block diagonal, one block per l-tuple, so G_N D_{t,N} and its
+    contraction with D_{t,N}^H go block by block over a chunk of nodes at a
+    time; the (chunk, p_N, p_N) product G_N D_{t,N} is the largest
+    intermediate and holds no more entries than a ``_COMPRESS_ROWS``-row
+    stack chunk.
+    """
+    n_inv = basis.invariant_count
+    p_n = basis.size - n_inv
+    # per block: its first non-invariant local column and their places in N
+    spans = [(blk.n_inv, blk.work_cols[blk.n_inv:] - n_inv) for blk in basis.blocks]
+    d_bar = np.zeros((p_n, p_n), dtype=complex)
+    d_block = np.zeros((p_n, p_n), dtype=complex)
+    per_chunk = max(1, _COMPRESS_ROWS * (basis.size + 1) // max(1, p_n * p_n))
+    for start in range(0, len(rotations), per_chunk):
+        w = weights[start:start + per_chunk]
+        mats = rotation_blocks(basis, rotations[start:start + per_chunk])
+        pairs = [(cols, mat[:, k:, k:]) for (k, cols), mat in zip(spans, mats) if cols.size]
+        gd = np.empty((w.size, p_n, p_n), dtype=complex)
+        for cols, d_t in pairs:
+            d_bar[np.ix_(cols, cols)] += np.tensordot(w, d_t, 1)
+            gd[:, :, cols] = gram_n[:, cols] @ d_t
+        for cols, d_t in pairs:
+            # rows cols of sum_t w_t D_t^H (G D_t): one contraction over (t, j)
+            wd = (w[:, None, None] * d_t).conj().transpose(2, 0, 1).reshape(cols.size, -1)
+            d_block[cols, :] += wd @ gd[:, cols, :].reshape(-1, p_n)
+    return d_bar, d_block
 
 
 def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
@@ -347,21 +411,14 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     a = design_matrix(basis, data)
     n_inv = basis.invariant_count
     a_i, a_n = a[:, :n_inv], a[:, n_inv:]
-    p_n = basis.size - n_inv
+    gram_n = a_n.conj().T @ a_n
 
     if basis.d == 1:
         phases = _charge_phases(rotations, basis.sums[n_inv:])
         d_bar = np.diag(phases.T @ weights.astype(complex))
-        gram_n = a_n.conj().T @ a_n
         d_block = gram_n * (phases.conj().T @ (weights[:, None] * phases))
     else:
-        d_bar = np.zeros((p_n, p_n), dtype=complex)
-        d_block = np.zeros((p_n, p_n), dtype=complex)
-        gram_n = a_n.conj().T @ a_n
-        for w, q in zip(weights, rotations):
-            d_t = generalized_d(basis, q)[n_inv:, n_inv:]
-            d_bar += w * d_t
-            d_block += w * (d_t.conj().T @ (gram_n @ d_t))
+        d_bar, d_block = _noninvariant_moments(basis, gram_n, weights, rotations)
 
     b_block = a_i.conj().T @ a_i
     c_block = a_i.conj().T @ a_n @ d_bar
@@ -369,7 +426,7 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     normal = np.block([[b_block, c_block], [c_block.conj().T, d_block]])
     sigma_min_sq = float(np.linalg.eigvalsh(normal)[0])
     if sigma_min_sq <= (1e-10) ** 2:
-        return SchurDiagnostics(False, None, None, None, None)
+        return SchurDiagnostics(False, None, None, None, None, "singular normal matrix")
 
     schur = d_block - c_block.conj().T @ np.linalg.solve(b_block, c_block)
     eigs = np.linalg.eigvalsh(schur)
@@ -377,7 +434,7 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     # exact arithmetic gives a positive definite Schur complement; a tiny or
     # negative bottom eigenvalue means B^{-1} amplified roundoff past meaning
     if c2 <= 1e-12 * max(float(eigs[-1]), 1e-300):
-        return SchurDiagnostics(False, None, None, None, None)
+        return SchurDiagnostics(False, None, None, None, None, "Schur-complement roundoff")
     beta_i = invariant_lsq(basis, data, cutoff=0.0).beta_invariant
     inv_residual = float(np.linalg.norm(a_i @ beta_i - data.values))
     d_bar_norm = float(np.linalg.norm(a_n @ d_bar, ord=2))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from symquad import geometry
 from symquad.geometry import (SO2, SO3, DimensionError, QuadratureFormatError,
                               QuadratureRule, Rotation, compose, identity_rule,
                               load_quadrature_file, sample_haar,
@@ -206,6 +207,14 @@ def test_verify_exactness_identity_rule():
 def test_verify_exactness_euler_lower_bound():
     for n in range(0, 6):
         assert verify_exactness(so3_quadrature_euler(n), n + 3) >= n
+
+
+def test_verify_exactness_node_chunks(monkeypatch):
+    # a 50-entry budget splits the 192 nodes into chunks of 5 down to 1
+    rule = so3_quadrature_euler(4)
+    whole = verify_exactness(rule, 7)
+    monkeypatch.setattr(geometry, "_VERIFY_ENTRIES", 50)
+    assert verify_exactness(rule, 7) == whole == 5
 
 
 def test_rule_file_roundtrip(tmp_path):

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import random_units, sphere_product_rule
 from symquad.coupling import enumerate_basis
 from symquad.geometry import SO2, SO3, Rotation, compose, sample_haar, sample_haar_many, so2_quadrature
 from symquad.harmonics import (apply_generalized_d, generalized_d, rotation_blocks,
-                               sph_harm_table, wigner_d, wigner_little_d)
+                               sph_harm_table, wigner_block, wigner_d, wigner_little_d)
 
 
 def test_sph_harm_constant():
@@ -103,7 +104,8 @@ def test_generalized_d_unitary():
     # K = 6 checked blockwise; the matrix is block diagonal in working order
     basis6 = enumerate_basis(2, 3, 6)
     for q in sample_haar_many(SO3, 3, rng):
-        for blk, mat in zip(basis6.blocks, rotation_blocks(basis6, q)):
+        for blk, mats in zip(basis6.blocks, rotation_blocks(basis6, [q])):
+            mat = mats[0]
             assert np.abs(mat.conj().T @ mat - np.eye(blk.dim)).max() < 1e-10
 
 
@@ -148,5 +150,86 @@ def test_apply_generalized_d_matches_dense():
         basis = enumerate_basis(d_dim, 3, 3)
         a = rng.normal(size=(7, basis.size)) + 1j * rng.normal(size=(7, basis.size))
         q = sample_haar(group, rng)
-        assert np.abs(apply_generalized_d(basis, a, q)
+        assert np.abs(apply_generalized_d(basis, a, [q])[0]
                       - a @ generalized_d(basis, q)).max() < 1e-12
+
+
+def _per_node_blocks(basis, q):
+    """The working-basis blocks of D(Q) built one node at a time: Wigner
+    blocks, Kronecker products and the change of basis blk.u."""
+    a, b, g = q.euler_zyz()
+    w = [wigner_block(l, a, b, g) for l in range(basis.degree + 1)]
+    out = []
+    for blk in basis.blocks:
+        kron = w[blk.l[0]]
+        for li in blk.l[1:]:
+            kron = np.kron(kron, w[li])
+        out.append(blk.u.conj().T @ kron @ blk.u)
+    return out
+
+
+def test_rotation_blocks_node_batch_matches_per_node():
+    rng = np.random.default_rng(9)
+    rots = sample_haar_many(SO3, 6, rng) + [Rotation.identity(SO3),
+                                            Rotation.from_euler_zyz(0.4, math.pi, 1.3)]
+    for k in range(7):
+        basis = enumerate_basis(2, 3, k)
+        batch = rotation_blocks(basis, rots)
+        for t, q in enumerate(rots):
+            for mats, ref in zip(batch, _per_node_blocks(basis, q)):
+                assert np.abs(mats[t] - ref).max() <= 1e-14, (k, t)
+    basis = enumerate_basis(1, 3, 3)
+    circle = sample_haar_many(SO2, 5, rng)
+    phases = rotation_blocks(basis, circle)
+    assert phases.shape == (5, basis.size)
+    for t, q in enumerate(circle):
+        assert np.abs(phases[t] - np.exp(1j * q.angle * basis.sums)).max() <= 1e-14
+
+
+def test_wigner_block_broadcasts_over_angles():
+    rng = np.random.default_rng(10)
+    angles = rng.uniform(0.0, math.pi, size=(3, 4, 3))
+    for l in (0, 1, 3, 6):
+        batch = wigner_block(l, angles[..., 0], angles[..., 1], angles[..., 2])
+        assert batch.shape == (3, 4, 2 * l + 1, 2 * l + 1)
+        for i, j in np.ndindex(3, 4):
+            single = wigner_block(l, *angles[i, j])
+            assert single.shape == (2 * l + 1, 2 * l + 1)
+            assert np.abs(batch[i, j] - single).max() <= 1e-14
+
+
+def test_wigner_little_d_closed_forms():
+    # d^1 in closed form; beta = 0 and pi are the identity and the flip
+    beta = np.array([0.0, 0.37, math.pi])
+    d = wigner_little_d(1, beta)
+    for b, mat in zip(beta, d):
+        c, s = math.cos(b), math.sin(b)
+        ref = np.array([[(1 + c) / 2, s / math.sqrt(2), (1 - c) / 2],
+                        [-s / math.sqrt(2), c, s / math.sqrt(2)],
+                        [(1 - c) / 2, -s / math.sqrt(2), (1 + c) / 2]])
+        assert np.abs(mat - ref).max() < 1e-15
+    for l in (2, 5):
+        d = wigner_little_d(l, np.array([0.0, math.pi]))
+        assert np.abs(d[0] - np.eye(2 * l + 1)).max() < 1e-14
+        flip = np.fliplr(np.diag((-1.0) ** (l - np.arange(-l, l + 1))))
+        assert np.abs(d[1] - flip).max() < 1e-14
+
+
+@settings(max_examples=12, deadline=None)
+@given(k=st.integers(0, 4), t=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_rotation_blocks_group_properties(k, t, seed):
+    # on a node batch, every block is unitary, fixes its invariant columns and
+    # reverses composition: D(Q1 o Q2) = D(Q2) D(Q1)
+    basis = enumerate_basis(2, 3, k)
+    rng = np.random.default_rng(seed)
+    q1 = sample_haar_many(SO3, t, rng)
+    q2 = sample_haar_many(SO3, t, rng)
+    composed = rotation_blocks(basis, [compose(a, b) for a, b in zip(q1, q2)])
+    for blk, m1, m2, m12 in zip(basis.blocks, rotation_blocks(basis, q1),
+                                rotation_blocks(basis, q2), composed):
+        eye = np.eye(blk.dim)
+        assert m1.shape == (t, blk.dim, blk.dim)
+        assert np.abs(m12 - m2 @ m1).max() < 1e-12
+        assert np.abs(np.swapaxes(m1, 1, 2).conj() @ m1 - eye).max() < 1e-12
+        if blk.n_inv:
+            assert np.abs(m1[:, :, :blk.n_inv] - eye[:, :blk.n_inv]).max() < 1e-12

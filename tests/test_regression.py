@@ -298,10 +298,13 @@ def test_augmented_lsq_matches_stacked_oracle(dist, cutoff):
     schemes1 += [AugmentationScheme("quadrature", rule=so2_quadrature(m)) for m in (3, 6, 8)]
     for i, scheme in enumerate(schemes1):
         _oracle_case(1, 5, dist, 80, scheme, cutoff, 300 + i)
+    # d=2, K=2 has p=52: n=40 rotates the n rows themselves, n=80 > p+1 is cut
+    # to its 53-row triangular factor first
     schemes2 = [AugmentationScheme("random", t=t, seed=42 + t) for t in (3, 16)]
     schemes2 += [AugmentationScheme("quadrature", rule=so3_quadrature_euler(q)) for q in (1, 2)]
     for i, scheme in enumerate(schemes2):
         _oracle_case(2, 2, dist, 40, scheme, cutoff, 320 + i)
+        _oracle_case(2, 2, dist, 80, scheme, cutoff, 330 + i)
 
 
 @settings(max_examples=15, deadline=None)
@@ -339,6 +342,65 @@ def test_augmented_rows_independent_of_t(monkeypatch):
     assert rows[0] == rows[1] <= 11 * 100
 
 
+def test_augmented_rows_cut_to_p_plus_one_d2(monkeypatch):
+    rows = []
+
+    def counting_solve(a, y, *args, **kwargs):
+        rows.append(a.shape[0])
+        return lsq_solve(a, y, *args, **kwargs)
+
+    monkeypatch.setattr(regression, "lsq_solve", counting_solve)
+    target = make_target(2, ExponentialDecay(2.0), 4, seed=49)
+    basis = enumerate_basis(2, 3, 2)
+    data = _uniform_data(2, 200, 50, target)
+    rule = so3_quadrature_euler(2)
+    augmented_lsq(basis, data, AugmentationScheme("quadrature", rule=rule))
+    assert (basis.size, len(rule)) == (52, 32)
+    assert rows == [32 * 53]
+
+
+def test_augmented_d2_nodes_across_chunks(monkeypatch):
+    # 53 rows a node: a 120-row budget puts two nodes in a stack chunk and
+    # three in a Schur chunk, so every node set below spans several chunks
+    target = make_target(2, ExponentialDecay(2.0), 4, seed=51)
+    basis = enumerate_basis(2, 3, 2)
+    data = _uniform_data(2, 80, 52, target)
+    schemes = [AugmentationScheme("quadrature", rule=so3_quadrature_euler(q)) for q in (1, 2)]
+    schemes.append(AugmentationScheme("random", t=9, seed=53))
+    whole = [schur_diagnostics(basis, data, s, augmented_lsq(basis, data, s)) for s in schemes]
+    monkeypatch.setattr(regression, "_COMPRESS_ROWS", 120)
+    for scheme, ref_diag in zip(schemes, whole):
+        sol = augmented_lsq(basis, data, scheme)
+        ref, ref_res, _ = stacked_augmented_solve(basis, data, scheme)
+        assert np.abs(sol.beta - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert abs(sol.train_residual - ref_res) <= 1e-12 * np.linalg.norm(data.values)
+        diag = schur_diagnostics(basis, data, scheme, sol)
+        assert diag.available and ref_diag.available
+        # the exact q=2 rule leaves a bound at the roundoff floor
+        assert abs(diag.bound - ref_diag.bound) <= 1e-12 * max(ref_diag.bound, 1e-3)
+
+
+@pytest.mark.parametrize("budget", [16384, 200])
+def test_schur_moments_match_per_node_sums(monkeypatch, budget):
+    # the batched contraction against dense D(Q_t) built node by node
+    monkeypatch.setattr(regression, "_COMPRESS_ROWS", budget)
+    rng = np.random.default_rng(54)
+    basis = enumerate_basis(2, 3, 3)
+    n_inv, p_n = basis.invariant_count, basis.size - basis.invariant_count
+    a_n = rng.normal(size=(70, p_n)) + 1j * rng.normal(size=(70, p_n))
+    gram = a_n.conj().T @ a_n
+    weights, rotations = AugmentationScheme("random", t=11, seed=55).nodes(2)
+    d_bar_ref = np.zeros((p_n, p_n), dtype=complex)
+    d_block_ref = np.zeros((p_n, p_n), dtype=complex)
+    for w, q in zip(weights, rotations):
+        d_t = generalized_d(basis, q)[n_inv:, n_inv:]
+        d_bar_ref += w * d_t
+        d_block_ref += w * (d_t.conj().T @ gram @ d_t)
+    d_bar, d_block = regression._noninvariant_moments(basis, gram, weights, rotations)
+    assert np.abs(d_bar - d_bar_ref).max() <= 1e-13
+    assert np.abs(d_block - d_block_ref).max() <= 1e-13 * np.abs(d_block_ref).max()
+
+
 def test_full_rank_propagates_to_blocks():
     target = make_target(1, ExponentialDecay(2.0), 6, seed=26)
     basis = enumerate_basis(1, 3, 3)
@@ -357,7 +419,7 @@ def test_schur_exact_quadrature_zero_bound():
     scheme = AugmentationScheme("quadrature", rule=so2_quadrature(4))
     sol = augmented_lsq(basis, data, scheme)
     diag = schur_diagnostics(basis, data, scheme, sol)
-    assert diag.available
+    assert diag.available and diag.reason is None
     assert diag.d_bar_norm < 1e-12
     assert diag.bound < 1e-12
 
@@ -394,6 +456,21 @@ def test_schur_unavailable_when_rank_deficient():
     diag = schur_diagnostics(basis, data, scheme, sol)
     assert not diag.available
     assert diag.bound is None
+    assert diag.reason == "singular normal matrix"
+
+
+def test_schur_unavailable_when_schur_complement_is_roundoff():
+    # n = p points, two of them 1e-8 apart: the normal matrix stays above the
+    # singularity floor, its Schur complement does not
+    basis = enumerate_basis(1, 3, 2)
+    rng = np.random.default_rng(56)
+    pts = rng.uniform(0.0, 2.0 * np.pi, size=(basis.size, 3))
+    pts[1] = pts[0] + 1e-8
+    data = Dataset(1, pts, rng.normal(size=basis.size))
+    scheme = AugmentationScheme("quadrature", rule=identity_rule(SO2))
+    diag = schur_diagnostics(basis, data, scheme, augmented_lsq(basis, data, scheme))
+    assert not diag.available
+    assert diag.reason == "Schur-complement roundoff"
 
 
 def test_solution_norm_split():
