@@ -3,6 +3,7 @@ rotation group."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -218,16 +219,10 @@ def so3_quadrature_euler(n: int) -> QuadratureRule:
     x, wb = np.polynomial.legendre.leggauss(n_beta)
     alphas = TWO_PI * np.arange(n_ang) / n_ang
     betas = np.arccos(x)
-    rotations = []
-    weights = []
-    for ia, a in enumerate(alphas):
-        ra = _rz(a)
-        for ib, b in enumerate(betas):
-            rab = ra @ _ry(b)
-            for ig, g in enumerate(alphas):
-                rotations.append(Rotation(SO3, matrix=rab @ _rz(g)))
-                weights.append(wb[ib] / (2.0 * n_ang * n_ang))
-    return QuadratureRule(SO3, np.array(weights), rotations, declared_degree=n)
+    rotations = [Rotation.from_euler_zyz(a, b, g)
+                 for a, b, g in itertools.product(alphas, betas, alphas)]
+    weights = np.tile(np.repeat(wb, n_ang), n_ang) / (2.0 * n_ang * n_ang)
+    return QuadratureRule(SO3, weights, rotations, declared_degree=n)
 
 
 def identity_rule(group: str) -> QuadratureRule:

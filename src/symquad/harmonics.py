@@ -64,30 +64,23 @@ def sph_harm_table(l_max: int, vecs: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _little_d_tables(l: int):
-    """(C, 2l - e, e, i m) for Wigner's sum d^l_{m'm}(beta) =
-    sum_e C[e, (m', m)] cos(beta/2)^(2l-e) sin(beta/2)^e, with C of shape
-    (2l+1, (2l+1)^2), e = 0..2l and m = -l..l."""
+    """(C, i m) with d^l_{m'm}(beta) = sum_k C[k, (m', m)] f_k(beta) for the
+    monomials f = (1, cos beta, ..., cos l beta, sin beta, ..., sin l beta),
+    C of shape (2l+1, (2l+1)^2) and m = -l..l.
+
+    d^l(beta) = exp(-i beta J_y) = sum_mu e^{-i mu beta} P_mu over the
+    eigenprojectors P_mu of J_y (exact diagonalization: Feng, Wang, Yang &
+    Jin, Phys. Rev. E 92, 043307, 2015).  J_y is imaginary, so
+    P_{-mu} = conj(P_mu) and the sum folds into the real
+    P_0 + sum_{mu>0} [2 cos(mu beta) Re P_mu + 2 sin(mu beta) Im P_mu].
+    """
     mm = np.arange(-l, l + 1)
-    mp = mm[:, None, None]
-    m = mm[None, :, None]
-    k = np.arange(0, 2 * l + 1)[None, None, :]
-    a1 = l + m - k
-    a3 = mp - m + k
-    a4 = l - mp - k
-    valid = (a1 >= 0) & (a3 >= 0) & (a4 >= 0)
-    logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 4 * l + 2)))))
-    pref = 0.5 * (logfact[l + mp] + logfact[l - mp] + logfact[l + m] + logfact[l - m])
-    den = (logfact[np.where(valid, a1, 0)] + logfact[k]
-           + logfact[np.where(valid, a3, 0)] + logfact[np.where(valid, a4, 0)])
-    sign = np.where((a3 % 2) == 0, 1.0, -1.0)
-    # the sin exponent e = m' - m + 2k lies in [0, 2l] for every valid term
-    # and differs between the terms of one (m', m)
-    e = np.where(valid, mp - m + 2 * k, 0)
-    iq, ip, _ = np.nonzero(valid)
-    coef = np.zeros((2 * l + 1, 2 * l + 1, 2 * l + 1))
-    coef[e[valid], iq, ip] = (sign * np.exp(pref - den))[valid]
-    e_sin = k.ravel().astype(float)
-    out = (coef.reshape(2 * l + 1, -1), 2 * l - e_sin, e_sin, 1j * mm)
+    j_plus = np.diag(np.sqrt((l - mm[:-1]) * (l + mm[:-1] + 1.0)), -1)  # |m> -> |m+1>
+    # eigenvalues ascend through mu = -l..l; columns l.. hold mu = 0..l
+    v = np.linalg.eigh((j_plus - j_plus.T) / 2j)[1][:, l:].T
+    proj = v[:, :, None] * v[:, None, :].conj()
+    coef = np.concatenate([proj[:1].real, 2.0 * proj[1:].real, 2.0 * proj[1:].imag])
+    out = (coef.reshape(2 * l + 1, -1), 1j * mm)
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -99,10 +92,10 @@ def wigner_little_d(l: int, beta) -> np.ndarray:
     Broadcasts over array-valued ``beta``: the result has shape
     beta.shape + (2l+1, 2l+1).
     """
-    half = np.asarray(beta, dtype=float) / 2.0
-    coef, e_cos, e_sin, _ = _little_d_tables(l)
-    mono = np.cos(half)[..., None] ** e_cos * np.sin(half)[..., None] ** e_sin
-    return (mono @ coef).reshape(half.shape + (2 * l + 1, 2 * l + 1))
+    beta = np.asarray(beta, dtype=float)
+    angles = beta[..., None] * np.arange(l + 1)
+    mono = np.concatenate([np.cos(angles), np.sin(angles[..., 1:])], axis=-1)
+    return (mono @ _little_d_tables(l)[0]).reshape(beta.shape + (2 * l + 1, 2 * l + 1))
 
 
 def wigner_block(l: int, alpha, beta, gamma) -> np.ndarray:
@@ -114,7 +107,7 @@ def wigner_block(l: int, alpha, beta, gamma) -> np.ndarray:
     """
     d = wigner_little_d(l, beta)
     phase_g, phase_a = np.exp(np.array([gamma, alpha], dtype=float)[..., None]
-                              * _little_d_tables(l)[3])
+                              * _little_d_tables(l)[1])
     return phase_g[..., :, None] * d.swapaxes(-1, -2) * phase_a[..., None, :]
 
 

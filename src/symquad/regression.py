@@ -435,7 +435,7 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     # negative bottom eigenvalue means B^{-1} amplified roundoff past meaning
     if c2 <= 1e-12 * max(float(eigs[-1]), 1e-300):
         return SchurDiagnostics(False, None, None, None, None, "Schur-complement roundoff")
-    beta_i = invariant_lsq(basis, data, cutoff=0.0).beta_invariant
+    beta_i = lsq_solve(a_i, data.values)
     inv_residual = float(np.linalg.norm(a_i @ beta_i - data.values))
     d_bar_norm = float(np.linalg.norm(a_n @ d_bar, ord=2))
     bound = d_bar_norm * inv_residual / c2

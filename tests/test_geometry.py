@@ -9,7 +9,7 @@ from symquad.geometry import (SO2, SO3, DimensionError, QuadratureFormatError,
                               load_quadrature_file, sample_haar,
                               sample_haar_many, so2_quadrature, so3_quadrature_euler,
                               verify_exactness, write_quadrature_file)
-from symquad.harmonics import wigner_d
+from symquad.harmonics import wigner_block, wigner_d
 from symquad.regression import Dataset, rotate_dataset
 
 TWO_PI = 2.0 * math.pi
@@ -126,9 +126,8 @@ def test_haar_so3_mean_wigner_vanishes():
     # Monte-Carlo estimate of the Haar average of the degree-1 block
     rng = np.random.default_rng(6)
     n = 100_000
-    acc = np.zeros((3, 3), dtype=complex)
-    for q in sample_haar_many(SO3, n, rng):
-        acc += wigner_d(1, q).matrix
+    eulers = np.array([q.euler_zyz() for q in sample_haar_many(SO3, n, rng)])
+    acc = wigner_block(1, *eulers.T).sum(axis=0)
     assert np.abs(acc / n).max() < 4.0 / math.sqrt(n)
 
 
@@ -144,11 +143,11 @@ def test_haar_left_invariance_statistic():
     rng = np.random.default_rng(8)
     n = 100_000
     q0 = sample_haar(SO3, rng)
-    acc_shift = np.zeros((3, 3), dtype=complex)
-    acc_plain = np.zeros((3, 3), dtype=complex)
-    for q in sample_haar_many(SO3, n, rng):
-        acc_plain += wigner_d(1, q).matrix
-        acc_shift += wigner_d(1, compose(q0, q)).matrix
+    qs = sample_haar_many(SO3, n, rng)
+    plain = np.array([q.euler_zyz() for q in qs])
+    shift = np.array([compose(q0, q).euler_zyz() for q in qs])
+    acc_plain = wigner_block(1, *plain.T).sum(axis=0)
+    acc_shift = wigner_block(1, *shift.T).sum(axis=0)
     assert np.abs(acc_shift - acc_plain).max() / n < 4.0 / math.sqrt(n)
 
 

@@ -54,7 +54,7 @@ def test_wigner_trivial_blocks():
 
 
 def test_wigner_little_d_orthogonal():
-    for l in (1, 2, 5, 12):
+    for l in (1, 2, 5, 12, 16, 24, 32):
         d = wigner_little_d(l, 0.8321)
         assert np.abs(d @ d.T - np.eye(2 * l + 1)).max() < 1e-12
 
@@ -213,6 +213,10 @@ def test_wigner_little_d_closed_forms():
         assert np.abs(d[0] - np.eye(2 * l + 1)).max() < 1e-14
         flip = np.fliplr(np.diag((-1.0) ** (l - np.arange(-l, l + 1))))
         assert np.abs(d[1] - flip).max() < 1e-14
+    # composition about one axis: d(0.3) d(0.9) = d(1.2)
+    for l in (16, 32):
+        d = wigner_little_d(l, np.array([0.3, 0.9, 1.2]))
+        assert np.abs(d[0] @ d[1] - d[2]).max() < 1e-12
 
 
 @settings(max_examples=12, deadline=None)
