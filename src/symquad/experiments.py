@@ -9,6 +9,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -18,8 +19,8 @@ from .dynamics import default_potential, hitting_time, simulate_batch, write_tra
 from .geometry import so2_quadrature, so3_quadrature_euler
 from .regression import (AugmentationScheme, RegressionSolution, augmented_lsq, full_lsq,
                          invariant_lsq, l2_test_error, schur_diagnostics)
-from .sampling import (AlgebraicDecay, DistributionSpec, ExponentialDecay, export_dataset,
-                       make_target, sample_dataset)
+from .sampling import (_CIRCLE_ROLES, _SPHERE_ROLES, AlgebraicDecay, DistributionSpec,
+                       ExponentialDecay, export_dataset, make_target, sample_dataset)
 
 RATIO_CAP = 1e16  # reported when the quadrature column is exactly symmetric
 
@@ -45,99 +46,72 @@ class ExperimentConfig:
     trials: int = 1
     d: int = 0                      # required for regression experiments
     distribution: str = "UUU"
-    degrees: tuple = ()
-    quad_degrees: tuple = ()
-    t_list: tuple = ()
+    degrees: tuple[int, ...] = ()
+    quad_degrees: tuple[int, ...] = ()
+    t_list: tuple[int, ...] = ()
     train_size: int = 0
     test_size: int = 0
     cutoff: str = "auto"            # "auto", or a float literal
     target_degree: int = 0
     alpha: float = 2.0
-    powers: tuple = ()
+    powers: tuple[float, ...] = ()
     kappa: float = 100.0
     sigma: float = 0.1
     dt: float = 0.05
     steps: int = 1_000_000
     record_every: int = 100
-    eps_list: tuple = ()
-    hit_targets: tuple = (1e-6, 1e-4, 1e-3, 1e-2, 1e-1)
+    eps_list: tuple[float, ...] = ()
+    hit_targets: tuple[float, ...] = (1e-6, 1e-4, 1e-3, 1e-2, 1e-1)
     preview_size: int = 2000
 
 
-_INT_TUPLE = ("degrees", "quad_degrees", "t_list")
-_FLOAT_TUPLE = ("powers", "eps_list", "hit_targets")
-_INTS = ("seed", "trials", "d", "train_size", "test_size", "target_degree",
-         "steps", "record_every", "preview_size")
-_FLOATS = ("alpha", "kappa", "sigma", "dt")
-
-# frozen defaults per experiment; keys override the dataclass defaults
-_DEFAULTS = {
-    "approx-rates": {"trials": 1, "degrees": tuple(range(1, 8))},
-    "quad-sweep": {"train_size": 800, "test_size": 200, "trials": 1,
-                   "degrees": (6,), "quad_degrees": tuple(range(10))},
-    "random-sweep": {"train_size": 100, "test_size": 100, "trials": 10,
-                     "degrees": (6,), "t_list": (4, 8, 16, 32, 64, 128, 256)},
-    "compare": {"train_size": 100, "test_size": 100, "trials": 10,
-                "degrees": (6,), "quad_degrees": tuple(range(10))},
-    "drift": {"trials": 5},
-    "regularity-sweep": {"train_size": 100, "test_size": 100, "trials": 10,
-                         "degrees": (2, 8), "t_list": (16, 64, 256),
-                         "powers": (0.5, 1.0, 2.0, 3.0), "target_degree": 30},
-    "distributions-preview": {},
-}
-
-_SIZE_DEFAULTS = {  # (train, test) per (experiment, d)
-    ("approx-rates", 1): (8000, 2000),
-    ("approx-rates", 2): (10000, 2500),
-}
-
-_DESCRIPTIONS = {
-    "approx-rates": "test error vs model degree for full, invariant and sym-projected fits",
-    "quad-sweep": "symmetrization error vs quadrature degree of the augmentation rule",
-    "random-sweep": "symmetrization error vs number of random augmentation rotations",
-    "compare": "quadrature vs random augmentation on a common rotation budget",
-    "drift": "angular-momentum drift and hitting times under perturbed potentials",
-    "regularity-sweep": "random-augmentation error across target smoothness classes",
-    "distributions-preview": "raw samples from each named data distribution",
-}
-
-_REQUIRED = {
-    "approx-rates": ("d",),
-    "quad-sweep": ("d",),
-    "random-sweep": ("d",),
-    "compare": ("d",),
-    "drift": ("eps_list",),
-    "regularity-sweep": ("d",),
-    "distributions-preview": ("d",),
-}
+# field -> its annotation; a config value is parsed and checked by its type
+_TYPES = {key: kind for key, kind in get_type_hints(ExperimentConfig).items()
+          if key not in ("experiment", "name")}
 
 
-def _parse_tuple(text, conv):
-    parts = text.replace(",", " ").split()
-    return tuple(conv(p) for p in parts)
+def _item_type(kind):
+    """The element type of a tuple annotation, the type itself otherwise."""
+    return get_args(kind)[0] if get_origin(kind) is tuple else kind
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """Everything declared about one experiment id."""
+
+    runner: Callable[[ExperimentConfig], ResultTable]
+    plot: str                 # emit_plot kind
+    description: str          # the ``symquad list`` line
+    defaults: dict            # overrides of the dataclass defaults
+    required: str = "d"      # the field a config of it must set
+    sizes: dict = field(default_factory=dict)  # d -> (train, test) when both unset
+
+
+_EXPERIMENTS: dict[str, _Experiment] = {}
+
+
+def _experiment(key: str, plot: str, description: str, defaults: dict, **declared):
+    """Register the decorated runner as experiment ``key``; ``declared`` sets
+    the other ``_Experiment`` fields."""
+    def register(runner):
+        _EXPERIMENTS[key] = _Experiment(runner, plot, description, defaults, **declared)
+        return runner
+    return register
 
 
 def config_from_items(experiment: str, name: str, items: dict) -> ExperimentConfig:
     """Build and validate a config from raw string key/value pairs."""
-    if experiment not in _DEFAULTS:
+    if experiment not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; choose from "
-                          + ", ".join(sorted(_DEFAULTS)))
-    known = {f.name for f in fields(ExperimentConfig)} - {"experiment", "name"}
-    values = dict(_DEFAULTS[experiment])
+                          + ", ".join(sorted(_EXPERIMENTS)))
+    values = dict(_EXPERIMENTS[experiment].defaults)
     for key, raw in items.items():
-        if key not in known:
+        if key not in _TYPES:
             raise ConfigError(f"[{name}] unknown field {key!r}")
+        kind = _TYPES[key]
         try:
-            if key in _INT_TUPLE:
-                values[key] = _parse_tuple(raw, int)
-            elif key in _FLOAT_TUPLE:
-                values[key] = _parse_tuple(raw, float)
-            elif key in _INTS:
-                values[key] = int(raw)
-            elif key in _FLOATS:
-                values[key] = float(raw)
-            else:
-                values[key] = raw
+            values[key] = (tuple(map(_item_type(kind), raw.replace(",", " ").split()))
+                           if get_origin(kind) is tuple else kind(raw))
         except ValueError as exc:
             raise ConfigError(f"[{name}] field {key!r}: cannot parse {raw!r}") from exc
     cfg = _apply_size_defaults(ExperimentConfig(experiment=experiment, name=name, **values))
@@ -146,14 +120,13 @@ def config_from_items(experiment: str, name: str, items: dict) -> ExperimentConf
 
 
 def _validate(cfg: ExperimentConfig):
-    for key in _REQUIRED[cfg.experiment]:
-        if not getattr(cfg, key):
-            raise ConfigError(f"[{cfg.name}] missing required field {key!r}")
-    for key in _FLOATS + _FLOAT_TUPLE:
-        if not np.all(np.isfinite(getattr(cfg, key))):
+    spec = _EXPERIMENTS[cfg.experiment]
+    if not getattr(cfg, spec.required):
+        raise ConfigError(f"[{cfg.name}] missing required field {spec.required!r}")
+    for key, kind in _TYPES.items():
+        if _item_type(kind) is float and not np.all(np.isfinite(getattr(cfg, key))):
             raise ConfigError(f"[{cfg.name}] field {key!r} must be finite")
-    exp = cfg.experiment
-    if exp != "drift":
+    if spec.required == "d":
         if cfg.d not in (1, 2):
             raise ConfigError(f"[{cfg.name}] field 'd' must be 1 or 2")
         if cfg.kappa <= 0.0:
@@ -162,9 +135,10 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"[{cfg.name}] field 'sigma' must be >= 0")
     if cfg.trials < 1:
         raise ConfigError(f"[{cfg.name}] field 'trials' must be >= 1")
-    if exp in ("approx-rates", "quad-sweep", "random-sweep", "compare", "regularity-sweep"):
-        if not cfg.degrees:
-            raise ConfigError(f"[{cfg.name}] field 'degrees' must be non-empty")
+    for key, value in spec.defaults.items():  # a swept list the experiment sets
+        if isinstance(value, tuple) and not getattr(cfg, key):
+            raise ConfigError(f"[{cfg.name}] field {key!r} must be non-empty")
+    if "degrees" in spec.defaults:  # the regression sweeps
         if cfg.train_size < 1:
             raise ConfigError(f"[{cfg.name}] field 'train_size' must be >= 1")
         if cfg.test_size < 1:
@@ -173,13 +147,7 @@ def _validate(cfg: ExperimentConfig):
             DistributionSpec(cfg.d, cfg.distribution)
         except ValueError as exc:
             raise ConfigError(f"[{cfg.name}] field 'distribution': {exc}") from exc
-    if exp in ("random-sweep", "regularity-sweep") and not cfg.t_list:
-        raise ConfigError(f"[{cfg.name}] field 't_list' must be non-empty")
-    if exp in ("quad-sweep", "compare") and not cfg.quad_degrees:
-        raise ConfigError(f"[{cfg.name}] field 'quad_degrees' must be non-empty")
-    if exp == "regularity-sweep" and not cfg.powers:
-        raise ConfigError(f"[{cfg.name}] field 'powers' must be non-empty")
-    if exp == "drift":
+    if cfg.experiment == "drift":
         if cfg.steps < 1:
             raise ConfigError(f"[{cfg.name}] field 'steps' must be >= 1")
         if cfg.dt <= 0:
@@ -198,10 +166,11 @@ def _validate(cfg: ExperimentConfig):
 
 
 def _apply_size_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
-    train, test = cfg.train_size, cfg.test_size
-    if (train, test) == (0, 0) and (cfg.experiment, cfg.d) in _SIZE_DEFAULTS:
-        train, test = _SIZE_DEFAULTS[(cfg.experiment, cfg.d)]
-    return replace(cfg, train_size=train, test_size=test)
+    """Fill in the experiment's (train, test) sizes for ``cfg.d`` when neither is set."""
+    sizes = _EXPERIMENTS[cfg.experiment].sizes.get(cfg.d)
+    if sizes is None or (cfg.train_size, cfg.test_size) != (0, 0):
+        return cfg
+    return replace(cfg, train_size=sizes[0], test_size=sizes[1])
 
 
 def load_configs(path) -> list[ExperimentConfig]:
@@ -224,7 +193,7 @@ def load_configs(path) -> list[ExperimentConfig]:
 
 def list_experiments() -> list[tuple[str, str]]:
     """(id, description) pairs for every available experiment."""
-    return [(key, _DESCRIPTIONS[key]) for key in sorted(_DEFAULTS)]
+    return [(key, _EXPERIMENTS[key].description) for key in sorted(_EXPERIMENTS)]
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +322,10 @@ def _setup(cfg: ExperimentConfig, target=None, test: bool = True):
     return cfg, _resolve_cutoff(cfg), target, data
 
 
+@_experiment("approx-rates", "semilogy",
+             "test error vs model degree for full, invariant and sym-projected fits",
+             {"trials": 1, "degrees": tuple(range(1, 8))},
+             sizes={1: (8000, 2000), 2: (10000, 2500)})
 def run_approx_rates(cfg: ExperimentConfig) -> ResultTable:
     """Full / invariant / sym-projected test errors per model degree."""
     cfg, cutoff, target, data = _setup(cfg)
@@ -380,6 +353,10 @@ def run_approx_rates(cfg: ExperimentConfig) -> ResultTable:
     return table
 
 
+@_experiment("quad-sweep", "semilogy",
+             "symmetrization error vs quadrature degree of the augmentation rule",
+             {"train_size": 800, "test_size": 200, "trials": 1, "degrees": (6,),
+              "quad_degrees": tuple(range(10))})
 def run_quad_sweep(cfg: ExperimentConfig) -> ResultTable:
     """eps_sym and test error vs quadrature degree, per model degree."""
     cfg, cutoff, target, data = _setup(cfg)
@@ -402,6 +379,10 @@ def run_quad_sweep(cfg: ExperimentConfig) -> ResultTable:
     return table
 
 
+@_experiment("random-sweep", "loglog",
+             "symmetrization error vs number of random augmentation rotations",
+             {"train_size": 100, "test_size": 100, "trials": 10, "degrees": (6,),
+              "t_list": (4, 8, 16, 32, 64, 128, 256)})
 def run_random_sweep(cfg: ExperimentConfig) -> ResultTable:
     """eps_sym (with Schur bound) vs number of random rotations."""
     cfg, cutoff, target, data = _setup(cfg)
@@ -424,6 +405,10 @@ def run_random_sweep(cfg: ExperimentConfig) -> ResultTable:
     return table
 
 
+@_experiment("compare", "loglog",
+             "quadrature vs random augmentation on a common rotation budget",
+             {"train_size": 100, "test_size": 100, "trials": 10, "degrees": (6,),
+              "quad_degrees": tuple(range(10))})
 def run_compare(cfg: ExperimentConfig) -> ResultTable:
     """Quadrature vs random augmentation on a shared rotation-count axis."""
     cfg, cutoff, _, data = _setup(cfg, test=False)
@@ -452,6 +437,9 @@ def run_compare(cfg: ExperimentConfig) -> ResultTable:
     return table
 
 
+@_experiment("drift", "loglog",
+             "angular-momentum drift and hitting times under perturbed potentials",
+             {"trials": 5}, required="eps_list")
 def run_drift(cfg: ExperimentConfig, write_trajectories: bool = True) -> ResultTable:
     """Angular-momentum drift per perturbation strength; emits trajectory CSVs."""
     table = _new_table(cfg)
@@ -501,9 +489,13 @@ def regularity_target(d: int, power: float, degree: int, seed: int):
     return make_target(d, AlgebraicDecay(power + 1.0), degree, seed)
 
 
+@_experiment("regularity-sweep", "loglog",
+             "random-augmentation error across target smoothness classes",
+             {"train_size": 100, "test_size": 100, "trials": 10, "degrees": (2, 8),
+              "t_list": (16, 64, 256), "powers": (0.5, 1.0, 2.0, 3.0), "target_degree": 30})
 def run_regularity_sweep(cfg: ExperimentConfig) -> ResultTable:
     """Random-augmentation eps_sym across algebraic smoothness classes."""
-    table = _new_table(_apply_size_defaults(cfg))
+    table = _new_table(cfg)
     for pi, power in enumerate(cfg.powers):
         target = regularity_target(cfg.d, power, _target_degree(cfg),
                                    _int_seed(cfg.seed, 1, pi))
@@ -520,10 +512,12 @@ def run_regularity_sweep(cfg: ExperimentConfig) -> ResultTable:
     return table
 
 
+@_experiment("distributions-preview", "semilogy",
+             "raw samples from each named data distribution", {})
 def run_distributions_preview(cfg: ExperimentConfig) -> ResultTable:
     """Dump raw samples of every distribution defined for this d."""
     table = _new_table(cfg)
-    names = ("UUU", "dUU", "dsUU") if cfg.d == 1 else ("UUU", "dUU", "dsUU", "dH1U", "dsH1sU")
+    names = _CIRCLE_ROLES if cfg.d == 1 else _SPHERE_ROLES
     outdir = os.path.join(cfg.outdir, cfg.experiment)
     os.makedirs(outdir, exist_ok=True)
     for i, name in enumerate(names):
@@ -534,29 +528,8 @@ def run_distributions_preview(cfg: ExperimentConfig) -> ResultTable:
     return table
 
 
-_RUNNERS = {
-    "approx-rates": run_approx_rates,
-    "quad-sweep": run_quad_sweep,
-    "random-sweep": run_random_sweep,
-    "compare": run_compare,
-    "drift": run_drift,
-    "regularity-sweep": run_regularity_sweep,
-    "distributions-preview": run_distributions_preview,
-}
-
-_PLOT_KIND = {
-    "approx-rates": "semilogy",
-    "quad-sweep": "semilogy",
-    "random-sweep": "loglog",
-    "compare": "loglog",
-    "drift": "loglog",
-    "regularity-sweep": "loglog",
-    "distributions-preview": "semilogy",
-}
-
-
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
-    return _RUNNERS[cfg.experiment](cfg)
+    return _EXPERIMENTS[cfg.experiment].runner(cfg)
 
 
 def _write_outputs(cfg: ExperimentConfig, table: ResultTable) -> list[str]:
@@ -566,7 +539,7 @@ def _write_outputs(cfg: ExperimentConfig, table: ResultTable) -> list[str]:
     os.makedirs(os.path.dirname(stem), exist_ok=True)
     table.to_csv(stem + ".csv")
     written = [stem + ".csv"]
-    if emit_plot(table, _PLOT_KIND[cfg.experiment], stem + ".svg") is not None:
+    if emit_plot(table, _EXPERIMENTS[cfg.experiment].plot, stem + ".svg") is not None:
         written.append(stem + ".svg")
     return written
 

@@ -131,10 +131,8 @@ def lsq_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0,
     if a.ndim != 2 or a.shape[0] < 1:
         raise ValueError("empty least-squares system")
     p = a.shape[1]
-    if a.shape[0] > p + 1:
-        # [a | y] = Q R: a and y share the orthonormal factor Q, so R[:, :p]
-        # has the singular values of a and the same minimum-norm solution
-        r = np.linalg.qr(np.column_stack([a, y]), mode="r")
+    if a.shape[0] > p + 1:  # a factor handed in is solved as it is, not copied
+        r = _compressed_stack([np.column_stack([a, y])])
         a, y = r[:, :p], r[:, p]
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
@@ -227,28 +225,26 @@ class AugmentationScheme:
         return np.full(self.t, 1.0 / self.t), rots
 
 
-def _compressed_stack(blocks, chunk_rows: int | None = None) -> np.ndarray:
-    """Vertically stacked blocks, QR-compressed whenever the next block would
-    take the buffer past ``chunk_rows`` rows (default ``_COMPRESS_ROWS``), so
-    memory stays bounded for any number of blocks.
+def _compressed_stack(blocks) -> np.ndarray:
+    """The row stack of a stream of [a | y] blocks, reduced to its triangular
+    factor R when it has more rows than columns.
 
-    Orthogonal reductions preserve singular values and least-squares
-    solutions, so solving on the compressed stack is exact.
+    [a | y] = Q R with one orthonormal Q for both parts, so R[:, :-1] has the
+    singular values of a, and R gives the same minimum-norm solution and
+    residual norm as the stack.  Blocks are QR-compressed into the running
+    factor before one would take the buffer past ``_COMPRESS_ROWS`` rows, so
+    memory stays bounded for any number of blocks.
     """
-    if chunk_rows is None:
-        chunk_rows = _COMPRESS_ROWS
-    r = None
     buf, buffered = [], 0
     for block in blocks:
-        if buf and buffered + block.shape[0] > chunk_rows:
-            r = np.linalg.qr(np.concatenate(([r] if r is not None else []) + buf, axis=0),
-                             mode="r")
-            buf, buffered = [], 0
+        if buffered and buffered + block.shape[0] > _COMPRESS_ROWS:
+            buf, buffered = [np.linalg.qr(np.concatenate(buf), mode="r")], 0
         buf.append(block)
         buffered += block.shape[0]
     if not buf:
         raise ValueError("no augmentation blocks")
-    return np.concatenate(([r] if r is not None else []) + buf, axis=0)
+    stack = buf[0] if len(buf) == 1 else np.concatenate(buf)  # no copy of a lone block
+    return np.linalg.qr(stack, mode="r") if stack.shape[0] > stack.shape[1] else stack
 
 
 def _charge_phases(rotations, charges) -> np.ndarray:
@@ -286,9 +282,8 @@ def _rotated_blocks(basis: BasisSpec, a: np.ndarray, y: np.ndarray, weights, rot
     nodes.
     """
     p = basis.size
-    if a.shape[0] > p + 1:
-        r = np.linalg.qr(np.column_stack([a, y]), mode="r")
-        a, y = r[:, :p], r[:, p]
+    r = _compressed_stack([np.column_stack([a, y])])
+    a, y = r[:, :p], r[:, p]
     per_chunk = max(1, _COMPRESS_ROWS // a.shape[0])
     for start in range(0, len(rotations), per_chunk):
         nodes = rotations[start:start + per_chunk]
@@ -314,10 +309,11 @@ def augmented_lsq(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
     each node contributes that many rows rather than n; the nodes are rotated
     a chunk of at most ``_COMPRESS_ROWS`` rows at a time, and each chunk is
     QR-compressed into the running factor before the next is added
-    (``_rotated_blocks``, ``_compressed_stack``).
-    ``lsq_solve`` then factors the tall result through QR before its SVD.
-    All reductions are orthogonal, so beta, the kept rank and the residual
-    are those of the plain stacked solve up to roundoff.
+    (``_rotated_blocks``).  A tall stack ends as its triangular factor of
+    p+1 rows (``_compressed_stack``), which ``lsq_solve`` takes to its SVD
+    and which gives the residual.  All reductions are orthogonal, so beta,
+    the kept rank and the residual are those of the plain stacked solve up
+    to roundoff.
     """
     weights, rotations = scheme.nodes(basis.d)
     a = design_matrix(basis, data)
@@ -328,9 +324,9 @@ def augmented_lsq(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
         blocks = _charge_blocks(basis, a, y, weights, rotations)
     else:
         blocks = _rotated_blocks(basis, a, y, weights, rotations)
-    stacked = _compressed_stack(blocks)
-    beta = lsq_solve(stacked[:, :p], stacked[:, p], cutoff)
-    res = float(np.linalg.norm(stacked[:, :p] @ beta - stacked[:, p]))
+    r = _compressed_stack(blocks)
+    beta = lsq_solve(r[:, :p], r[:, p], cutoff)
+    res = float(np.linalg.norm(r[:, :p] @ beta - r[:, p]))
     return RegressionSolution(basis, beta, cutoff, res)
 
 

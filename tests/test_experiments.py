@@ -1,12 +1,13 @@
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from symquad.cli import main
-from symquad.experiments import (ConfigError, ResultTable, config_from_items, emit_plot,
-                                 list_experiments, load_configs, read_result_csv,
+from symquad.experiments import (ConfigError, ExperimentConfig, ResultTable, config_from_items,
+                                 emit_plot, list_experiments, load_configs, read_result_csv,
                                  run_approx_rates, run_compare, run_config_file,
                                  run_drift, run_quad_sweep, run_random_sweep,
                                  run_regularity_sweep)
@@ -49,6 +50,37 @@ def test_config_list_parsing():
         _cfg("quad-sweep", d=1, trials=0)
     with pytest.raises(ConfigError, match="'cutoff'"):
         _cfg("quad-sweep", d=1, cutoff="huge")
+    for experiment, key in (("quad-sweep", "degrees"), ("compare", "quad_degrees"),
+                            ("regularity-sweep", "powers")):
+        with pytest.raises(ConfigError, match=f"field '{key}' must be non-empty"):
+            _cfg(experiment, d=1, **{key: ""})
+    assert _cfg("drift", eps_list="0.1", degrees="").degrees == ()
+
+
+def test_config_every_field_parsed_by_type(tmp_path):
+    # one INI section sets every field from a string: (raw text, parsed value)
+    scalars = {"seed": ("3", 3), "trials": ("2", 2), "d": ("1", 1), "train_size": ("40", 40),
+               "test_size": ("20", 20), "target_degree": ("9", 9), "steps": ("100", 100),
+               "record_every": ("5", 5), "preview_size": ("50", 50),
+               "alpha": ("2", 2.0), "kappa": ("50", 50.0), "sigma": ("0.2", 0.2),
+               "dt": ("0.01", 0.01), "outdir": (str(tmp_path), str(tmp_path)),
+               "distribution": ("dUU", "dUU"), "cutoff": ("1e-3", "1e-3")}
+    tuples = {"degrees": ("2, 3", (2, 3)), "quad_degrees": ("0 1", (0, 1)),
+              "t_list": ("4,8", (4, 8)), "powers": ("1 2.5", (1.0, 2.5)),
+              "eps_list": ("0, 0.1", (0.0, 0.1)), "hit_targets": ("1e-3 1", (1e-3, 1.0))}
+    settings = {**scalars, **tuples}
+    assert set(settings) == {f.name for f in fields(ExperimentConfig)} - {"experiment", "name"}
+    path = tmp_path / "all.ini"
+    path.write_text("[regularity-sweep.all]\n"
+                    + "".join(f"{key} = {raw}\n" for key, (raw, _) in settings.items()))
+    (cfg,) = load_configs(path)
+    for key, (_, expected) in scalars.items():
+        value = getattr(cfg, key)
+        assert type(value) is type(expected) and value == expected, key
+    for key, (_, expected) in tuples.items():
+        value = getattr(cfg, key)
+        assert type(value) is tuple and value == expected, key
+        assert [type(v) for v in value] == [type(v) for v in expected], key
 
 
 def test_load_configs_sections(tmp_path):

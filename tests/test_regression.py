@@ -244,11 +244,13 @@ def test_stacked_matches_normal_equations():
         assert np.abs(sol.beta - beta_normal).max() < 1e-8
 
 
-def test_compressed_stack_equals_direct():
+def test_compressed_stack_equals_direct(monkeypatch):
+    monkeypatch.setattr(regression, "_COMPRESS_ROWS", 64)
     rng = np.random.default_rng(25)
     blocks = [rng.normal(size=(40, 12)) + 1j * rng.normal(size=(40, 12)) for _ in range(6)]
     direct = np.concatenate(blocks, axis=0)
-    compressed = _compressed_stack(iter(blocks), chunk_rows=64)
+    compressed = _compressed_stack(iter(blocks))
+    assert compressed.shape == (12, 12)  # a tall stack ends as its triangular factor
     y_d = lsq_solve(direct[:, :11], direct[:, 11], 0.0)
     y_c = lsq_solve(compressed[:, :11], compressed[:, 11], 0.0)
     assert np.abs(y_d - y_c).max() < 1e-10
@@ -325,14 +327,22 @@ def test_compressed_solve_equals_stacked_solve(k, t, n, seed, dist):
     assert abs(sol.train_residual - ref_res) <= tol * np.linalg.norm(data.values)
 
 
-def test_augmented_rows_independent_of_t(monkeypatch):
+def _count_stack_rows(monkeypatch) -> list:
+    """Rows of the [a | y] stack that enters the QR reducer, one entry a call."""
     rows = []
+    reduce_stack = regression._compressed_stack
 
-    def counting_solve(a, y, *args, **kwargs):
-        rows.append(a.shape[0])
-        return lsq_solve(a, y, *args, **kwargs)
+    def counting_stack(blocks):
+        blocks = list(blocks)
+        rows.append(sum(block.shape[0] for block in blocks))
+        return reduce_stack(blocks)
 
-    monkeypatch.setattr(regression, "lsq_solve", counting_solve)
+    monkeypatch.setattr(regression, "_compressed_stack", counting_stack)
+    return rows
+
+
+def test_augmented_rows_independent_of_t(monkeypatch):
+    rows = _count_stack_rows(monkeypatch)
     target = make_target(1, ExponentialDecay(2.0), 8, seed=43)
     basis = enumerate_basis(1, 3, 5)
     data = _uniform_data(1, 100, 44, target)
@@ -343,20 +353,15 @@ def test_augmented_rows_independent_of_t(monkeypatch):
 
 
 def test_augmented_rows_cut_to_p_plus_one_d2(monkeypatch):
-    rows = []
-
-    def counting_solve(a, y, *args, **kwargs):
-        rows.append(a.shape[0])
-        return lsq_solve(a, y, *args, **kwargs)
-
-    monkeypatch.setattr(regression, "lsq_solve", counting_solve)
+    rows = _count_stack_rows(monkeypatch)
     target = make_target(2, ExponentialDecay(2.0), 4, seed=49)
     basis = enumerate_basis(2, 3, 2)
     data = _uniform_data(2, 200, 50, target)
     rule = so3_quadrature_euler(2)
     augmented_lsq(basis, data, AugmentationScheme("quadrature", rule=rule))
     assert (basis.size, len(rule)) == (52, 32)
-    assert rows == [32 * 53]
+    # [A | y] (200 rows) is cut first, then 32 nodes of 53 rows are stacked
+    assert rows == [200, 32 * 53]
 
 
 def test_augmented_d2_nodes_across_chunks(monkeypatch):
