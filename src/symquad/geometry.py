@@ -52,7 +52,9 @@ class Rotation:
                 raise ValueError("SO(3) matrix must be 3x3")
             if np.abs(q.T @ q - np.eye(3)).max() > _ORTHO_TOL:
                 raise ValueError("matrix is not orthogonal within 1e-12")
-            if abs(np.linalg.det(q) - 1.0) > _ORTHO_TOL:
+            (a, b, c), (d, e, f), (g, h, i) = q.tolist()  # det = q[0] . (q[1] x q[2])
+            if abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+                   - 1.0) > _ORTHO_TOL:
                 raise ValueError("matrix determinant must be +1 within 1e-12")
             q.setflags(write=False)
             object.__setattr__(self, "matrix", q)

@@ -108,7 +108,8 @@ def wigner_block(l: int, alpha, beta, gamma) -> np.ndarray:
     d = wigner_little_d(l, beta)
     phase_g, phase_a = np.exp(np.array([gamma, alpha], dtype=float)[..., None]
                               * _little_d_tables(l)[1])
-    return phase_g[..., :, None] * d.swapaxes(-1, -2) * phase_a[..., None, :]
+    return np.multiply(phase_g[..., :, None] * d.swapaxes(-1, -2), phase_a[..., None, :],
+                       order="C")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from .harmonics import apply_generalized_d, rotation_blocks, sph_harm_table
 _MACHINE_FLOOR = 1e-13
 _UNIT_TOL = 1e-12
 _COMPRESS_ROWS = 16384
+_KAPPA_FAST = 1e4  # condition bound under which lsq_solve skips the SVD
 
 
 @dataclass(frozen=True)
@@ -118,14 +119,49 @@ def invariant_design_matrix(basis: BasisSpec, data: Dataset) -> np.ndarray:
 # Solvers
 # ---------------------------------------------------------------------------
 
+def _triangular_solve(a: np.ndarray, y: np.ndarray, cutoff: float, relative: bool):
+    """inv(T) y[:p] for an upper-trapezoidal ``a`` with leading triangle T,
+    or None unless norm bounds prove condition number <= ``_KAPPA_FAST``
+    and that the cutoff keeps every singular value.
+
+    Rows past p are zero, so they add only residual.  ||X||_2 <=
+    sqrt(||X||_1 ||X||_inf) bounds sigma_max(T) from above and, applied to
+    inv(T), sigma_min(T) from below; within the gate inv(T) y and the SVD
+    pseudo-inverse agree to about kappa * eps_mach.
+    """
+    p = a.shape[1]
+    if a.shape[0] < p or p == 0 or np.tril(a, -1).any():
+        return None
+    t = a[:p]
+    with np.errstate(all="ignore"):
+        try:
+            inv = np.linalg.inv(t)
+        except np.linalg.LinAlgError:
+            return None
+        s_max = np.sqrt(np.linalg.norm(t, 1) * np.linalg.norm(t, np.inf))
+        s_min = 1.0 / np.sqrt(np.linalg.norm(inv, 1) * np.linalg.norm(inv, np.inf))
+    threshold = cutoff * s_max if relative else cutoff
+    if not (np.isfinite(s_max) and s_max <= _KAPPA_FAST * s_min and s_min >= threshold):
+        return None
+    return inv @ y[:p]
+
+
 def lsq_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0,
               relative: bool = False) -> np.ndarray:
-    """Minimum-norm least-squares solution via the SVD pseudo-inverse.
+    """Minimum-norm least-squares solution.
 
     Tall systems are first reduced to the triangular factor of [a | y].
     Singular values below ``cutoff`` (an absolute threshold unless
     ``relative``) are discarded; cutoff 0 keeps everything above the machine
     floor 1e-13 * sigma_max.
+
+    Two branches give that solution.  When ``a`` is upper trapezoidal (at
+    least p rows, exact zeros below the diagonal, as every reduced tall
+    system is) and norm bounds on its triangle and the triangle's inverse
+    prove condition number <= 1e4 and that the cutoff discards nothing,
+    beta = inv(T) y[:p] (``_triangular_solve``).  Every other system (wide,
+    general, rank-deficient, ill-conditioned or cut) goes through the SVD
+    pseudo-inverse.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] < 1:
@@ -134,6 +170,9 @@ def lsq_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0,
     if a.shape[0] > p + 1:  # a factor handed in is solved as it is, not copied
         r = _compressed_stack([np.column_stack([a, y])])
         a, y = r[:, :p], r[:, p]
+    beta = _triangular_solve(a, y, cutoff, relative)
+    if beta is not None:
+        return beta
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros(a.shape[1], dtype=complex)
@@ -310,10 +349,11 @@ def augmented_lsq(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
     a chunk of at most ``_COMPRESS_ROWS`` rows at a time, and each chunk is
     QR-compressed into the running factor before the next is added
     (``_rotated_blocks``).  A tall stack ends as its triangular factor of
-    p+1 rows (``_compressed_stack``), which ``lsq_solve`` takes to its SVD
-    and which gives the residual.  All reductions are orthogonal, so beta,
-    the kept rank and the residual are those of the plain stacked solve up
-    to roundoff.
+    p+1 rows (``_compressed_stack``), which ``lsq_solve`` solves (by the
+    triangle's inverse when that is provably well-conditioned, by the SVD
+    otherwise) and which gives the residual.  All reductions are
+    orthogonal, so beta, the kept rank and the residual are those of the
+    plain stacked solve up to roundoff.
     """
     weights, rotations = scheme.nodes(basis.d)
     a = design_matrix(basis, data)

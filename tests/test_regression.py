@@ -259,16 +259,37 @@ def test_compressed_stack_equals_direct(monkeypatch):
     assert np.abs(s_d - s_c).max() < 1e-10
 
 
+@pytest.mark.filterwarnings("error")
 def test_lsq_solve_qr_first_matches_svd_pseudo_inverse():
     rng = np.random.default_rng(41)
 
     def cmat(m, n):
         return rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
 
+    def triangle(s, v_noise=1.0):
+        # R of U diag(s) V^H: singular values s, so kappa = s[0] / s[-1]; a
+        # V near the identity keeps the norm bounds of lsq_solve's gate tight
+        u, _ = np.linalg.qr(cmat(len(s) + 3, len(s)))
+        v, _ = np.linalg.qr(np.eye(len(s)) + v_noise * cmat(len(s), len(s)))
+        return np.linalg.qr(u @ np.diag(s) @ v.conj().T, mode="r")
+
     u, _ = np.linalg.qr(cmat(40, 6))
     v, _ = np.linalg.qr(cmat(10, 6))
+    zero_diagonal = np.triu(cmat(6, 6))
+    zero_diagonal[3, 3] = 0.0
+    general = cmat(7, 6)
     systems = {"tall": cmat(50, 8), "square": cmat(8, 8), "wide": cmat(5, 12),
-               "rank-deficient": u @ np.diag([3.0, 1.0, 0.5, 0.2, 1e-2, 1e-3]) @ v.conj().T}
+               "rank-deficient": u @ np.diag([3.0, 1.0, 0.5, 0.2, 1e-2, 1e-3]) @ v.conj().T,
+               "trapezoidal (p+1) x p": np.linalg.qr(cmat(30, 9), mode="r")[:, :8],
+               "kappa 9.9e3": triangle(np.geomspace(1.0, 1 / 9.9e3, 5), 1e-3),
+               "kappa 1.01e4": triangle(np.geomspace(1.0, 1 / 1.01e4, 5), 1e-3),
+               # the 1e-13 floor of cutoff 0 drops sigma = 1e-14; inv(T) would not
+               "kappa 1e14": triangle(np.geomspace(1.0, 1e-14, 5), 1e-3),
+               "zero diagonal": zero_diagonal,
+               "general (p+1) x p": general, "general p x p": general[:6],
+               # sigma 4 ... 0.1: the absolute cutoffs 1e-3 < 0.1 < 0.3 and the
+               # relative ones 1e-6 < 0.1 / 4 < 0.05 bracket sigma_min
+               "well-conditioned": triangle(np.geomspace(4.0, 0.1, 6))}
     cutoffs = [(0.0, False), (1e-3, False), (0.3, False), (1e-6, True), (0.05, True)]
     for name, a in systems.items():
         y = cmat(a.shape[0], 1)[:, 0]
@@ -276,6 +297,23 @@ def test_lsq_solve_qr_first_matches_svd_pseudo_inverse():
             ref = pinv_solve(a, y, cutoff, relative)
             beta = lsq_solve(a, y, cutoff, relative)
             assert np.abs(beta - ref).max() <= 1e-12 * np.abs(ref).max(), (name, cutoff)
+
+
+def test_lsq_solve_well_conditioned_skips_svd(monkeypatch):
+    rng = np.random.default_rng(43)
+    a = rng.normal(size=(60, 8)) + 1j * rng.normal(size=(60, 8))
+    y = rng.normal(size=60) + 1j * rng.normal(size=60)
+    ref = pinv_solve(a, y)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    beta = lsq_solve(a, y)
+    assert np.abs(beta - ref).max() <= 1e-12 * np.abs(ref).max()
+    a[:, 7] = a[:, 6]  # rank deficient: only the SVD decides what to drop
+    with pytest.raises(AssertionError, match="svd called"):
+        lsq_solve(a, y)
 
 
 def _oracle_case(d, k, dist, n, scheme, cutoff, seed):
