@@ -16,10 +16,11 @@ from .geometry import (SO2, SO3, QuadratureRule, Rotation, compose, identity_rul
                        so3_quadrature_euler, verify_exactness, write_quadrature_file)
 from .harmonics import (WignerBlock, apply_generalized_d, generalized_d, sph_harm_table,
                         wigner_d, wigner_little_d)
-from .regression import (AugmentationScheme, Dataset, RegressionSolution,
-                         SchurDiagnostics, augmented_lsq, design_matrix, full_lsq,
-                         invariant_design_matrix, invariant_lsq, l2_test_error,
-                         lsq_solve, rotate_dataset, schur_diagnostics)
+from .regression import (AugmentationScheme, Dataset, DesignFactor, RegressionSolution,
+                         SchurDiagnostics, augmented_lsq, design_factor, design_matrix,
+                         full_lsq, invariant_design_matrix, invariant_lsq, invariant_refit,
+                         l2_test_error, l2_test_errors, lsq_solve, rotate_dataset,
+                         schur_diagnostics)
 from .sampling import (AlgebraicDecay, DistributionSpec, ExponentialDecay,
                        TargetFunction, export_dataset, import_dataset, make_target,
                        sample_dataset, sample_points)

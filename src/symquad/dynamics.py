@@ -66,8 +66,11 @@ class PerturbedPotential:
                 + self.epsilon * np.asarray(self.perturbation_value(theta)))
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return (np.asarray(self.invariant_grad(theta))
-                + self.epsilon * np.asarray(self.perturbation_grad(theta)))
+        """grad U; at eps = 0 the perturbation is not evaluated."""
+        grad = np.asarray(self.invariant_grad(theta))
+        if self.epsilon == 0.0:
+            return grad
+        return grad + self.epsilon * np.asarray(self.perturbation_grad(theta))
 
 
 def _pair_cosine_value(theta):
@@ -77,7 +80,7 @@ def _pair_cosine_value(theta):
 
 def _pair_cosine_grad(theta):
     diffs = theta[..., :, None] - theta[..., None, :]
-    return -np.sin(diffs).sum(axis=-1)
+    return -np.add.reduce(np.sin(diffs), axis=-1)
 
 
 def _wobble_value(theta):
@@ -157,14 +160,14 @@ def simulate_batch(pot: PerturbedPotential, thetas: np.ndarray, ps: np.ndarray,
     j_series[:, 0] = p.sum(axis=1)
     h_series[:, 0] = 0.5 * (p * p).sum(axis=1) + pot.energy(theta)
 
-    f = force(pot, theta)
+    g = pot.gradient(theta)  # the force is -g; each kick subtracts
     k = 1
     aborted = False
     for step in range(1, n_steps + 1):
-        p += half_dt * f
+        p -= half_dt * g
         theta += dt * p
-        f = force(pot, theta)
-        p += half_dt * f
+        g = pot.gradient(theta)
+        p -= half_dt * g
         if step % record_every == 0:
             if not (np.isfinite(theta).all() and np.isfinite(p).all()):
                 aborted = True

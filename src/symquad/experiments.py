@@ -17,8 +17,8 @@ from . import __version__
 from .coupling import enumerate_basis, sym_coeffs
 from .dynamics import default_potential, hitting_time, simulate_batch, write_trajectory_csv, Trajectory
 from .geometry import so2_quadrature, so3_quadrature_euler
-from .regression import (AugmentationScheme, RegressionSolution, augmented_lsq, full_lsq,
-                         invariant_lsq, l2_test_error, schur_diagnostics)
+from .regression import (AugmentationScheme, augmented_lsq, full_lsq, invariant_refit,
+                         l2_test_errors, schur_diagnostics)
 from .sampling import (_CIRCLE_ROLES, _SPHERE_ROLES, AlgebraicDecay, DistributionSpec,
                        ExponentialDecay, export_dataset, make_target, sample_dataset)
 
@@ -327,7 +327,11 @@ def _setup(cfg: ExperimentConfig, target=None, test: bool = True):
              {"trials": 1, "degrees": tuple(range(1, 8))},
              sizes={1: (8000, 2000), 2: (10000, 2500)})
 def run_approx_rates(cfg: ExperimentConfig) -> ResultTable:
-    """Full / invariant / sym-projected test errors per model degree."""
+    """Full / invariant / sym-projected test errors per model degree.
+
+    The invariant fit is read from the full fit's factor, and the three fits
+    share one evaluation of the test design.
+    """
     cfg, cutoff, target, data = _setup(cfg)
     table = _new_table(cfg)
     bases = {k: enumerate_basis(cfg.d, 3, k) for k in cfg.degrees}
@@ -337,12 +341,11 @@ def run_approx_rates(cfg: ExperimentConfig) -> ResultTable:
         for k in cfg.degrees:
             basis = bases[k]
             sol_full = full_lsq(basis, train, cutoff)
-            sol_inv = invariant_lsq(basis, train, cutoff)
-            sol_proj = RegressionSolution(basis, sym_coeffs(sol_full.beta, basis),
-                                          cutoff, sol_full.train_residual)
-            results[k]["full"].append(l2_test_error(sol_full, target, test))
-            results[k]["invariant"].append(l2_test_error(sol_inv, target, test))
-            results[k]["projected"].append(l2_test_error(sol_proj, target, test))
+            betas = (sol_full.beta, invariant_refit(sol_full).beta,
+                     sym_coeffs(sol_full.beta, basis))
+            errors = l2_test_errors(basis, betas, target, test)
+            for name, error in zip(("full", "invariant", "projected"), errors):
+                results[k][name].append(error)
             results[k]["full_eps_sym"].append(sol_full.eps_sym)
     for k in cfg.degrees:
         table.add(k, "full_error", results[k]["full"])
@@ -367,11 +370,13 @@ def run_quad_sweep(cfg: ExperimentConfig) -> ResultTable:
         eps = {q: [] for q in cfg.quad_degrees}
         err = {q: [] for q in cfg.quad_degrees}
         for train, test in data:
-            for q in cfg.quad_degrees:
-                scheme = AugmentationScheme("quadrature", rule=rules[q])
-                sol = augmented_lsq(basis, train, scheme, cutoff)
+            sols = [augmented_lsq(basis, train, AugmentationScheme("quadrature", rule=rules[q]),
+                                  cutoff)
+                    for q in cfg.quad_degrees]
+            errors = l2_test_errors(basis, [sol.beta for sol in sols], target, test)
+            for q, sol, error in zip(cfg.quad_degrees, sols, errors):
                 eps[q].append(sol.eps_sym)
-                err[q].append(l2_test_error(sol, target, test))
+                err[q].append(error)
         for q in cfg.quad_degrees:
             table.add(q, f"eps_sym[K={k}]", eps[q])
             table.add(q, f"test_error[K={k}]", err[q])
@@ -389,19 +394,24 @@ def run_random_sweep(cfg: ExperimentConfig) -> ResultTable:
     table = _new_table(cfg)
     for k in cfg.degrees:
         basis = enumerate_basis(cfg.d, 3, k)
-        for ti, t in enumerate(cfg.t_list):
-            eps, errs, bounds = [], [], []
-            for trial, (train, test) in enumerate(data):
+        # one list per t_list entry, one value per trial
+        eps, errs, bounds = ([[] for _ in cfg.t_list] for _ in range(3))
+        for trial, (train, test) in enumerate(data):
+            betas = []
+            for ti, t in enumerate(cfg.t_list):
                 scheme = AugmentationScheme("random", t=t,
                                             seed=_int_seed(cfg.seed, 4, ti, trial))
                 sol = augmented_lsq(basis, train, scheme, cutoff)
-                eps.append(sol.eps_sym)
-                errs.append(l2_test_error(sol, target, test))
                 diag = schur_diagnostics(basis, train, scheme, sol)
-                bounds.append(diag.bound if diag.available else math.nan)
-            table.add(t, f"eps_sym[K={k}]", eps)
-            table.add(t, f"test_error[K={k}]", errs)
-            table.add(t, f"schur_bound[K={k}]", bounds)
+                eps[ti].append(sol.eps_sym)
+                bounds[ti].append(diag.bound if diag.available else math.nan)
+                betas.append(sol.beta)
+            for ti, error in enumerate(l2_test_errors(basis, betas, target, test)):
+                errs[ti].append(error)
+        for ti, t in enumerate(cfg.t_list):
+            table.add(t, f"eps_sym[K={k}]", eps[ti])
+            table.add(t, f"test_error[K={k}]", errs[ti])
+            table.add(t, f"schur_bound[K={k}]", bounds[ti])
     return table
 
 

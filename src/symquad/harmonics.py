@@ -34,27 +34,31 @@ def sph_harm_table(l_max: int, vecs: np.ndarray) -> np.ndarray:
     st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
     phi = np.arctan2(vecs[:, 1], vecs[:, 0])
 
-    # leg[:, l, m] = sqrt((2l+1)(l-m)! / (4 pi (l+m)!)) P_l^m(ct),  m >= 0
-    leg = np.zeros((n, l_max + 1, l_max + 1))
-    leg[:, 0, 0] = math.sqrt(1.0 / (4.0 * math.pi))
+    # leg[l, m] = sqrt((2l+1)(l-m)! / (4 pi (l+m)!)) P_l^m(ct),  m >= 0;
+    # the point axis last, so every (l, m) entry is one contiguous row
+    leg = np.zeros((l_max + 1, l_max + 1, n))
+    leg[0, 0] = math.sqrt(1.0 / (4.0 * math.pi))
     for m in range(1, l_max + 1):
-        leg[:, m, m] = -math.sqrt((2 * m + 1) / (2.0 * m)) * st * leg[:, m - 1, m - 1]
-    for m in range(l_max):
-        leg[:, m + 1, m] = math.sqrt(2 * m + 3.0) * ct * leg[:, m, m]
-    for m in range(l_max + 1):
-        for l in range(m + 2, l_max + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            leg[:, l, m] = a * (ct * leg[:, l - 1, m] - b * leg[:, l - 2, m])
+        leg[m, m] = -math.sqrt((2 * m + 1) / (2.0 * m)) * st * leg[m - 1, m - 1]
+    ms = np.arange(l_max)
+    leg[ms + 1, ms] = np.sqrt(2 * ms + 3.0)[:, None] * ct * leg[ms, ms]
+    for l in range(2, l_max + 1):  # all m <= l-2 of degree l at once
+        m = ms[:l - 1, None]
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+        leg[l, :l - 1] = a * (ct * leg[l - 1, :l - 1] - b * leg[l - 2, :l - 1])
 
+    # Y_l^m = leg e^{i m phi} and Y_l^{-m} = (-1)^m conj(Y_l^m), m = 1..l
+    ms = np.arange(1, l_max + 1)[:, None]
+    phases = np.exp(1j * ms * phi)
+    signs = (-1) ** ms
     out = np.empty((n, (l_max + 1) ** 2), dtype=complex)
     for l in range(l_max + 1):
         base = l * l + l
-        out[:, base] = leg[:, l, 0]
-        for m in range(1, l + 1):
-            val = leg[:, l, m] * np.exp(1j * m * phi)
-            out[:, base + m] = val
-            out[:, base - m] = (-1) ** m * np.conj(val)
+        out[:, base] = leg[l, 0]
+        val = leg[l, 1:l + 1] * phases[:l]
+        out[:, base + 1:base + l + 1] = val.T
+        out[:, base - l:base] = (signs[:l] * np.conj(val))[::-1].T
     return out
 
 

@@ -1,10 +1,15 @@
 """Least-squares machinery: design matrices over a BasisSpec, plain /
 invariant / augmented solves with an absolute SVD cutoff and
-Schur-complement diagnostics."""
+Schur-complement diagnostics.
+
+Every fit of a (basis, dataset) pair reads one evaluation of its design: a
+solve reduces [A | y] to its factor R (``design_factor``) and leaves it on the
+solution, and the invariant refit and the Schur diagnostics read R instead
+of evaluating A again."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,11 +29,14 @@ class Dataset:
 
     ``points`` is (n, N) angles for d=1 or (n, N, 3) unit vectors for d=2;
     ``values`` is None for unlabeled data (e.g. distribution previews).
+    The last ``DesignFactor`` built on the data is kept with it, so that the
+    fits of one (basis, dataset) pair share one design evaluation.
     """
 
     d: int
     points: np.ndarray
     values: np.ndarray | None = None
+    _factor: DesignFactor | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -185,14 +193,70 @@ def lsq_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0,
     return vh[keep].conj().T @ coeff
 
 
+@dataclass(frozen=True, eq=False)
+class DesignFactor:
+    """[A | y] = Q r with orthonormal Q, for A = design_matrix(basis, data)
+    and y = data.values.
+
+    ``r`` has min(n, p+1) rows: the triangular QR factor when n > p+1,
+    [A | y] itself otherwise.  Because Q is shared by all columns, any
+    product of column blocks (A_I^H A_N, ||A_N X||, ...) and any least-squares
+    fit on leading columns can be read from ``r`` instead of A.
+    """
+
+    basis: BasisSpec
+    data: Dataset
+    r: np.ndarray
+
+    def belongs_to(self, basis: BasisSpec, data: Dataset) -> bool:
+        """True only for the very basis and dataset objects it was built from."""
+        return self.basis is basis and self.data is data
+
+    def leading_fit(self, k: int, cutoff: float = 0.0) -> tuple[np.ndarray, float]:
+        """(beta, residual norm) of least squares of y on the first k columns of A.
+
+        A_{:k} = Q r_{:k}.  For a triangular r those columns vanish below row
+        k, so the fit reads the leading k+1 rows (all of r when k = p, where
+        it is the plain solve); r's rows past them add only residual.
+        """
+        r, p = self.r, self.basis.size
+        rows = k + 1 if r.shape[0] < self.data.n else r.shape[0]
+        beta = lsq_solve(r[:rows, :k], r[:rows, p], cutoff)
+        return beta, float(np.linalg.norm(r[:, :k] @ beta - r[:, p]))
+
+
+def design_factor(basis: BasisSpec, data: Dataset) -> DesignFactor:
+    """The factor of [A | y] for one (basis, dataset) pair, from one design
+    evaluation.
+
+    The dataset keeps the last factor built on it, so the solves and
+    diagnostics of a pair share it; a different basis or dataset object never
+    reads it.  Only r is kept, never the n x p design (r is [A | y] itself
+    only when n <= p+1).
+    """
+    kept = data._factor
+    if kept is not None and kept.belongs_to(basis, data):
+        return kept
+    ay = np.column_stack([design_matrix(basis, data), data.values])
+    # a tall [A | y] is cut to its triangle; a wide one is its own factor
+    factor = DesignFactor(basis, data, _compressed_stack([ay]) if data.n > basis.size + 1 else ay)
+    object.__setattr__(data, "_factor", factor)
+    return factor
+
+
 @dataclass
 class RegressionSolution:
-    """Fitted coefficients in working order with attached diagnostics."""
+    """Fitted coefficients in working order with attached diagnostics.
+
+    ``factor`` is the factor of the unaugmented [A | y] of the fit's data,
+    when the solve built one.
+    """
 
     basis: BasisSpec
     beta: np.ndarray
     cutoff_used: float
     train_residual: float
+    factor: DesignFactor | None = None
 
     @property
     def beta_invariant(self) -> np.ndarray:
@@ -208,11 +272,11 @@ class RegressionSolution:
 
 
 def full_lsq(basis: BasisSpec, data: Dataset, cutoff: float = 0.0) -> RegressionSolution:
-    """Plain least squares over the full working basis."""
-    a = design_matrix(basis, data)
-    beta = lsq_solve(a, data.values, cutoff)
-    res = float(np.linalg.norm(a @ beta - data.values))
-    return RegressionSolution(basis, beta, cutoff, res)
+    """Plain least squares over the full working basis, solved on the factor
+    of [A | y]."""
+    factor = design_factor(basis, data)
+    beta, res = factor.leading_fit(basis.size, cutoff)
+    return RegressionSolution(basis, beta, cutoff, res, factor)
 
 
 def invariant_lsq(basis: BasisSpec, data: Dataset, cutoff: float = 0.0) -> RegressionSolution:
@@ -228,6 +292,22 @@ def invariant_lsq(basis: BasisSpec, data: Dataset, cutoff: float = 0.0) -> Regre
     return RegressionSolution(basis, beta, cutoff, res)
 
 
+def invariant_refit(sol: RegressionSolution) -> RegressionSolution:
+    """``invariant_lsq`` on the data of ``sol`` at its cutoff, read from the
+    factor the solve left: the invariant columns lead the working basis, so
+    the fit is ``DesignFactor.leading_fit`` and evaluates no design."""
+    factor = sol.factor
+    if factor is None:
+        raise ValueError("solution carries no design factor")
+    basis = factor.basis
+    if basis.invariant_count < 1:
+        raise ValueError("basis has no invariant functions")
+    beta_inv, res = factor.leading_fit(basis.invariant_count, sol.cutoff_used)
+    beta = np.zeros(basis.size, dtype=complex)
+    beta[:basis.invariant_count] = beta_inv
+    return RegressionSolution(basis, beta, sol.cutoff_used, res, factor)
+
+
 @dataclass(frozen=True)
 class AugmentationScheme:
     """Rotation set used to augment the least-squares system.
@@ -240,6 +320,7 @@ class AugmentationScheme:
     rule: QuadratureRule | None = None
     t: int | None = None
     seed: int | None = None
+    _drawn: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "quadrature":
@@ -254,14 +335,22 @@ class AugmentationScheme:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
 
     def nodes(self, d: int) -> tuple[np.ndarray, list[Rotation]]:
-        """(weights, rotations) for data on S^d; deterministic given the seed."""
+        """(weights, rotations) for data on S^d; deterministic given the seed.
+
+        A random scheme draws once per d and returns that draw on every later
+        call, so a solve and its Schur diagnostics share the rotations.
+        """
         group = SO2 if d == 1 else SO3
         if self.kind == "quadrature":
             if self.rule.group != group:
                 raise ValueError(f"{self.rule.group} rule cannot augment d={d} data")
             return self.rule.weights, self.rule.rotations
-        rots = sample_haar_many(group, self.t, np.random.default_rng(self.seed))
-        return np.full(self.t, 1.0 / self.t), rots
+        if d not in self._drawn:
+            rots = sample_haar_many(group, self.t, np.random.default_rng(self.seed))
+            weights = np.full(self.t, 1.0 / self.t)
+            weights.setflags(write=False)  # shared by every caller
+            self._drawn[d] = (weights, rots)
+        return self._drawn[d]
 
 
 def _compressed_stack(blocks) -> np.ndarray:
@@ -309,19 +398,17 @@ def _charge_blocks(basis: BasisSpec, a: np.ndarray, y: np.ndarray, weights, rota
         yield np.concatenate([a * row[col_a], (row[col_y] * y)[:, None]], axis=1)
 
 
-def _rotated_blocks(basis: BasisSpec, a: np.ndarray, y: np.ndarray, weights, rotations):
+def _rotated_blocks(basis: BasisSpec, r: np.ndarray, weights, rotations):
     """Row blocks of the d=2 augmented stack, one array pass per chunk of nodes.
 
-    When n > p+1, [A | y] is first cut to its (p+1)-row triangular factor
-    [R_a | r_y]: D(Q) acts on columns only, so [A D(Q_t) | y] =
-    Q [R_a D(Q_t) | r_y] with the same orthonormal Q for every node, and the
-    stack of the reduced blocks has the singular values, minimum-norm solution
-    and residual of the plain stack.  Each yielded block holds the rows
-    sqrt(w_t) [R_a D(Q_t) | r_y] of up to ``_COMPRESS_ROWS`` rows' worth of
-    nodes.
+    ``r`` is the factor [R_a | r_y] of [A | y] (``design_factor``): D(Q) acts
+    on columns only, so [A D(Q_t) | y] = Q [R_a D(Q_t) | r_y] with the same
+    orthonormal Q for every node, and the stack of the reduced blocks has the
+    singular values, minimum-norm solution and residual of the plain stack.
+    Each yielded block holds the rows sqrt(w_t) [R_a D(Q_t) | r_y] of up to
+    ``_COMPRESS_ROWS`` rows' worth of nodes.
     """
     p = basis.size
-    r = _compressed_stack([np.column_stack([a, y])])
     a, y = r[:, :p], r[:, p]
     per_chunk = max(1, _COMPRESS_ROWS // a.shape[0])
     for start in range(0, len(rotations), per_chunk):
@@ -344,43 +431,52 @@ def augmented_lsq(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
     the data only through the phases e^{i s theta_t} of the distinct charges
     s = sum(k), so the stack collapses to at most one block of n rows per
     charge whatever the number of rotations (``_charge_blocks``).  For d=2,
-    [A | y] is cut to its triangular factor of min(n, p+1) rows first, so
-    each node contributes that many rows rather than n; the nodes are rotated
-    a chunk of at most ``_COMPRESS_ROWS`` rows at a time, and each chunk is
-    QR-compressed into the running factor before the next is added
-    (``_rotated_blocks``).  A tall stack ends as its triangular factor of
-    p+1 rows (``_compressed_stack``), which ``lsq_solve`` solves (by the
-    triangle's inverse when that is provably well-conditioned, by the SVD
-    otherwise) and which gives the residual.  All reductions are
-    orthogonal, so beta, the kept rank and the residual are those of the
-    plain stacked solve up to roundoff.
+    each node contributes the min(n, p+1) rows of the factor of [A | y]
+    (``design_factor``) rather than n; the nodes are rotated a chunk of at
+    most ``_COMPRESS_ROWS`` rows at a time, and each chunk is QR-compressed
+    into the running factor before the next is added (``_rotated_blocks``).
+    A tall stack ends as its triangular factor of p+1 rows
+    (``_compressed_stack``), which ``lsq_solve`` solves (by the triangle's
+    inverse when that is provably well-conditioned, by the SVD otherwise)
+    and which gives the residual.  All reductions are orthogonal, so beta,
+    the kept rank and the residual are those of the plain stacked solve up
+    to roundoff.  The solution keeps the factor of the unaugmented [A | y].
     """
     weights, rotations = scheme.nodes(basis.d)
-    a = design_matrix(basis, data)
-    y = data.values
+    factor = design_factor(basis, data)
     p = basis.size
 
     if basis.d == 1:
-        blocks = _charge_blocks(basis, a, y, weights, rotations)
+        # the charge blocks are built from the n rows of [A | y] itself
+        ay = factor.r if factor.r.shape[0] == data.n else np.column_stack(
+            [design_matrix(basis, data), data.values])
+        blocks = _charge_blocks(basis, ay[:, :p], ay[:, p], weights, rotations)
     else:
-        blocks = _rotated_blocks(basis, a, y, weights, rotations)
+        blocks = _rotated_blocks(basis, factor.r, weights, rotations)
     r = _compressed_stack(blocks)
     beta = lsq_solve(r[:, :p], r[:, p], cutoff)
     res = float(np.linalg.norm(r[:, :p] @ beta - r[:, p]))
-    return RegressionSolution(basis, beta, cutoff, res)
+    return RegressionSolution(basis, beta, cutoff, res, factor)
 
 
-def l2_test_error(sol: RegressionSolution, target, test_data: Dataset) -> float:
-    """Root-mean-square of |P_beta(R_i) - f(R_i)| over the test set.
+def l2_test_errors(basis: BasisSpec, betas, target, test_data: Dataset) -> list[float]:
+    """Root-mean-square of |P_beta(R_i) - f(R_i)| over the test set for each
+    coefficient vector in ``betas`` (all over ``basis``), from one evaluation
+    of the test design.
 
     Truth values come from ``test_data.values`` when present, otherwise from
     calling ``target`` on the test points.
     """
     if test_data.n < 1:
         raise ValueError("empty test set")
-    pred = design_matrix(sol.basis, test_data) @ sol.beta
+    a = design_matrix(basis, test_data)
     truth = test_data.values if test_data.values is not None else target(test_data)
-    return float(np.sqrt(np.mean(np.abs(pred - truth) ** 2)))
+    return [float(np.sqrt(np.mean(np.abs(a @ beta - truth) ** 2))) for beta in betas]
+
+
+def l2_test_error(sol: RegressionSolution, target, test_data: Dataset) -> float:
+    """``l2_test_errors`` of one solution."""
+    return l2_test_errors(sol.basis, [sol.beta], target, test_data)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +538,21 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     the Schur complement S = D - C* B^{-1} C of the augmented normal matrix,
     and the bound eps_sym <= ||A_N Dbar||_op ||A_I beta_I - Y|| / sigma_min(S).
     Rank-deficient systems yield an unavailable diagnostic instead of a crash.
+
+    Everything is read from the factor r = [R_I R_N r_y] of [A | y]
+    (A = Q r with orthonormal Q): B = R_I^H R_I, A_I^H A_N = R_I^H R_N,
+    G_N = R_N^H R_N, ||A_N Dbar|| = ||R_N Dbar|| and the invariant residual
+    is ``DesignFactor.leading_fit``'s.  The factor is the one ``sol`` carries
+    when it belongs to this basis and dataset, else ``design_factor``'s; the
+    rotations are the scheme's, drawn once.
     """
     weights, rotations = scheme.nodes(basis.d)
-    a = design_matrix(basis, data)
+    factor = sol.factor
+    if factor is None or not factor.belongs_to(basis, data):
+        factor = design_factor(basis, data)
     n_inv = basis.invariant_count
-    a_i, a_n = a[:, :n_inv], a[:, n_inv:]
-    gram_n = a_n.conj().T @ a_n
+    r_i, r_n = factor.r[:, :n_inv], factor.r[:, n_inv:basis.size]
+    gram_n = r_n.conj().T @ r_n
 
     if basis.d == 1:
         phases = _charge_phases(rotations, basis.sums[n_inv:])
@@ -456,8 +561,8 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     else:
         d_bar, d_block = _noninvariant_moments(basis, gram_n, weights, rotations)
 
-    b_block = a_i.conj().T @ a_i
-    c_block = a_i.conj().T @ a_n @ d_bar
+    b_block = r_i.conj().T @ r_i
+    c_block = r_i.conj().T @ r_n @ d_bar
 
     normal = np.block([[b_block, c_block], [c_block.conj().T, d_block]])
     sigma_min_sq = float(np.linalg.eigvalsh(normal)[0])
@@ -471,8 +576,7 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     # negative bottom eigenvalue means B^{-1} amplified roundoff past meaning
     if c2 <= 1e-12 * max(float(eigs[-1]), 1e-300):
         return SchurDiagnostics(False, None, None, None, None, "Schur-complement roundoff")
-    beta_i = lsq_solve(a_i, data.values)
-    inv_residual = float(np.linalg.norm(a_i @ beta_i - data.values))
-    d_bar_norm = float(np.linalg.norm(a_n @ d_bar, ord=2))
+    inv_residual = factor.leading_fit(n_inv)[1]
+    d_bar_norm = float(np.linalg.norm(r_n @ d_bar, ord=2))
     bound = d_bar_norm * inv_residual / c2
     return SchurDiagnostics(True, bound, d_bar_norm, inv_residual, c2)

@@ -5,10 +5,12 @@ algebra, product integration rules, brute-force enumeration) and never calls
 the code paths it is used to check.
 """
 
+import math
+
 import numpy as np
 
 from symquad.harmonics import generalized_d
-from symquad.regression import design_matrix
+from symquad.regression import SchurDiagnostics, design_matrix
 
 
 def angular_momentum_ops(j: int):
@@ -123,3 +125,65 @@ def stacked_augmented_solve(basis, data, scheme, cutoff: float = 0.0):
     ys = np.concatenate([np.sqrt(w) * data.values for w in weights])
     beta, kept = _pinv(stack, ys, cutoff, False)
     return beta, float(np.linalg.norm(stack @ beta - ys)), float(kept[0] / kept[-1])
+
+
+def sph_harm_table_loop(l_max: int, vecs: np.ndarray) -> np.ndarray:
+    """Y_l^m table as ``symquad.harmonics.sph_harm_table`` lays it out, one
+    (l, m) entry at a time: the upward Legendre recurrence with scalar
+    coefficients and e^{i m phi} formed per column."""
+    vecs = np.atleast_2d(np.asarray(vecs, dtype=float))
+    n = vecs.shape[0]
+    ct = np.clip(vecs[:, 2], -1.0, 1.0)
+    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+    phi = np.arctan2(vecs[:, 1], vecs[:, 0])
+    leg = np.zeros((n, l_max + 1, l_max + 1))
+    leg[:, 0, 0] = math.sqrt(1.0 / (4.0 * math.pi))
+    for m in range(1, l_max + 1):
+        leg[:, m, m] = -math.sqrt((2 * m + 1) / (2.0 * m)) * st * leg[:, m - 1, m - 1]
+    for m in range(l_max):
+        leg[:, m + 1, m] = math.sqrt(2 * m + 3.0) * ct * leg[:, m, m]
+    for m in range(l_max + 1):
+        for l in range(m + 2, l_max + 1):
+            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            leg[:, l, m] = a * (ct * leg[:, l - 1, m] - b * leg[:, l - 2, m])
+    out = np.empty((n, (l_max + 1) ** 2), dtype=complex)
+    for l in range(l_max + 1):
+        base = l * l + l
+        out[:, base] = leg[:, l, 0]
+        for m in range(1, l + 1):
+            val = leg[:, l, m] * np.exp(1j * m * phi)
+            out[:, base + m] = val
+            out[:, base - m] = (-1) ** m * np.conj(val)
+    return out
+
+
+def schur_from_design(basis, data, scheme) -> SchurDiagnostics:
+    """The Schur-complement diagnostics from the n x p design matrix itself,
+    with the rotation moments summed node by node over dense D(Q_t):
+    B = A_I^H A_I, C = A_I^H A_N Dbar, D = sum_t w_t D_{t,N}^H A_N^H A_N D_{t,N},
+    the same thresholds as ``symquad.regression.schur_diagnostics`` and the
+    invariant residual of ``pinv_solve``."""
+    weights, rotations = scheme.nodes(basis.d)
+    a = design_matrix(basis, data)
+    n_inv = basis.invariant_count
+    a_i, a_n = a[:, :n_inv], a[:, n_inv:]
+    gram_n = a_n.conj().T @ a_n
+    d_bar = np.zeros_like(gram_n)
+    d_block = np.zeros_like(gram_n)
+    for w, q in zip(weights, rotations):
+        d_t = generalized_d(basis, q)[n_inv:, n_inv:]
+        d_bar += w * d_t
+        d_block += w * (d_t.conj().T @ gram_n @ d_t)
+    b_block = a_i.conj().T @ a_i
+    c_block = a_i.conj().T @ a_n @ d_bar
+    normal = np.block([[b_block, c_block], [c_block.conj().T, d_block]])
+    if np.linalg.eigvalsh(normal)[0] <= (1e-10) ** 2:
+        return SchurDiagnostics(False, None, None, None, None, "singular normal matrix")
+    eigs = np.linalg.eigvalsh(d_block - c_block.conj().T @ np.linalg.solve(b_block, c_block))
+    if eigs[0] <= 1e-12 * max(eigs[-1], 1e-300):
+        return SchurDiagnostics(False, None, None, None, None, "Schur-complement roundoff")
+    inv_residual = float(np.linalg.norm(a_i @ pinv_solve(a_i, data.values) - data.values))
+    d_bar_norm = float(np.linalg.norm(a_n @ d_bar, ord=2))
+    c2 = float(eigs[0])
+    return SchurDiagnostics(True, d_bar_norm * inv_residual / c2, d_bar_norm, inv_residual, c2)

@@ -109,6 +109,41 @@ def test_simulate_batch_matches_single():
     assert np.abs(single.energy - batch.energy[0]).max() < 1e-12
 
 
+def test_simulate_batch_matches_force_loop_bit_for_bit():
+    # reference: the kick-drift-kick loop written with force() = -grad U
+    thetas = np.array([[0.1, 2.2, 4.0], [1.0, 3.0, 5.5]])
+    ps = np.array([[0.3, -0.1, -0.2], [0.5, -0.7, 0.2]])
+    dt, n_steps, every = 0.05, 400, 20
+    for eps in (0.0, 0.03):
+        pot = default_potential(eps)
+        theta, p = thetas.copy(), ps.copy()
+        j_ref, h_ref = [p.sum(axis=1)], [0.5 * (p * p).sum(axis=1) + pot.energy(theta)]
+        f = force(pot, theta)
+        for step in range(1, n_steps + 1):
+            p += 0.5 * dt * f
+            theta += dt * p
+            f = force(pot, theta)
+            p += 0.5 * dt * f
+            if step % every == 0:
+                j_ref.append(p.sum(axis=1))
+                h_ref.append(0.5 * (p * p).sum(axis=1) + pot.energy(theta))
+        traj = simulate_batch(pot, thetas, ps, dt, n_steps, every)
+        assert np.array_equal(traj.angular_momentum, np.array(j_ref).T), eps
+        assert np.array_equal(traj.energy, np.array(h_ref).T), eps
+
+
+def test_zero_epsilon_skips_perturbation_gradient():
+    # at eps = 0 the perturbation gradient is never evaluated, so a
+    # non-finite one cannot reach the run (0 * inf would be nan)
+    pot = default_potential(0.0)
+    blowup = PerturbedPotential(pot.invariant_value, pot.invariant_grad, pot.perturbation_value,
+                                lambda theta: np.full_like(theta, np.inf), 0.0)
+    theta = np.array([[0.1, 2.2, 4.0]])
+    assert np.array_equal(blowup.gradient(theta), pot.invariant_grad(theta))
+    traj = simulate_batch(blowup, theta, np.array([[0.3, -0.1, -0.2]]), 0.05, 100, 10)
+    assert not traj.aborted and np.isfinite(traj.angular_momentum).all()
+
+
 def test_simulate_batch_rejects_bad_arguments():
     pot = default_potential(0.0)
     theta, p = np.zeros((2, 3)), np.zeros((2, 3))

@@ -210,6 +210,26 @@ def test_runners_draw_each_trials_data_once(monkeypatch):
     assert len(calls) == 2 * 2  # train only, once per (power, trial)
 
 
+def test_one_design_evaluation_per_dataset_and_basis(monkeypatch):
+    from symquad import regression
+
+    calls = []  # (dataset, basis) per evaluation; holding them keeps ids unique
+    real = regression.design_matrix
+    monkeypatch.setattr(regression, "design_matrix",
+                        lambda basis, data: calls.append((data, basis)) or real(basis, data))
+    monkeypatch.setattr(regression, "invariant_design_matrix", None)  # never reached
+    # train 60 > p+1 = 53 at K=2 (a triangular factor) and < 53 at K=2 below
+    run_approx_rates(_cfg("approx-rates", d=2, degrees="1 2", trials=1, train_size=60,
+                          test_size=20, seed=3))
+    assert len(calls) == 2 * 2  # (train, test) per degree
+    run_random_sweep(_cfg("random-sweep", d=2, distribution="dUU", degrees="2",
+                          t_list="4 8 16", trials=2, train_size=60, test_size=20, seed=4))
+    run_random_sweep(_cfg("random-sweep", d=2, degrees="2", t_list="4 8", trials=1,
+                          train_size=30, test_size=20, seed=5))
+    assert len(calls) == 4 + 2 * 2 + 2
+    assert len({(id(data), id(basis)) for data, basis in calls}) == len(calls)
+
+
 def test_random_sweep_cell_matches_direct_solve():
     from symquad.coupling import enumerate_basis
     from symquad.experiments import _int_seed, _rng

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import random_units, sphere_product_rule
+from oracles import random_units, sph_harm_table_loop, sphere_product_rule
 from symquad.coupling import enumerate_basis
 from symquad.geometry import SO2, SO3, Rotation, compose, sample_haar, sample_haar_many, so2_quadrature
 from symquad.harmonics import (apply_generalized_d, generalized_d, rotation_blocks,
@@ -43,6 +43,19 @@ def test_sph_harm_against_scipy():
         for m in range(-l, l + 1):
             ref = scipy_special.sph_harm_y(l, m, theta, phi)
             assert np.abs(table[:, l * l + l + m] - ref).max() < 1e-12
+
+
+def test_sph_harm_table_matches_loop_bit_for_bit():
+    # random directions plus both poles and the equator (incl. phi = pi)
+    rng = np.random.default_rng(5)
+    equator = np.stack([np.cos(np.linspace(-np.pi, np.pi, 9)),
+                        np.sin(np.linspace(-np.pi, np.pi, 9)), np.zeros(9)], axis=1)
+    vecs = np.concatenate([random_units(300, rng), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+                           equator])
+    for l_max in range(13):
+        table, ref = sph_harm_table(l_max, vecs), sph_harm_table_loop(l_max, vecs)
+        assert np.array_equal(table.real, ref.real), l_max
+        assert np.array_equal(table.imag, ref.imag), l_max
 
 
 def test_wigner_trivial_blocks():

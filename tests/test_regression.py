@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import pinv_solve, stacked_augmented_solve
+from oracles import pinv_solve, schur_from_design, stacked_augmented_solve
 from symquad import regression
 from symquad.coupling import enumerate_basis, sym_coeffs
 from symquad.geometry import (SO2, identity_rule, sample_haar,
                               so2_quadrature, so3_quadrature_euler)
 from symquad.harmonics import generalized_d
 from symquad.regression import (AugmentationScheme, Dataset, RegressionSolution,
-                                augmented_lsq, design_matrix, full_lsq,
-                                invariant_design_matrix, invariant_lsq, l2_test_error,
+                                augmented_lsq, design_factor, design_matrix, full_lsq,
+                                invariant_design_matrix, invariant_lsq, invariant_refit,
+                                l2_test_error, l2_test_errors,
                                 lsq_solve, rotate_dataset, schur_diagnostics,
                                 _compressed_stack)
 from symquad.sampling import DistributionSpec, ExponentialDecay, make_target, sample_dataset
@@ -514,6 +515,117 @@ def test_schur_unavailable_when_schur_complement_is_roundoff():
     diag = schur_diagnostics(basis, data, scheme, augmented_lsq(basis, data, scheme))
     assert not diag.available
     assert diag.reason == "Schur-complement roundoff"
+
+
+def _schur_cases():
+    """(label, basis, data, scheme): both d, n below and above p+1, Euler and
+    random node sets, and pinned (rank-deficient) dUU data."""
+    cases = []
+    for d, k, sizes, schemes in (
+            (1, 3, (40, 200), [AugmentationScheme("random", t=16, seed=61),
+                                AugmentationScheme("quadrature", rule=so2_quadrature(3))]),
+            (2, 2, (40, 90), [AugmentationScheme("random", t=9, seed=62),
+                               AugmentationScheme("quadrature", rule=so3_quadrature_euler(1))])):
+        basis = enumerate_basis(d, 3, k)
+        target = make_target(d, ExponentialDecay(2.0), k + 2, seed=63)
+        for n in sizes:
+            for dist in ("UUU", "dUU"):
+                data = sample_dataset(DistributionSpec(d, dist), n,
+                                      np.random.default_rng(64 + n), target)
+                for scheme in schemes:
+                    cases.append((f"d={d} n={n} p={basis.size} {dist} {scheme.kind}",
+                                  basis, data, scheme))
+    return cases
+
+
+@pytest.mark.parametrize("cutoff", [0.0, 1e-3])
+def test_schur_from_factor_matches_design_oracle(cutoff):
+    available = 0
+    for label, basis, data, scheme in _schur_cases():
+        diag = schur_diagnostics(basis, data, scheme, augmented_lsq(basis, data, scheme, cutoff))
+        ref = schur_from_design(basis, data, scheme)
+        assert (diag.available, diag.reason) == (ref.available, ref.reason), label
+        if not ref.available:
+            continue
+        available += 1
+        for name in ("bound", "c2", "d_bar_norm", "invariant_residual"):
+            got, want = getattr(diag, name), getattr(ref, name)
+            assert abs(got - want) <= 1e-12 * abs(want), (label, name, got, want)
+    assert available >= 8
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_factor_never_crosses_data(d):
+    basis = enumerate_basis(d, 3, 3 if d == 1 else 2)
+    target = make_target(d, ExponentialDecay(2.0), 5, seed=65)
+    data1, data2, twin = (_uniform_data(d, 90, seed, target) for seed in (66, 67, 67))
+    scheme = AugmentationScheme("random", t=8, seed=68)
+    sol1 = augmented_lsq(basis, data1, scheme)
+    assert sol1.factor.belongs_to(basis, data1)
+    # twin holds the same points as data2 but is a separate object: the fresh answer
+    fresh = schur_diagnostics(basis, twin, scheme, augmented_lsq(basis, twin, scheme))
+    assert fresh.available
+    assert schur_diagnostics(basis, data2, scheme, sol1) == fresh
+    bare = RegressionSolution(basis, sol1.beta, 0.0, 0.0)  # positional, no factor
+    assert bare.factor is None
+    assert schur_diagnostics(basis, data2, scheme, bare) == fresh
+    assert not data2._factor.belongs_to(basis, data1)
+
+
+def test_schur_reuses_the_solves_rotations(monkeypatch):
+    draws = []
+    real = regression.sample_haar_many
+    monkeypatch.setattr(regression, "sample_haar_many",
+                        lambda *args: draws.append(args) or real(*args))
+    basis = enumerate_basis(2, 3, 2)
+    data = _uniform_data(2, 60, 76, make_target(2, ExponentialDecay(2.0), 4, seed=77))
+    scheme = AugmentationScheme("random", t=6, seed=78)
+    sol = augmented_lsq(basis, data, scheme)
+    assert schur_diagnostics(basis, data, scheme, sol).available
+    assert len(draws) == 1
+    # an equal scheme object draws the same rotations again
+    again = AugmentationScheme("random", t=6, seed=78).nodes(2)
+    assert [q.matrix.tolist() for q in again[1]] == [q.matrix.tolist() for q in scheme.nodes(2)[1]]
+
+
+def test_design_factor_keyed_by_basis_and_data():
+    target = make_target(2, ExponentialDecay(2.0), 4, seed=69)
+    data = _uniform_data(2, 70, 70, target)
+    small, large = enumerate_basis(2, 3, 1), enumerate_basis(2, 3, 2)
+    for basis in (small, large, small):
+        factor = design_factor(basis, data)
+        assert factor.belongs_to(basis, data)
+        assert factor.r.shape == (min(data.n, basis.size + 1), basis.size + 1)
+        ref = np.column_stack([design_matrix(basis, data), data.values])
+        # [A | y] = Q r: equal Gram matrices
+        gram = factor.r.conj().T @ factor.r
+        assert np.abs(gram - ref.conj().T @ ref).max() <= 1e-12 * np.abs(gram).max()
+    assert design_factor(small, data) is data._factor
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_invariant_refit_matches_invariant_lsq(d):
+    k = 4 if d == 1 else 2
+    basis = enumerate_basis(d, 3, k)
+    target = make_target(d, ExponentialDecay(2.0), k + 2, seed=71)
+    for dist, n, cutoff in (("UUU", 400, 0.0), ("dUU", 400, 0.0), ("dUU", 400, 1e-3),
+                            ("UUU", basis.size - 5, 0.0)):
+        data = sample_dataset(DistributionSpec(d, dist), n, np.random.default_rng(72), target)
+        full = full_lsq(basis, data, cutoff)
+        refit, ref = invariant_refit(full), invariant_lsq(basis, data, cutoff)
+        assert np.abs(refit.beta - ref.beta).max() <= 1e-12 * np.abs(ref.beta).max(), dist
+        assert abs(refit.train_residual - ref.train_residual) <= 1e-12 * np.linalg.norm(
+            data.values), dist
+        assert refit.eps_sym == 0.0 and refit.factor is full.factor
+
+
+def test_l2_test_errors_match_one_at_a_time():
+    target = make_target(1, ExponentialDecay(2.0), 8, seed=73)
+    basis = enumerate_basis(1, 3, 3)
+    train, test = _uniform_data(1, 120, 74, target), _uniform_data(1, 50, 75, target)
+    sols = [full_lsq(basis, train), invariant_lsq(basis, train)]
+    assert l2_test_errors(basis, [s.beta for s in sols], target, test) == [
+        l2_test_error(s, target, test) for s in sols]
 
 
 def test_solution_norm_split():
