@@ -18,9 +18,8 @@ from .harmonics import (WignerBlock, apply_generalized_d, generalized_d, sph_har
                         wigner_d, wigner_little_d)
 from .regression import (AugmentationScheme, Dataset, DesignFactor, RegressionSolution,
                          SchurDiagnostics, augmented_lsq, design_factor, design_matrix,
-                         full_lsq, invariant_design_matrix, invariant_lsq, invariant_refit,
-                         l2_test_error, l2_test_errors, lsq_solve, rotate_dataset,
-                         schur_diagnostics)
+                         full_lsq, invariant_design_matrix, invariant_lsq, l2_test_error,
+                         l2_test_errors, lsq_solve, rotate_dataset, schur_diagnostics)
 from .sampling import (AlgebraicDecay, DistributionSpec, ExponentialDecay,
                        TargetFunction, export_dataset, import_dataset, make_target,
                        sample_dataset, sample_points)

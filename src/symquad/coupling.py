@@ -210,8 +210,9 @@ class BasisSpec:
     order: the ``invariant_count`` orthonormal invariant functions first, the
     orthonormal complement after.  For d=1 the tensor functions themselves
     are listed invariant-first and the working basis coincides with them; for
-    d=2 the working basis is the tensor basis recombined blockwise by the
-    unitary ``coupling`` columns and their completions.
+    d=2 the working basis is the tensor basis recombined blockwise by each
+    block's unitary ``u``: its orthonormal invariant columns and their
+    completion.
     """
 
     d: int
@@ -219,10 +220,8 @@ class BasisSpec:
     degree: int
     indices: tuple
     invariant_count: int
-    coupling: np.ndarray = field(repr=False)
     sums: np.ndarray | None = field(default=None, repr=False)      # d=1: sum(k) per index
     blocks: tuple = field(default=(), repr=False)                  # d=2
-    invariant_funcs: tuple = field(default=(), repr=False)         # d=2 CoupledFunction
 
     @property
     def size(self) -> int:
@@ -248,22 +247,17 @@ def enumerate_basis(d: int, n_particles: int, degree: int) -> BasisSpec:
         inv = [k for k in all_k if sum(k) == 0]
         non = [k for k in all_k if sum(k) != 0]
         indices = tuple(inv + non)
-        p = len(indices)
-        n_inv = len(inv)
-        coupling = np.zeros((p, n_inv), dtype=complex)
-        coupling[:n_inv, :] = np.eye(n_inv)
         sums = np.array([sum(k) for k in indices], dtype=int)
-        return BasisSpec(1, n_particles, degree, indices, n_inv, coupling, sums=sums)
+        return BasisSpec(1, n_particles, degree, indices, len(inv), sums=sums)
 
     tuples = _l_tuples(n_particles, degree)
     kernels = [_invariant_block(l) for l in tuples]
-    p = sum(v.shape[0] for v in kernels)
     n_inv_total = sum(v.shape[1] for v in kernels)
-    coupling = np.zeros((p, n_inv_total), dtype=complex)
     indices, blocks = [], []
     start, inv_offset, non_offset = 0, 0, n_inv_total
     for l, vecs in zip(tuples, kernels):
         dim, n_inv_b = vecs.shape
+        assert np.abs(vecs.conj().T @ vecs - np.eye(n_inv_b)).max(initial=0.0) < 1e-12
         indices.extend((l, tuple(m)) for m in _m_grid(l).tolist())
         # complete the invariant columns to a unitary with the least change of
         # the tensor basis: QR of [invariant | identity]
@@ -272,15 +266,11 @@ def enumerate_basis(d: int, n_particles: int, degree: int) -> BasisSpec:
         work = np.concatenate([np.arange(inv_offset, inv_offset + n_inv_b),
                                np.arange(non_offset, non_offset + dim - n_inv_b)])
         blocks.append(Block(l, start, start + dim, u, n_inv_b, work))
-        coupling[start:start + dim, inv_offset:inv_offset + n_inv_b] = vecs
         start += dim
         inv_offset += n_inv_b
         non_offset += dim - n_inv_b
-    assert np.abs(coupling.conj().T @ coupling - np.eye(n_inv_total)).max() < 1e-12
-
-    return BasisSpec(2, n_particles, degree, tuple(indices), n_inv_total, coupling,
-                     blocks=tuple(blocks),
-                     invariant_funcs=tuple(invariant_couplings(n_particles, degree)))
+    return BasisSpec(2, n_particles, degree, tuple(indices), n_inv_total,
+                     blocks=tuple(blocks))
 
 
 def sym_coeffs(beta: np.ndarray, basis: BasisSpec) -> np.ndarray:

@@ -2,10 +2,10 @@
 invariant / augmented solves with an absolute SVD cutoff and
 Schur-complement diagnostics.
 
-Every fit of a (basis, dataset) pair reads one evaluation of its design: a
-solve reduces [A | y] to its factor R (``design_factor``) and leaves it on the
-solution, and the invariant refit and the Schur diagnostics read R instead
-of evaluating A again."""
+Every fit of a (basis, dataset) pair reads one evaluation of its design:
+``design_factor`` reduces [A | y] to its factor R once and the dataset keeps
+it, and the plain, invariant-leading and augmented solves and the Schur
+diagnostics all read R instead of evaluating A again."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import BasisSpec, eval_coupled
+from .coupling import BasisSpec, eval_coupled, invariant_couplings
 from .geometry import SO2, SO3, DimensionError, QuadratureRule, Rotation, sample_haar_many
 from .harmonics import apply_generalized_d, rotation_blocks, sph_harm_table
 
@@ -29,8 +29,9 @@ class Dataset:
 
     ``points`` is (n, N) angles for d=1 or (n, N, 3) unit vectors for d=2;
     ``values`` is None for unlabeled data (e.g. distribution previews).
-    The last ``DesignFactor`` built on the data is kept with it, so that the
-    fits of one (basis, dataset) pair share one design evaluation.
+    The last ``DesignFactor`` built on the data is kept with it
+    (``design_factor``), so that the fits of one (basis, dataset) pair share
+    one design evaluation.
     """
 
     d: int
@@ -120,7 +121,7 @@ def invariant_design_matrix(basis: BasisSpec, data: Dataset) -> np.ndarray:
             _phase_product(data.points, basis.indices[:basis.invariant_count], basis.degree))
     y_tables = [sph_harm_table(basis.degree, data.points[:, p, :])
                 for p in range(basis.n_particles)]
-    return eval_coupled(list(basis.invariant_funcs), y_tables)
+    return eval_coupled(invariant_couplings(basis.n_particles, basis.degree), y_tables)
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +200,15 @@ class DesignFactor:
     and y = data.values.
 
     ``r`` has min(n, p+1) rows: the triangular QR factor when n > p+1,
-    [A | y] itself otherwise.  Because Q is shared by all columns, any
-    product of column blocks (A_I^H A_N, ||A_N X||, ...) and any least-squares
-    fit on leading columns can be read from ``r`` instead of A.
+    [A | y] itself otherwise; ``n`` is the row count of the data.  Because Q
+    is shared by all columns, any product of column blocks (A_I^H A_N,
+    ||A_N X||, ...) and any least-squares fit on leading columns can be read
+    from ``r`` instead of A.
     """
 
     basis: BasisSpec
-    data: Dataset
+    n: int
     r: np.ndarray
-
-    def belongs_to(self, basis: BasisSpec, data: Dataset) -> bool:
-        """True only for the very basis and dataset objects it was built from."""
-        return self.basis is basis and self.data is data
 
     def leading_fit(self, k: int, cutoff: float = 0.0) -> tuple[np.ndarray, float]:
         """(beta, residual norm) of least squares of y on the first k columns of A.
@@ -220,7 +218,7 @@ class DesignFactor:
         it is the plain solve); r's rows past them add only residual.
         """
         r, p = self.r, self.basis.size
-        rows = k + 1 if r.shape[0] < self.data.n else r.shape[0]
+        rows = k + 1 if r.shape[0] < self.n else r.shape[0]
         beta = lsq_solve(r[:rows, :k], r[:rows, p], cutoff)
         return beta, float(np.linalg.norm(r[:, :k] @ beta - r[:, p]))
 
@@ -229,34 +227,30 @@ def design_factor(basis: BasisSpec, data: Dataset) -> DesignFactor:
     """The factor of [A | y] for one (basis, dataset) pair, from one design
     evaluation.
 
-    The dataset keeps the last factor built on it, so the solves and
-    diagnostics of a pair share it; a different basis or dataset object never
-    reads it.  Only r is kept, never the n x p design (r is [A | y] itself
+    The dataset keeps the last factor built on it, keyed by the basis object,
+    so the solves and diagnostics of a pair share it and no other dataset
+    can read it.  Only r is kept, never the n x p design (r is [A | y] itself
     only when n <= p+1).
     """
     kept = data._factor
-    if kept is not None and kept.belongs_to(basis, data):
+    if kept is not None and kept.basis is basis:
         return kept
     ay = np.column_stack([design_matrix(basis, data), data.values])
     # a tall [A | y] is cut to its triangle; a wide one is its own factor
-    factor = DesignFactor(basis, data, _compressed_stack([ay]) if data.n > basis.size + 1 else ay)
+    factor = DesignFactor(basis, data.n,
+                          _compressed_stack([ay]) if data.n > basis.size + 1 else ay)
     object.__setattr__(data, "_factor", factor)
     return factor
 
 
 @dataclass
 class RegressionSolution:
-    """Fitted coefficients in working order with attached diagnostics.
-
-    ``factor`` is the factor of the unaugmented [A | y] of the fit's data,
-    when the solve built one.
-    """
+    """Fitted coefficients in working order with attached diagnostics."""
 
     basis: BasisSpec
     beta: np.ndarray
     cutoff_used: float
     train_residual: float
-    factor: DesignFactor | None = None
 
     @property
     def beta_invariant(self) -> np.ndarray:
@@ -274,14 +268,18 @@ class RegressionSolution:
 def full_lsq(basis: BasisSpec, data: Dataset, cutoff: float = 0.0) -> RegressionSolution:
     """Plain least squares over the full working basis, solved on the factor
     of [A | y]."""
-    factor = design_factor(basis, data)
-    beta, res = factor.leading_fit(basis.size, cutoff)
-    return RegressionSolution(basis, beta, cutoff, res, factor)
+    beta, res = design_factor(basis, data).leading_fit(basis.size, cutoff)
+    return RegressionSolution(basis, beta, cutoff, res)
 
 
 def invariant_lsq(basis: BasisSpec, data: Dataset, cutoff: float = 0.0) -> RegressionSolution:
     """Least squares restricted to the invariant columns; eps_sym is 0 by
-    construction and the returned beta embeds the fit in the full basis."""
+    construction and the returned beta embeds the fit in the full basis.
+
+    It evaluates the invariant design itself, independent of the factor the
+    other solves share, so it can serve as their reference; the same fit
+    from the factor is ``design_factor(basis, data).leading_fit(n_inv)``.
+    """
     if basis.invariant_count < 1:
         raise ValueError("basis has no invariant functions")
     a_inv = invariant_design_matrix(basis, data)
@@ -290,22 +288,6 @@ def invariant_lsq(basis: BasisSpec, data: Dataset, cutoff: float = 0.0) -> Regre
     beta[:basis.invariant_count] = beta_inv
     res = float(np.linalg.norm(a_inv @ beta_inv - data.values))
     return RegressionSolution(basis, beta, cutoff, res)
-
-
-def invariant_refit(sol: RegressionSolution) -> RegressionSolution:
-    """``invariant_lsq`` on the data of ``sol`` at its cutoff, read from the
-    factor the solve left: the invariant columns lead the working basis, so
-    the fit is ``DesignFactor.leading_fit`` and evaluates no design."""
-    factor = sol.factor
-    if factor is None:
-        raise ValueError("solution carries no design factor")
-    basis = factor.basis
-    if basis.invariant_count < 1:
-        raise ValueError("basis has no invariant functions")
-    beta_inv, res = factor.leading_fit(basis.invariant_count, sol.cutoff_used)
-    beta = np.zeros(basis.size, dtype=complex)
-    beta[:basis.invariant_count] = beta_inv
-    return RegressionSolution(basis, beta, sol.cutoff_used, res, factor)
 
 
 @dataclass(frozen=True)
@@ -380,21 +362,24 @@ def _charge_phases(rotations, charges) -> np.ndarray:
     return np.exp(1j * np.outer([q.angle for q in rotations], charges))
 
 
-def _charge_blocks(basis: BasisSpec, a: np.ndarray, y: np.ndarray, weights, rotations):
+def _charge_blocks(basis: BasisSpec, r: np.ndarray, weights, rotations):
     """Row blocks of the d=1 augmented stack, reduced to one block per charge.
 
-    Row block t of the plain stack is sqrt(w_t) [A diag(e^{i s_j theta_t}) | y],
-    which is sum_c V[t, c] B_c with V[t, c] = sqrt(w_t) e^{i s_c theta_t} and
-    B_c = [A restricted to the columns of charge s_c | y if s_c = 0].  With
-    V = Q R the plain stack is (Q (x) I_n) times the stack of R B, and
-    Q (x) I_n has orthonormal columns: the reduced stack has the same singular
-    values, minimum-norm solution and residual, in min(T, C) n rows.
+    ``r`` is the factor [R_a | r_y] of [A | y] (``design_factor``), m =
+    min(n, p+1) rows.  Row block t of the plain stack is
+    sqrt(w_t) [A diag(e^{i s_j theta_t}) | y] = Q sqrt(w_t) [R_a diag(...) | r_y],
+    which is Q sum_c V[t, c] B_c with V[t, c] = sqrt(w_t) e^{i s_c theta_t}
+    and B_c = [R_a restricted to the columns of charge s_c | r_y if s_c = 0].
+    With V = Q_V R_V the plain stack is (Q_V (x) Q) times the stack of R_V B,
+    which has orthonormal columns: the reduced stack has the same singular
+    values, minimum-norm solution and residual, in min(T, C) m rows.
     """
+    p = basis.size
+    a, y = r[:, :p], r[:, p]
     charges, col = np.unique(np.append(basis.sums, 0), return_inverse=True)
     v = np.sqrt(weights)[:, None] * _charge_phases(rotations, charges)
-    r = np.linalg.qr(v, mode="r")
     col_a, col_y = col[:-1], col[-1]
-    for row in r:
+    for row in np.linalg.qr(v, mode="r"):
         yield np.concatenate([a * row[col_a], (row[col_y] * y)[:, None]], axis=1)
 
 
@@ -427,36 +412,28 @@ def augmented_lsq(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
     Minimizes (1/2) sum_t w_t ||A D(Q_t) beta - Y||^2, the least-squares
     problem of the row stack of the sqrt(w_t)-scaled rotated design blocks
     with the data vector replicated, never rotated.  The stack is reduced
-    exactly before it is factored.  For d=1, D(Q_t) is diagonal and reaches
-    the data only through the phases e^{i s theta_t} of the distinct charges
-    s = sum(k), so the stack collapses to at most one block of n rows per
-    charge whatever the number of rotations (``_charge_blocks``).  For d=2,
-    each node contributes the min(n, p+1) rows of the factor of [A | y]
-    (``design_factor``) rather than n; the nodes are rotated a chunk of at
-    most ``_COMPRESS_ROWS`` rows at a time, and each chunk is QR-compressed
-    into the running factor before the next is added (``_rotated_blocks``).
-    A tall stack ends as its triangular factor of p+1 rows
-    (``_compressed_stack``), which ``lsq_solve`` solves (by the triangle's
-    inverse when that is provably well-conditioned, by the SVD otherwise)
-    and which gives the residual.  All reductions are orthogonal, so beta,
-    the kept rank and the residual are those of the plain stacked solve up
-    to roundoff.  The solution keeps the factor of the unaugmented [A | y].
+    exactly before it is factored.  Both d start from the min(n, p+1) rows
+    of the factor of [A | y] (``design_factor``) rather than A's n rows.
+    For d=1, D(Q_t) is diagonal and reaches the data only through the phases
+    e^{i s theta_t} of the distinct charges s = sum(k), so the stack
+    collapses to at most one block per charge whatever the number of
+    rotations (``_charge_blocks``).  For d=2, the nodes are rotated a chunk
+    of at most ``_COMPRESS_ROWS`` rows at a time, and each chunk is
+    QR-compressed into the running factor before the next is added
+    (``_rotated_blocks``).  A tall stack ends as its triangular factor of
+    p+1 rows (``_compressed_stack``), which ``lsq_solve`` solves (by the
+    triangle's inverse when that is provably well-conditioned, by the SVD
+    otherwise) and which gives the residual.  All reductions are orthogonal,
+    so beta, the kept rank and the residual are those of the plain stacked
+    solve up to roundoff.
     """
     weights, rotations = scheme.nodes(basis.d)
-    factor = design_factor(basis, data)
+    blocks = _charge_blocks if basis.d == 1 else _rotated_blocks
+    r = _compressed_stack(blocks(basis, design_factor(basis, data).r, weights, rotations))
     p = basis.size
-
-    if basis.d == 1:
-        # the charge blocks are built from the n rows of [A | y] itself
-        ay = factor.r if factor.r.shape[0] == data.n else np.column_stack(
-            [design_matrix(basis, data), data.values])
-        blocks = _charge_blocks(basis, ay[:, :p], ay[:, p], weights, rotations)
-    else:
-        blocks = _rotated_blocks(basis, factor.r, weights, rotations)
-    r = _compressed_stack(blocks)
     beta = lsq_solve(r[:, :p], r[:, p], cutoff)
     res = float(np.linalg.norm(r[:, :p] @ beta - r[:, p]))
-    return RegressionSolution(basis, beta, cutoff, res, factor)
+    return RegressionSolution(basis, beta, cutoff, res)
 
 
 def l2_test_errors(basis: BasisSpec, betas, target, test_data: Dataset) -> list[float]:
@@ -542,14 +519,12 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     Everything is read from the factor r = [R_I R_N r_y] of [A | y]
     (A = Q r with orthonormal Q): B = R_I^H R_I, A_I^H A_N = R_I^H R_N,
     G_N = R_N^H R_N, ||A_N Dbar|| = ||R_N Dbar|| and the invariant residual
-    is ``DesignFactor.leading_fit``'s.  The factor is the one ``sol`` carries
-    when it belongs to this basis and dataset, else ``design_factor``'s; the
-    rotations are the scheme's, drawn once.
+    is ``DesignFactor.leading_fit``'s.  The factor is ``design_factor``'s,
+    the one the solve read, and the rotations are the scheme's, drawn once;
+    nothing is read from ``sol``.
     """
     weights, rotations = scheme.nodes(basis.d)
-    factor = sol.factor
-    if factor is None or not factor.belongs_to(basis, data):
-        factor = design_factor(basis, data)
+    factor = design_factor(basis, data)
     n_inv = basis.invariant_count
     r_i, r_n = factor.r[:, :n_inv], factor.r[:, n_inv:basis.size]
     gram_n = r_n.conj().T @ r_n

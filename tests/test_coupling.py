@@ -155,19 +155,20 @@ def test_invariant_basis_functions_are_invariant():
 def test_coupling_columns_orthonormal():
     for k in range(0, 9):
         basis = enumerate_basis(1, 3, k)
-        c = basis.coupling
+        c = _coupling(basis)
         assert np.abs(c.conj().T @ c - np.eye(basis.invariant_count)).max() < 1e-12
     for k in range(0, 7):
         basis = enumerate_basis(2, 3, k)
-        c = basis.coupling
+        c = _coupling(basis)
         assert np.abs(c.conj().T @ c - np.eye(basis.invariant_count)).max() < 1e-12
 
 
 def test_coupling_columns_block_supported():
     basis = enumerate_basis(2, 3, 4)
+    c = _coupling(basis)
     for blk in basis.blocks:
         for j in range(blk.n_inv):
-            col = basis.coupling[:, blk.work_cols[j]]
+            col = c[:, blk.work_cols[j]]
             mask = np.ones(basis.size, dtype=bool)
             mask[blk.start:blk.stop] = False
             assert np.abs(col[mask]).max() == 0.0
@@ -227,12 +228,20 @@ def test_sym_coeffs_idempotent():
 
 
 def _working_to_tensor(basis):
-    """Matrix taking working coefficients to tensor-basis coefficients: block
-    b maps its working columns through its unitary b.u."""
+    """Matrix taking working coefficients to tensor-basis coefficients: the
+    identity for d=1; for d=2 block b maps its working columns through its
+    unitary b.u."""
+    if basis.d == 1:
+        return np.eye(basis.size, dtype=complex)
     m = np.zeros((basis.size, basis.size), dtype=complex)
     for b in basis.blocks:
         m[b.start:b.stop, b.work_cols] = b.u
     return m
+
+
+def _coupling(basis):
+    """p x n_inv tensor coefficients of the invariant working functions."""
+    return _working_to_tensor(basis)[:, :basis.invariant_count]
 
 
 def test_sym_coeffs_matches_tensor_projection():
@@ -241,8 +250,8 @@ def test_sym_coeffs_matches_tensor_projection():
     basis = enumerate_basis(2, 3, 3)
     beta = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     projected = sym_coeffs(beta, basis)
-    c = basis.coupling
     to_tensor = _working_to_tensor(basis)
+    c = to_tensor[:, :basis.invariant_count]
     tensor = to_tensor @ beta
     expect = to_tensor.conj().T @ (c @ (c.conj().T @ tensor))
     assert np.abs(projected - expect).max() < 1e-12
@@ -282,7 +291,7 @@ def test_pair_couplings_on_sphere():
     basis = enumerate_basis(2, 2, 4)
     assert basis.invariant_count == 3  # l = 0, 1, 2
     rng = np.random.default_rng(7)
-    funcs = [f for f in basis.invariant_funcs]
+    funcs = invariant_couplings(2, 4)
     for q in sample_haar_many(SO3, 10, rng):
         pts = random_units(2, rng)
         rot = pts @ q.matrix.T

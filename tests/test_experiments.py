@@ -227,6 +227,10 @@ def test_one_design_evaluation_per_dataset_and_basis(monkeypatch):
     run_random_sweep(_cfg("random-sweep", d=2, degrees="2", t_list="4 8", trials=1,
                           train_size=30, test_size=20, seed=5))
     assert len(calls) == 4 + 2 * 2 + 2
+    # d=1 train 40 > p+1 = 26 at K=2: the charge blocks read the factor too
+    run_quad_sweep(_cfg("quad-sweep", d=1, distribution="dUU", degrees="2",
+                        quad_degrees="0 1 2 3", train_size=40, test_size=20, seed=6))
+    assert len(calls) == 10 + 2
     assert len({(id(data), id(basis)) for data, basis in calls}) == len(calls)
 
 

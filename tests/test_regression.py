@@ -12,7 +12,7 @@ from symquad.geometry import (SO2, identity_rule, sample_haar,
 from symquad.harmonics import generalized_d
 from symquad.regression import (AugmentationScheme, Dataset, RegressionSolution,
                                 augmented_lsq, design_factor, design_matrix, full_lsq,
-                                invariant_design_matrix, invariant_lsq, invariant_refit,
+                                invariant_design_matrix, invariant_lsq,
                                 l2_test_error, l2_test_errors,
                                 lsq_solve, rotate_dataset, schur_diagnostics,
                                 _compressed_stack)
@@ -339,6 +339,12 @@ def test_augmented_lsq_matches_stacked_oracle(dist, cutoff):
     schemes1 += [AugmentationScheme("quadrature", rule=so2_quadrature(m)) for m in (3, 6, 8)]
     for i, scheme in enumerate(schemes1):
         _oracle_case(1, 5, dist, 80, scheme, cutoff, 300 + i)
+    # d=1, K=3 has p=63: n=150 > p+1 builds the charge blocks from the
+    # 64-row triangular factor of [A | y], not from A's n rows
+    schemes1 = [AugmentationScheme("random", t=t, seed=52 + t) for t in (3, 64)]
+    schemes1 += [AugmentationScheme("quadrature", rule=so2_quadrature(m)) for m in (3, 6)]
+    for i, scheme in enumerate(schemes1):
+        _oracle_case(1, 3, dist, 150, scheme, cutoff, 310 + i)
     # d=2, K=2 has p=52: n=40 rotates the n rows themselves, n=80 > p+1 is cut
     # to its 53-row triangular factor first
     schemes2 = [AugmentationScheme("random", t=t, seed=42 + t) for t in (3, 16)]
@@ -561,15 +567,15 @@ def test_factor_never_crosses_data(d):
     data1, data2, twin = (_uniform_data(d, 90, seed, target) for seed in (66, 67, 67))
     scheme = AugmentationScheme("random", t=8, seed=68)
     sol1 = augmented_lsq(basis, data1, scheme)
-    assert sol1.factor.belongs_to(basis, data1)
+    assert data1._factor is design_factor(basis, data1)
     # twin holds the same points as data2 but is a separate object: the fresh answer
     fresh = schur_diagnostics(basis, twin, scheme, augmented_lsq(basis, twin, scheme))
     assert fresh.available
     assert schur_diagnostics(basis, data2, scheme, sol1) == fresh
-    bare = RegressionSolution(basis, sol1.beta, 0.0, 0.0)  # positional, no factor
-    assert bare.factor is None
+    bare = RegressionSolution(basis, sol1.beta, 0.0, 0.0)  # the four fields, positional
     assert schur_diagnostics(basis, data2, scheme, bare) == fresh
-    assert not data2._factor.belongs_to(basis, data1)
+    assert data2._factor is not data1._factor
+    assert np.array_equal(data2._factor.r, twin._factor.r)
 
 
 def test_schur_reuses_the_solves_rotations(monkeypatch):
@@ -594,29 +600,33 @@ def test_design_factor_keyed_by_basis_and_data():
     small, large = enumerate_basis(2, 3, 1), enumerate_basis(2, 3, 2)
     for basis in (small, large, small):
         factor = design_factor(basis, data)
-        assert factor.belongs_to(basis, data)
+        assert factor.basis is basis and factor.n == data.n and factor is data._factor
+        assert design_factor(basis, data) is factor  # kept for the same basis object
         assert factor.r.shape == (min(data.n, basis.size + 1), basis.size + 1)
         ref = np.column_stack([design_matrix(basis, data), data.values])
         # [A | y] = Q r: equal Gram matrices
         gram = factor.r.conj().T @ factor.r
         assert np.abs(gram - ref.conj().T @ ref).max() <= 1e-12 * np.abs(gram).max()
-    assert design_factor(small, data) is data._factor
+    other = _uniform_data(2, 70, 70, target)  # same points, another dataset
+    assert design_factor(small, other) is not factor and data._factor is factor
+    # an equal basis that is another object builds its own factor
+    assert design_factor(enumerate_basis(2, 3, 1), data) is not factor
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_invariant_refit_matches_invariant_lsq(d):
+def test_leading_fit_matches_invariant_lsq(d):
     k = 4 if d == 1 else 2
     basis = enumerate_basis(d, 3, k)
+    n_inv = basis.invariant_count
     target = make_target(d, ExponentialDecay(2.0), k + 2, seed=71)
     for dist, n, cutoff in (("UUU", 400, 0.0), ("dUU", 400, 0.0), ("dUU", 400, 1e-3),
                             ("UUU", basis.size - 5, 0.0)):
         data = sample_dataset(DistributionSpec(d, dist), n, np.random.default_rng(72), target)
-        full = full_lsq(basis, data, cutoff)
-        refit, ref = invariant_refit(full), invariant_lsq(basis, data, cutoff)
-        assert np.abs(refit.beta - ref.beta).max() <= 1e-12 * np.abs(ref.beta).max(), dist
-        assert abs(refit.train_residual - ref.train_residual) <= 1e-12 * np.linalg.norm(
-            data.values), dist
-        assert refit.eps_sym == 0.0 and refit.factor is full.factor
+        full_lsq(basis, data, cutoff)
+        beta, res = design_factor(basis, data).leading_fit(n_inv, cutoff)
+        ref = invariant_lsq(basis, data, cutoff)
+        assert np.abs(beta - ref.beta_invariant).max() <= 1e-12 * np.abs(ref.beta).max(), dist
+        assert abs(res - ref.train_residual) <= 1e-12 * np.linalg.norm(data.values), dist
 
 
 def test_l2_test_errors_match_one_at_a_time():

@@ -1,0 +1,42 @@
+"""The names the benchmark harness in ``perfbench/`` reaches into symquad by.
+
+``perfbench/hooks.py`` patches functions by their ``module.name`` path and
+``perfbench/checks.py`` imports solver functions directly; a rename in the
+package would blind the per-layer trace or break the output check only when
+the benchmark runs.  These tests read both files as they are, unedited.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_hooks():
+    spec = importlib.util.spec_from_file_location("perfbench_hooks", PERFBENCH / "hooks.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+HOOKS = _load_hooks()
+
+
+@pytest.mark.parametrize("name", sorted(set(HOOKS.CAPTURED) | set(HOOKS.LAYERS)))
+def test_hooked_names_resolve(name):
+    owner, attr, fn = HOOKS._resolve(name)
+    assert callable(fn) and getattr(owner, attr) is fn
+
+
+def test_checks_imports_exist():
+    tree = ast.parse((PERFBENCH / "checks.py").read_text())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("symquad")
+                for alias in node.names]
+    assert imported
+    for module, name in imported:
+        assert hasattr(importlib.import_module(module), name), (module, name)
