@@ -4,6 +4,7 @@ tracking."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,12 @@ class PerturbedPotential:
     The four callables evaluate values and analytic gradients and must accept
     batched angle arrays of shape (..., N).  Invariance of F under the
     simultaneous shift theta -> theta + alpha is spot-checked at construction.
+
+    A gradient callable may also carry a ``writer(theta, out, scale)``
+    attribute: it returns a function of no arguments that writes the bits of
+    ``scale * grad(theta)`` into ``out`` for the current contents of
+    ``theta``, from buffers it allocates once.  The integrator uses it when
+    present.
     """
 
     invariant_value: object
@@ -78,17 +85,55 @@ def _pair_cosine_value(theta):
     return 0.5 * (np.cos(diffs).sum(axis=(-2, -1)) - theta.shape[-1])
 
 
-def _pair_cosine_grad(theta):
-    diffs = theta[..., :, None] - theta[..., None, :]
-    return -np.add.reduce(np.sin(diffs), axis=-1)
+def _pair_cosine_writer(theta, out, scale):
+    """scale * grad F = (-scale) * S with S_i = sum_j sin(theta_i - theta_j)."""
+    rows, cols = theta[..., :, None], theta[..., None, :]
+    diffs = np.empty(theta.shape + theta.shape[-1:])
+    rescale, factor = scale != -1.0, np.array(-scale)
+
+    def write():
+        np.subtract(rows, cols, diffs)
+        np.sin(diffs, diffs)
+        np.add.reduce(diffs, -1, None, out)
+        if rescale:
+            np.multiply(out, factor, out)
+    return write
 
 
 def _wobble_value(theta):
     return (np.sin(2.0 * theta) + 0.5 * np.cos(theta)).sum(axis=-1)
 
 
-def _wobble_grad(theta):
-    return 2.0 * np.cos(2.0 * theta) - 0.5 * np.sin(theta)
+def _wobble_writer(theta, out, scale):
+    """scale * grad G with grad G = 2 cos 2theta - sin(theta) / 2, taken as
+    (2 scale) * (cos 2theta - sin(theta) / 4): the power-of-two factors move
+    without rounding, so the bits are those of the plain formula."""
+    quarter_sin = np.empty_like(theta)
+    two, quarter, factor = np.array(2.0), np.array(0.25), np.array(2.0 * scale)
+
+    def write():
+        np.multiply(theta, two, out)
+        np.cos(out, out)
+        np.sin(theta, quarter_sin)
+        np.multiply(quarter_sin, quarter, quarter_sin)
+        np.subtract(out, quarter_sin, out)
+        np.multiply(out, factor, out)
+    return write
+
+
+def _plain_gradient(writer):
+    """The plain gradient callable of an in-place ``writer``."""
+    def grad(theta):
+        theta = np.asarray(theta, dtype=float)
+        out = np.empty(theta.shape)
+        writer(theta, out, 1.0)()
+        return out
+    grad.writer = writer
+    return grad
+
+
+_pair_cosine_grad = _plain_gradient(_pair_cosine_writer)
+_wobble_grad = _plain_gradient(_wobble_writer)
 
 
 def default_potential(epsilon: float, n_particles: int = 3) -> PerturbedPotential:
@@ -141,16 +186,58 @@ def simulate(pot: PerturbedPotential, init: PhaseState, dt: float, n_steps: int,
                       traj.energy[0], traj.aborted)
 
 
+def _writer(grad, theta, out, scale):
+    """A function of no arguments writing ``scale * grad(theta)`` into ``out``."""
+    writer = getattr(grad, "writer", None)
+    if writer is not None:
+        return writer(theta, out, scale)
+    return lambda: np.multiply(grad(theta), scale, out)
+
+
+def _half_kick(pot: PerturbedPotential, theta: np.ndarray, dt: float):
+    """(kick, update): ``update()`` writes -dt/2 * grad U(theta) into ``kick``
+    for the current contents of ``theta``, which the caller changes in place.
+
+    The kick is formed as dt/2 * ((-grad F) - eps * grad G): negating a sum or
+    a product is exact, so it has the bits of -(dt/2 * (grad F + eps * grad G)).
+    At eps = 0 the perturbation gradient is never evaluated.
+    """
+    kick = np.empty_like(theta)
+    if pot.epsilon == 0.0:
+        return kick, _writer(pot.invariant_grad, theta, kick, -0.5 * dt)
+    pert = np.empty_like(theta)
+    write_force = _writer(pot.invariant_grad, theta, kick, -1.0)
+    write_pert = _writer(pot.perturbation_grad, theta, pert, pot.epsilon)
+    half_dt = np.array(0.5 * dt)
+
+    def update():
+        write_force()
+        write_pert()
+        np.subtract(kick, pert, kick)
+        np.multiply(kick, half_dt, kick)
+    return kick, update
+
+
 def simulate_batch(pot: PerturbedPotential, thetas: np.ndarray, ps: np.ndarray,
                    dt: float, n_steps: int, record_every: int = 1) -> Trajectory:
     """Integrate B independent runs in lockstep; recorded arrays get a
     leading batch axis and times start at 0.  A non-finite state in any run
-    aborts all of them at the last valid record."""
+    aborts all of them at the last valid record.  Steps after the last
+    record are not taken, since nothing of them is returned.
+
+    thetas and ps are (B, N) arrays of finite values; they are not written.
+    """
     if n_steps < 1 or record_every < 1:
         raise ValueError("need n_steps >= 1 and record_every >= 1")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     theta = np.array(thetas, dtype=float)
     p = np.array(ps, dtype=float)
-    half_dt = 0.5 * dt
+    if theta.ndim != 2 or theta.shape != p.shape:
+        raise ValueError(f"thetas and ps must be 2-d arrays of equal shape, got "
+                         f"{theta.shape} and {p.shape}")
+    if not (np.isfinite(theta).all() and np.isfinite(p).all()):
+        raise ValueError("thetas and ps must be finite")
     n_rec = n_steps // record_every + 1
     b = theta.shape[0]
     steps = np.zeros(n_rec, dtype=np.int64)
@@ -160,23 +247,32 @@ def simulate_batch(pot: PerturbedPotential, thetas: np.ndarray, ps: np.ndarray,
     j_series[:, 0] = p.sum(axis=1)
     h_series[:, 0] = 0.5 * (p * p).sum(axis=1) + pot.energy(theta)
 
-    g = pot.gradient(theta)  # the force is -g; each kick subtracts
-    k = 1
+    # One kick array, added at the end of a step and at the start of the next.
+    # Scalar factors are 0-d arrays and outputs positional: on (B, N) arrays
+    # numpy's per-call overhead is most of a step.
+    kick, update_kick = _half_kick(pot, theta, dt)
+    move = np.empty_like(p)
+    step_dt = np.array(dt, dtype=float)
+    add, multiply = np.add, np.multiply
+    update_kick()
     aborted = False
-    for step in range(1, n_steps + 1):
-        p -= half_dt * g
-        theta += dt * p
-        g = pot.gradient(theta)
-        p -= half_dt * g
-        if step % record_every == 0:
-            if not (np.isfinite(theta).all() and np.isfinite(p).all()):
-                aborted = True
-                break
-            steps[k] = step
-            times[k] = step * dt
-            j_series[:, k] = p.sum(axis=1)
-            h_series[:, k] = 0.5 * (p * p).sum(axis=1) + pot.energy(theta)
-            k += 1
+    for k in range(1, n_rec):
+        for _ in range(record_every):
+            add(p, kick, p)
+            multiply(p, step_dt, move)
+            add(theta, move, theta)
+            update_kick()
+            add(p, kick, p)
+        if not (np.isfinite(theta).all() and np.isfinite(p).all()):
+            aborted = True
+            break
+        step = k * record_every
+        steps[k] = step
+        times[k] = step * dt
+        j_series[:, k] = p.sum(axis=1)
+        h_series[:, k] = 0.5 * (p * p).sum(axis=1) + pot.energy(theta)
+    else:
+        k = n_rec
     return Trajectory(steps[:k], times[:k], j_series[:, :k], h_series[:, :k], aborted)
 
 
@@ -195,5 +291,6 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         raise ValueError("write_trajectory_csv expects a single-run trajectory")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step,time,J,H\n")
-        for s, t, j, h in zip(traj.steps, traj.times, traj.angular_momentum, traj.energy):
-            fh.write(f"{s},{float(t)!r},{float(j)!r},{float(h)!r}\n")
+        fh.writelines(f"{s},{t!r},{j!r},{h!r}\n" for s, t, j, h in zip(
+            traj.steps.tolist(), traj.times.tolist(), traj.angular_momentum.tolist(),
+            traj.energy.tolist()))

@@ -4,6 +4,7 @@ that land as deterministic CSV tables plus optional SVG plots."""
 from __future__ import annotations
 
 import configparser
+import csv
 import hashlib
 import math
 import os
@@ -224,14 +225,16 @@ class ResultTable:
         return sorted(self.rows, key=lambda r: (r[0], r[1]))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(f"# experiment={self.experiment}\n")
             fh.write(f"# name={self.name}\n")
             for key in sorted(self.provenance):
                 fh.write(f"# {key}={self.provenance[key]}\n")
-            fh.write("sweep,metric,mean,std,trials\n")
-            for sweep, metric, mean, std, trials in self.sorted_rows():
-                fh.write(f"{_fmt(sweep)},{metric},{_fmt(mean)},{_fmt(std)},{trials}\n")
+            # RFC 4180 quoting, only where a field needs it (a comma in a name)
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(("sweep", "metric", "mean", "std", "trials"))
+            out.writerows((_fmt(sweep), metric, _fmt(mean), _fmt(std), trials)
+                          for sweep, metric, mean, std, trials in self.sorted_rows())
 
     def metric(self, name: str) -> dict:
         """sweep -> mean for one metric."""
@@ -239,11 +242,10 @@ class ResultTable:
 
 
 def read_result_csv(path) -> ResultTable:
-    provenance, rows = {}, []
+    provenance, body = {}, []
     experiment = name = ""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         for line in fh:
-            line = line.strip()
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
                 if key == "experiment":
@@ -252,9 +254,13 @@ def read_result_csv(path) -> ResultTable:
                     name = value
                 else:
                     provenance[key] = value
-            elif line and not line.startswith("sweep,"):
-                sweep, metric, mean, std, trials = line.split(",")
-                rows.append((float(sweep), metric, float(mean), float(std), int(trials)))
+            else:
+                body.append(line)
+    rows = []
+    for row in csv.reader(body):
+        if row and row[0] != "sweep":
+            sweep, metric, mean, std, trials = row
+            rows.append((float(sweep), metric, float(mean), float(std), int(trials)))
     return ResultTable(experiment, name, provenance, rows)
 
 

@@ -215,12 +215,11 @@ def export_dataset(data: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("d,N\n")
         fh.write(f"{data.d},{data.n_particles}\n")
-        flat = data.points.reshape(data.n, -1)
-        for i in range(data.n):
-            row = ",".join(repr(float(x)) for x in flat[i])
-            if data.values is not None:
-                row += f",{float(data.values[i].real)!r},{float(data.values[i].imag)!r}"
-            fh.write(row + "\n")
+        rows = data.points.reshape(data.n, -1).tolist()
+        if data.values is not None:
+            for row, re, im in zip(rows, data.values.real.tolist(), data.values.imag.tolist()):
+                row += (re, im)
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def import_dataset(path) -> Dataset:

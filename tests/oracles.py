@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from symquad.dynamics import PerturbedPotential, force
 from symquad.harmonics import generalized_d
 from symquad.regression import SchurDiagnostics, design_matrix
 
@@ -187,3 +188,66 @@ def schur_from_design(basis, data, scheme) -> SchurDiagnostics:
     d_bar_norm = float(np.linalg.norm(a_n @ d_bar, ord=2))
     c2 = float(eigs[0])
     return SchurDiagnostics(True, d_bar_norm * inv_residual / c2, d_bar_norm, inv_residual, c2)
+
+
+def _pair_cosine_value(theta):
+    diffs = theta[..., :, None] - theta[..., None, :]
+    return 0.5 * (np.cos(diffs).sum(axis=(-2, -1)) - theta.shape[-1])
+
+
+def _pair_cosine_grad(theta):
+    diffs = theta[..., :, None] - theta[..., None, :]
+    return -np.add.reduce(np.sin(diffs), axis=-1)
+
+
+def _wobble_value(theta):
+    return (np.sin(2.0 * theta) + 0.5 * np.cos(theta)).sum(axis=-1)
+
+
+def _wobble_grad(theta):
+    return 2.0 * np.cos(2.0 * theta) - 0.5 * np.sin(theta)
+
+
+def plain_default_potential(epsilon: float) -> PerturbedPotential:
+    """``symquad.dynamics.default_potential`` with each value and gradient
+    written as its plain formula, one numpy expression each."""
+    return PerturbedPotential(_pair_cosine_value, _pair_cosine_grad, _wobble_value,
+                              _wobble_grad, epsilon, 3)
+
+
+def verlet_force_loop(pot, thetas, ps, dt: float, n_steps: int, every: int):
+    """(J, H), each (B, records): kick-drift-kick Velocity Verlet written with
+    ``force()`` = -grad U, a fresh force per step and every product formed
+    where it is used; records at step 0 and at every multiple of ``every``."""
+    theta, p = np.array(thetas, dtype=float), np.array(ps, dtype=float)
+    j_ref, h_ref = [p.sum(axis=1)], [0.5 * (p * p).sum(axis=1) + pot.energy(theta)]
+    f = force(pot, theta)
+    for step in range(1, n_steps + 1):
+        p += 0.5 * dt * f
+        theta += dt * p
+        f = force(pot, theta)
+        p += 0.5 * dt * f
+        if step % every == 0:
+            j_ref.append(p.sum(axis=1))
+            h_ref.append(0.5 * (p * p).sum(axis=1) + pot.energy(theta))
+    return np.array(j_ref).T, np.array(h_ref).T
+
+
+def trajectory_csv_text(traj) -> str:
+    """``write_trajectory_csv``'s file, formatted one numpy scalar at a time."""
+    lines = ["step,time,J,H\n"]
+    for s, t, j, h in zip(traj.steps, traj.times, traj.angular_momentum, traj.energy):
+        lines.append(f"{s},{float(t)!r},{float(j)!r},{float(h)!r}\n")
+    return "".join(lines)
+
+
+def dataset_csv_text(data) -> str:
+    """``export_dataset``'s file, formatted one numpy scalar at a time."""
+    lines = ["d,N\n", f"{data.d},{data.n_particles}\n"]
+    flat = data.points.reshape(data.n, -1)
+    for i in range(data.n):
+        row = ",".join(repr(float(x)) for x in flat[i])
+        if data.values is not None:
+            row += f",{float(data.values[i].real)!r},{float(data.values[i].imag)!r}"
+        lines.append(row + "\n")
+    return "".join(lines)

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from symquad.dynamics import (PerturbedPotential, PhaseState, default_potential, force,
-                              hitting_time, simulate, simulate_batch, verlet_step,
+from symquad.dynamics import (PerturbedPotential, PhaseState, Trajectory, default_potential,
+                              force, hitting_time, simulate, simulate_batch, verlet_step,
                               write_trajectory_csv)
+
+from oracles import plain_default_potential, trajectory_csv_text, verlet_force_loop
 
 
 def _zero_potential(n=3):
@@ -110,26 +112,35 @@ def test_simulate_batch_matches_single():
 
 
 def test_simulate_batch_matches_force_loop_bit_for_bit():
-    # reference: the kick-drift-kick loop written with force() = -grad U
-    thetas = np.array([[0.1, 2.2, 4.0], [1.0, 3.0, 5.5]])
-    ps = np.array([[0.3, -0.1, -0.2], [0.5, -0.7, 0.2]])
-    dt, n_steps, every = 0.05, 400, 20
-    for eps in (0.0, 0.03):
-        pot = default_potential(eps)
-        theta, p = thetas.copy(), ps.copy()
-        j_ref, h_ref = [p.sum(axis=1)], [0.5 * (p * p).sum(axis=1) + pot.energy(theta)]
-        f = force(pot, theta)
-        for step in range(1, n_steps + 1):
-            p += 0.5 * dt * f
-            theta += dt * p
-            f = force(pot, theta)
-            p += 0.5 * dt * f
-            if step % every == 0:
-                j_ref.append(p.sum(axis=1))
-                h_ref.append(0.5 * (p * p).sum(axis=1) + pot.energy(theta))
-        traj = simulate_batch(pot, thetas, ps, dt, n_steps, every)
-        assert np.array_equal(traj.angular_momentum, np.array(j_ref).T), eps
-        assert np.array_equal(traj.energy, np.array(h_ref).T), eps
+    # 7 does not divide 400: the steps after the last record are not recorded
+    rng = np.random.default_rng(7)
+    thetas = rng.uniform(0.0, 2.0 * math.pi, (5, 3))
+    ps = rng.normal(size=(5, 3))
+    dt, n_steps, every = 0.05, 400, 7
+    thetas_in, ps_in = thetas.copy(), ps.copy()
+    for eps in (0.0, 1e-3, 0.1):
+        j_ref, h_ref = verlet_force_loop(plain_default_potential(eps), thetas, ps, dt,
+                                         n_steps, every)
+        # the default potential's in-place gradients, and plain gradient callables
+        for pot in (default_potential(eps), plain_default_potential(eps)):
+            traj = simulate_batch(pot, thetas, ps, dt, n_steps, every)
+            assert np.array_equal(traj.angular_momentum, j_ref), eps
+            assert np.array_equal(traj.energy, h_ref), eps
+            assert np.array_equal(traj.steps, every * np.arange(n_steps // every + 1))
+            single = simulate(pot, PhaseState(thetas[0], ps[0]), dt, n_steps, every)
+            assert np.array_equal(single.angular_momentum, j_ref[0]), eps
+            assert np.array_equal(single.energy, h_ref[0]), eps
+    assert np.array_equal(thetas, thetas_in) and np.array_equal(ps, ps_in)
+
+
+def test_default_gradients_match_plain_formulas_bit_for_bit():
+    rng = np.random.default_rng(8)
+    plain = plain_default_potential(0.0)
+    pot = default_potential(0.0)
+    for shape in ((3,), (4, 3), (2, 5, 3)):
+        theta = rng.uniform(-10.0, 10.0, shape)
+        assert np.array_equal(pot.invariant_grad(theta), plain.invariant_grad(theta))
+        assert np.array_equal(pot.perturbation_grad(theta), plain.perturbation_grad(theta))
 
 
 def test_zero_epsilon_skips_perturbation_gradient():
@@ -151,6 +162,22 @@ def test_simulate_batch_rejects_bad_arguments():
         simulate_batch(pot, theta, p, 0.05, 10, record_every=0)
     with pytest.raises(ValueError, match="n_steps"):
         simulate_batch(pot, theta, p, 0.05, 0)
+
+
+@pytest.mark.parametrize("dt, theta, p, match", [
+    (0.0, np.zeros((2, 3)), np.zeros((2, 3)), "dt"),
+    (-0.05, np.zeros((2, 3)), np.zeros((2, 3)), "dt"),
+    (math.nan, np.zeros((2, 3)), np.zeros((2, 3)), "dt"),
+    (math.inf, np.zeros((2, 3)), np.zeros((2, 3)), "dt"),
+    (0.05, np.array([[0.0, math.nan, 1.0]]), np.zeros((1, 3)), "finite"),
+    (0.05, np.zeros((1, 3)), np.array([[0.0, math.inf, 1.0]]), "finite"),
+    (0.05, np.zeros(3), np.zeros(3), "2-d"),
+    (0.05, np.zeros((2, 3)), np.zeros((2, 4)), "equal shape"),
+], ids=["dt-zero", "dt-negative", "dt-nan", "dt-inf", "theta-nan", "p-inf", "one-d",
+        "shape-mismatch"])
+def test_simulate_batch_rejects_bad_state(dt, theta, p, match):
+    with pytest.raises(ValueError, match=match):
+        simulate_batch(default_potential(0.0), theta, p, dt, 10)
 
 
 def test_simulate_aborts_on_blowup():
@@ -193,3 +220,16 @@ def test_trajectory_csv(tmp_path):
     assert len(lines) == len(traj) + 1
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == 0.0
+
+
+def test_trajectory_csv_bytes_match_scalar_formatter(tmp_path):
+    pot = default_potential(0.01)
+    traj = simulate(pot, PhaseState(np.array([0.1, 2.2, 4.0]), np.array([0.3, -0.1, -0.2])),
+                    0.05, 200, record_every=20)
+    odd = Trajectory(np.array([0, 1, 2, 3], dtype=np.int64), np.array([0.0, -0.0, 1e-300, 0.1]),
+                     np.array([-0.0, 5e-324, -1e-300, 1.0 / 3.0]),
+                     np.array([1e300, -5e-324, 2.0 ** 60, -1e-5]))
+    for t in (traj, odd):
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(t, path)
+        assert path.read_bytes() == trajectory_csv_text(t).encode()

@@ -323,6 +323,19 @@ def test_result_csv_roundtrip_and_determinism(tmp_path):
     assert len(back.rows) == len(t1.rows)
 
 
+def test_result_csv_quotes_names_with_commas(tmp_path):
+    cfg = _cfg("regularity-sweep", d=1, degrees="2", t_list="4", powers="0.5 2",
+               train_size=20, trials=1, seed=21, outdir=tmp_path)
+    table = run_regularity_sweep(cfg)
+    path = tmp_path / "reg.csv"
+    table.to_csv(path)
+    lines = path.read_text().splitlines()
+    assert '4,"eps_sym[K=2,p=0.5]",' in "\n".join(lines)
+    back = read_result_csv(path)
+    assert back.experiment == "regularity-sweep" and back.name == table.name
+    assert back.sorted_rows() == table.sorted_rows()
+
+
 def test_run_config_file_outputs(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text("[quad-sweep]\nd = 1\ndegrees = 3\nquad_degrees = 0 3\n"

@@ -9,6 +9,8 @@ from symquad.sampling import (AlgebraicDecay, DistributionSpec, ExponentialDecay
                               export_dataset, import_dataset, make_target,
                               sample_dataset, sample_points)
 
+from oracles import dataset_csv_text
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -134,6 +136,18 @@ def test_target_truncation_error_within_tail_bound():
     diff = t.evaluate(pts) - truncated.evaluate(pts)
     rms = math.sqrt(float(np.mean(np.abs(diff) ** 2)))
     assert rms <= t.tail_sum(k) * (1.0 + 4.0 / math.sqrt(1000))
+
+
+def test_dataset_csv_bytes_match_scalar_formatter(tmp_path):
+    target = make_target(2, ExponentialDecay(2.0), 2, seed=20)
+    sphere = sample_dataset(DistributionSpec(2, "UUU"), 40, np.random.default_rng(23), target)
+    odd = Dataset(1, np.array([[-0.0, 1e-300, 5e-324], [0.1, -1e-300, 2.0 ** 60]]),
+                  np.array([complex(-0.0, 5e-324), complex(1e300, -0.0)]))
+    bare = Dataset(1, np.array([[0.0, -5e-324, 1.0 / 3.0]]))
+    for data in (sphere, odd, bare):
+        path = tmp_path / "data.csv"
+        export_dataset(data, path)
+        assert path.read_bytes() == dataset_csv_text(data).encode()
 
 
 def test_dataset_csv_roundtrip(tmp_path):

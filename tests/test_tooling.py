@@ -9,9 +9,13 @@ the benchmark runs.  These tests read both files as they are, unedited.
 import ast
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from symquad import dynamics
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -40,3 +44,20 @@ def test_checks_imports_exist():
     assert imported
     for module, name in imported:
         assert hasattr(importlib.import_module(module), name), (module, name)
+
+
+def test_tracer_counts_verlet_steps():
+    # hooks.Tracer reads thetas from args[1] and n_steps from args[4] or the
+    # keyword; a signature change would zero the Verlet layer metrics
+    tracer = HOOKS.Tracer("test")
+    patches = HOOKS.install(tracer, ["dynamics.simulate_batch"])
+    pot = dynamics.default_potential(0.01)
+    thetas, ps = np.zeros((4, 3)), np.full((4, 3), 0.1)
+    try:
+        dynamics.simulate_batch(pot, thetas, ps, 0.05, 30, 10)
+        dynamics.simulate_batch(pot, thetas[:2], ps[:2], dt=0.05, n_steps=20, record_every=5)
+    finally:
+        HOOKS.uninstall(patches)
+    layers = tracer.layer_metrics()
+    assert layers["dynamics.particle_steps"] == 4 * 30 + 2 * 20
+    assert math.isfinite(layers["dynamics.step_us"]) and layers["dynamics.step_us"] > 0.0
