@@ -155,6 +155,8 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"[{cfg.name}] field 'dt' must be > 0")
         if cfg.record_every < 1:
             raise ConfigError(f"[{cfg.name}] field 'record_every' must be >= 1")
+        if cfg.record_every > cfg.steps:  # else no step is simulated
+            raise ConfigError(f"[{cfg.name}] field 'record_every' must be <= steps")
         if min(cfg.eps_list) < 0.0:
             raise ConfigError(f"[{cfg.name}] field 'eps_list' must be >= 0")
     if cfg.cutoff != "auto":

@@ -43,6 +43,8 @@ class Rotation:
         if self.group == SO2:
             if self.angle is None:
                 raise ValueError("SO(2) rotation needs an angle")
+            if not math.isfinite(self.angle):
+                raise ValueError("SO(2) angle must be finite")
             object.__setattr__(self, "angle", float(wrap_angle(self.angle)))
         elif self.group == SO3:
             if self.matrix is None:
@@ -50,11 +52,11 @@ class Rotation:
             q = np.array(self.matrix, dtype=float)
             if q.shape != (3, 3):
                 raise ValueError("SO(3) matrix must be 3x3")
-            if np.abs(q.T @ q - np.eye(3)).max() > _ORTHO_TOL:
+            if not np.abs(q.T @ q - np.eye(3)).max() <= _ORTHO_TOL:  # NaN fails too
                 raise ValueError("matrix is not orthogonal within 1e-12")
             (a, b, c), (d, e, f), (g, h, i) = q.tolist()  # det = q[0] . (q[1] x q[2])
-            if abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-                   - 1.0) > _ORTHO_TOL:
+            if not abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+                       - 1.0) <= _ORTHO_TOL:
                 raise ValueError("matrix determinant must be +1 within 1e-12")
             q.setflags(write=False)
             object.__setattr__(self, "matrix", q)
@@ -172,9 +174,9 @@ class QuadratureRule:
         w = np.asarray(self.weights, dtype=float)
         if w.size < 1:
             raise ValueError("quadrature rule needs at least one node")
-        if np.any(w <= 0.0):
+        if not np.all(w > 0.0):  # NaN fails too
             raise ValueError("quadrature weights must be positive")
-        if abs(w.sum() - 1.0) > _ORTHO_TOL:
+        if not abs(w.sum() - 1.0) <= _ORTHO_TOL:
             raise ValueError("quadrature weights must sum to 1 within 1e-12")
         if len(self.rotations) != w.size:
             raise ValueError("weights and rotations length mismatch")

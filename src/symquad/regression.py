@@ -5,7 +5,8 @@ Schur-complement diagnostics.
 Every fit of a (basis, dataset) pair reads one evaluation of its design:
 ``design_factor`` reduces [A | y] to its factor R once and the dataset keeps
 it, and the plain, invariant-leading and augmented solves and the Schur
-diagnostics all read R instead of evaluating A again."""
+diagnostics all read R instead of evaluating A again.  The augmented solve
+and its Schur bound likewise share one factor of the rotated stack."""
 
 from __future__ import annotations
 
@@ -29,17 +30,20 @@ class Dataset:
 
     ``points`` is (n, N) angles for d=1 or (n, N, 3) unit vectors for d=2;
     ``values`` is None for unlabeled data (e.g. distribution previews).
-    The last ``DesignFactor`` built on the data is kept with it
-    (``design_factor``), so that the fits of one (basis, dataset) pair share
-    one design evaluation.
+    The last ``DesignFactor`` built on the data and the last augmented one
+    are kept with it (``design_factor``, ``_augmented_factor``), so that the
+    fits of one (basis, dataset) pair share one design evaluation.
     """
 
     d: int
     points: np.ndarray
     values: np.ndarray | None = None
     _factor: DesignFactor | None = field(default=None, init=False, repr=False, compare=False)
+    _augmented: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.d not in (1, 2):
+            raise ValueError(f"d must be 1 or 2, got {self.d!r}")
         pts = np.asarray(self.points, dtype=float)
         if self.d == 1 and pts.ndim != 2:
             raise ValueError("d=1 expects an (n, N) array of angles")
@@ -200,10 +204,11 @@ class DesignFactor:
     and y = data.values.
 
     ``r`` has min(n, p+1) rows: the triangular QR factor when n > p+1,
-    [A | y] itself otherwise; ``n`` is the row count of the data.  Because Q
-    is shared by all columns, any product of column blocks (A_I^H A_N,
-    ||A_N X||, ...) and any least-squares fit on leading columns can be read
-    from ``r`` instead of A.
+    [A | y] itself otherwise; ``n`` is the row count of [A | y] (of the stack,
+    for an augmented factor: ``_augmented_factor``).  Because Q is shared by
+    all columns, any product of column blocks (A_I^H A_N, ||A_N X||, ...)
+    and any least-squares fit on leading columns can be read from ``r``
+    instead of A.
     """
 
     basis: BasisSpec
@@ -236,9 +241,7 @@ def design_factor(basis: BasisSpec, data: Dataset) -> DesignFactor:
     if kept is not None and kept.basis is basis:
         return kept
     ay = np.column_stack([design_matrix(basis, data), data.values])
-    # a tall [A | y] is cut to its triangle; a wide one is its own factor
-    factor = DesignFactor(basis, data.n,
-                          _compressed_stack([ay]) if data.n > basis.size + 1 else ay)
+    factor = DesignFactor(basis, data.n, _compressed_stack([ay]))
     object.__setattr__(data, "_factor", factor)
     return factor
 
@@ -357,11 +360,6 @@ def _compressed_stack(blocks) -> np.ndarray:
     return np.linalg.qr(stack, mode="r") if stack.shape[0] > stack.shape[1] else stack
 
 
-def _charge_phases(rotations, charges) -> np.ndarray:
-    """e^{i s theta_t}: one row per SO(2) rotation, one column per charge s."""
-    return np.exp(1j * np.outer([q.angle for q in rotations], charges))
-
-
 def _charge_blocks(basis: BasisSpec, r: np.ndarray, weights, rotations):
     """Row blocks of the d=1 augmented stack, reduced to one block per charge.
 
@@ -377,7 +375,7 @@ def _charge_blocks(basis: BasisSpec, r: np.ndarray, weights, rotations):
     p = basis.size
     a, y = r[:, :p], r[:, p]
     charges, col = np.unique(np.append(basis.sums, 0), return_inverse=True)
-    v = np.sqrt(weights)[:, None] * _charge_phases(rotations, charges)
+    v = np.sqrt(weights)[:, None] * np.exp(1j * np.outer([q.angle for q in rotations], charges))
     col_a, col_y = col[:-1], col[-1]
     for row in np.linalg.qr(v, mode="r"):
         yield np.concatenate([a * row[col_a], (row[col_y] * y)[:, None]], axis=1)
@@ -405,12 +403,13 @@ def _rotated_blocks(basis: BasisSpec, r: np.ndarray, weights, rotations):
         yield block.reshape(-1, p + 1)
 
 
-def augmented_lsq(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
-                  cutoff: float = 0.0) -> RegressionSolution:
-    """Symmetry-augmented least squares.
+def _augmented_factor(basis: BasisSpec, data: Dataset,
+                      scheme: AugmentationScheme) -> DesignFactor:
+    """The factor of the reduced stack [sqrt(w_t) A D(Q_t) | sqrt(w_t) y] of
+    the symmetry-augmented least-squares problem.
 
-    Minimizes (1/2) sum_t w_t ||A D(Q_t) beta - Y||^2, the least-squares
-    problem of the row stack of the sqrt(w_t)-scaled rotated design blocks
+    The problem minimizes (1/2) sum_t w_t ||A D(Q_t) beta - Y||^2: least
+    squares on the row stack of the sqrt(w_t)-scaled rotated design blocks
     with the data vector replicated, never rotated.  The stack is reduced
     exactly before it is factored.  Both d start from the min(n, p+1) rows
     of the factor of [A | y] (``design_factor``) rather than A's n rows.
@@ -426,13 +425,33 @@ def augmented_lsq(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
     otherwise) and which gives the residual.  All reductions are orthogonal,
     so beta, the kept rank and the residual are those of the plain stacked
     solve up to roundoff.
+
+    The dataset keeps the last augmented factor built on it, keyed by the
+    basis and scheme objects, so the solve and its Schur diagnostics share
+    it; the old one is dropped before the next is built, and
+    ``schur_diagnostics`` drops the one it read.
     """
+    kept = data._augmented
+    if kept is not None and kept[0] is scheme and kept[1].basis is basis:
+        return kept[1]
+    del kept  # with the slot cleared below, the old factor is freed before the build
+    object.__setattr__(data, "_augmented", None)
     weights, rotations = scheme.nodes(basis.d)
     blocks = _charge_blocks if basis.d == 1 else _rotated_blocks
-    r = _compressed_stack(blocks(basis, design_factor(basis, data).r, weights, rotations))
-    p = basis.size
-    beta = lsq_solve(r[:, :p], r[:, p], cutoff)
-    res = float(np.linalg.norm(r[:, :p] @ beta - r[:, p]))
+    rows = []  # block heights: a stack of at most p+1 rows is left unreduced
+    r = _compressed_stack(rows.append(len(block)) or block
+                          for block in blocks(basis, design_factor(basis, data).r,
+                                              weights, rotations))
+    factor = DesignFactor(basis, sum(rows), r)
+    object.__setattr__(data, "_augmented", (scheme, factor))
+    return factor
+
+
+def augmented_lsq(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
+                  cutoff: float = 0.0) -> RegressionSolution:
+    """Symmetry-augmented least squares, solved on the factor of the
+    reduced rotated stack (``_augmented_factor``)."""
+    beta, res = _augmented_factor(basis, data, scheme).leading_fit(basis.size, cutoff)
     return RegressionSolution(basis, beta, cutoff, res)
 
 
@@ -475,83 +494,55 @@ class SchurDiagnostics:
     reason: str | None = None
 
 
-def _noninvariant_moments(basis: BasisSpec, gram_n: np.ndarray, weights, rotations):
-    """(sum_t w_t D_{t,N}, sum_t w_t D_{t,N}^H G_N D_{t,N}) for d=2, where
-    D_{t,N} is the non-invariant block of D(Q_t) and G_N = A_N^H A_N.
-
-    D_{t,N} is block diagonal, one block per l-tuple, so G_N D_{t,N} and its
-    contraction with D_{t,N}^H go block by block over a chunk of nodes at a
-    time; the (chunk, p_N, p_N) product G_N D_{t,N} is the largest
-    intermediate and holds no more entries than a ``_COMPRESS_ROWS``-row
-    stack chunk.
-    """
-    n_inv = basis.invariant_count
-    p_n = basis.size - n_inv
-    # per block: its first non-invariant local column and their places in N
-    spans = [(blk.n_inv, blk.work_cols[blk.n_inv:] - n_inv) for blk in basis.blocks]
-    d_bar = np.zeros((p_n, p_n), dtype=complex)
-    d_block = np.zeros((p_n, p_n), dtype=complex)
-    per_chunk = max(1, _COMPRESS_ROWS * (basis.size + 1) // max(1, p_n * p_n))
+def _mean_rotation(basis: BasisSpec, weights, rotations) -> np.ndarray:
+    """Dbar = sum_t w_t D(Q_t), dense p x p, from ``rotation_blocks`` over a
+    chunk of nodes at a time; a chunk's blocks hold no more entries than a
+    ``_COMPRESS_ROWS``-row stack chunk."""
+    p = basis.size
+    per_node = p if basis.d == 1 else sum(blk.dim ** 2 for blk in basis.blocks)
+    per_chunk = max(1, _COMPRESS_ROWS * (p + 1) // per_node)
+    d_bar = np.zeros((p, p), dtype=complex)
     for start in range(0, len(rotations), per_chunk):
         w = weights[start:start + per_chunk]
         mats = rotation_blocks(basis, rotations[start:start + per_chunk])
-        pairs = [(cols, mat[:, k:, k:]) for (k, cols), mat in zip(spans, mats) if cols.size]
-        gd = np.empty((w.size, p_n, p_n), dtype=complex)
-        for cols, d_t in pairs:
-            d_bar[np.ix_(cols, cols)] += np.tensordot(w, d_t, 1)
-            gd[:, :, cols] = gram_n[:, cols] @ d_t
-        for cols, d_t in pairs:
-            # rows cols of sum_t w_t D_t^H (G D_t): one contraction over (t, j)
-            wd = (w[:, None, None] * d_t).conj().transpose(2, 0, 1).reshape(cols.size, -1)
-            d_block[cols, :] += wd @ gd[:, cols, :].reshape(-1, p_n)
-    return d_bar, d_block
+        if basis.d == 1:
+            d_bar.flat[::p + 1] += w @ mats
+        else:
+            for blk, mat in zip(basis.blocks, mats):
+                d_bar[np.ix_(blk.work_cols, blk.work_cols)] += np.tensordot(w, mat, 1)
+    return d_bar
 
 
 def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
                       sol: RegressionSolution) -> SchurDiagnostics:
-    """Schur-complement bound for the augmented solve that produced ``sol``.
+    """Schur-complement bound for the augmented solve that produced ``sol``:
+    eps_sym <= ||A_N Dbar||_op ||A_I beta_I - Y|| / c2, with the averaged
+    non-invariant rotation block Dbar = sum_t w_t D_{t,N} and c2 the smallest
+    eigenvalue of the Schur complement S = D - C^H B^{-1} C of the augmented
+    normal matrix on its non-invariant block.  A singular augmented system
+    (sigma_min <= 1e-10) yields an unavailable diagnostic instead of a crash.
 
-    Builds the averaged non-invariant rotation block Dbar = sum_t w_t D_{t,N},
-    the Schur complement S = D - C* B^{-1} C of the augmented normal matrix,
-    and the bound eps_sym <= ||A_N Dbar||_op ||A_I beta_I - Y|| / sigma_min(S).
-    Rank-deficient systems yield an unavailable diagnostic instead of a crash.
-
-    Everything is read from the factor r = [R_I R_N r_y] of [A | y]
-    (A = Q r with orthonormal Q): B = R_I^H R_I, A_I^H A_N = R_I^H R_N,
-    G_N = R_N^H R_N, ||A_N Dbar|| = ||R_N Dbar|| and the invariant residual
-    is ``DesignFactor.leading_fit``'s.  The factor is ``design_factor``'s,
-    the one the solve read, and the rotations are the scheme's, drawn once;
+    The normal matrix is F^H F for the augmented stack F = Q R that the solve
+    reduced (``_augmented_factor``, the same factor, not built again), so S =
+    R_NN^H R_NN for the trailing block R_NN of its triangle and c2 =
+    sigma_min(R_NN)^2, with no normal equations formed (Golub & Van Loan,
+    Matrix Computations, sec. 5.3).  ||A_N Dbar|| = ||R_N Dbar|| and the
+    invariant residual are read from the factor of [A | y]
+    (``design_factor``), and the rotations are the scheme's, drawn once;
     nothing is read from ``sol``.
     """
-    weights, rotations = scheme.nodes(basis.d)
-    factor = design_factor(basis, data)
-    n_inv = basis.invariant_count
-    r_i, r_n = factor.r[:, :n_inv], factor.r[:, n_inv:basis.size]
-    gram_n = r_n.conj().T @ r_n
-
-    if basis.d == 1:
-        phases = _charge_phases(rotations, basis.sums[n_inv:])
-        d_bar = np.diag(phases.T @ weights.astype(complex))
-        d_block = gram_n * (phases.conj().T @ (weights[:, None] * phases))
-    else:
-        d_bar, d_block = _noninvariant_moments(basis, gram_n, weights, rotations)
-
-    b_block = r_i.conj().T @ r_i
-    c_block = r_i.conj().T @ r_n @ d_bar
-
-    normal = np.block([[b_block, c_block], [c_block.conj().T, d_block]])
-    sigma_min_sq = float(np.linalg.eigvalsh(normal)[0])
-    if sigma_min_sq <= (1e-10) ** 2:
+    p, n_inv = basis.size, basis.invariant_count
+    aug = _augmented_factor(basis, data, scheme)
+    # read once: a runner keeps every trial's data, and (p+1)^2 per trial adds up
+    object.__setattr__(data, "_augmented", None)
+    r = aug.r[:, :p]
+    if aug.r.shape[0] == aug.n:  # a stack too short to be reduced
+        r = np.linalg.qr(r, mode="r")
+    if r.shape[0] < p or np.linalg.svd(r, compute_uv=False)[-1] <= 1e-10:
         return SchurDiagnostics(False, None, None, None, None, "singular normal matrix")
-
-    schur = d_block - c_block.conj().T @ np.linalg.solve(b_block, c_block)
-    eigs = np.linalg.eigvalsh(schur)
-    c2 = float(eigs[0])
-    # exact arithmetic gives a positive definite Schur complement; a tiny or
-    # negative bottom eigenvalue means B^{-1} amplified roundoff past meaning
-    if c2 <= 1e-12 * max(float(eigs[-1]), 1e-300):
-        return SchurDiagnostics(False, None, None, None, None, "Schur-complement roundoff")
+    c2 = float(np.linalg.svd(r[n_inv:p, n_inv:], compute_uv=False)[-1]) ** 2
+    factor = design_factor(basis, data)
+    d_bar = _mean_rotation(basis, *scheme.nodes(basis.d))[n_inv:, n_inv:]
     inv_residual = factor.leading_fit(n_inv)[1]
-    d_bar_norm = float(np.linalg.norm(r_n @ d_bar, ord=2))
-    bound = d_bar_norm * inv_residual / c2
-    return SchurDiagnostics(True, bound, d_bar_norm, inv_residual, c2)
+    d_bar_norm = float(np.linalg.norm(factor.r[:, n_inv:p] @ d_bar, ord=2))
+    return SchurDiagnostics(True, d_bar_norm * inv_residual / c2, d_bar_norm, inv_residual, c2)

@@ -376,6 +376,7 @@ def test_cli_list_and_errors(tmp_path, capsys):
                         ("kappa", "[quad-sweep]\nd = 1\nkappa = -1\n"),
                         ("eps_list", "[drift]\neps_list = -1\n"),
                         ("record_every", "[drift]\neps_list = 0.1\nrecord_every = 0\n"),
+                        ("record_every", "[drift]\neps_list = 0.1\nsteps = 50\n"),
                         ("dt", "[drift]\neps_list = 0.1\ndt = nan\n"),
                         ("alpha", "[quad-sweep]\nd = 1\nalpha = nan\n"),
                         ("cutoff", "[quad-sweep]\nd = 1\ncutoff = nan\n")):

@@ -24,6 +24,18 @@ def test_rotation_validation():
     assert 0.0 <= r.angle < TWO_PI
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_rotation_rejects_non_finite_angle(angle):
+    with pytest.raises(ValueError, match="finite"):
+        Rotation(SO2, angle=angle)
+
+
+def test_rotation_rejects_nan_matrix():
+    for matrix in (np.full((3, 3), np.nan), np.where(np.eye(3) > 0, np.nan, 0.0)):
+        with pytest.raises(ValueError):
+            Rotation(SO3, matrix=matrix)
+
+
 def test_rotate_identity_fixes_configs():
     rng = np.random.default_rng(0)
     c1 = Dataset(1, rng.uniform(0, TWO_PI, (1, 3)))
@@ -276,3 +288,9 @@ def test_quadrature_rule_validation():
     with pytest.raises(ValueError):
         QuadratureRule(SO2, np.array([-0.5, 1.5]),
                        [Rotation.circle(0.0), Rotation.circle(1.0)])
+
+
+def test_quadrature_rule_rejects_nan_weight():
+    for weights in ([math.nan, 1.0], [math.nan, math.nan]):
+        with pytest.raises(ValueError, match="positive"):
+            QuadratureRule(SO2, np.array(weights), [Rotation.circle(0.0), Rotation.circle(1.0)])

@@ -23,6 +23,12 @@ def _uniform_data(d, n, seed, target=None):
     return sample_dataset(DistributionSpec(d, "UUU"), n, np.random.default_rng(seed), target)
 
 
+def test_dataset_rejects_unknown_dimension():
+    for d in (0, 3):
+        with pytest.raises(ValueError, match="d must be 1 or 2"):
+            Dataset(d, np.zeros((4, 3)))
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(1, np.zeros((4, 3)), np.zeros(3))
@@ -393,8 +399,9 @@ def test_augmented_rows_independent_of_t(monkeypatch):
     data = _uniform_data(1, 100, 44, target)
     for t in (16, 256):
         augmented_lsq(basis, data, AugmentationScheme("random", t=t, seed=45))
-    assert len(rows) == 2
-    assert rows[0] == rows[1] <= 11 * 100
+    # [A | y] (100 rows, short of p+1 = 232, so left as it is) enters first
+    assert len(rows) == 3
+    assert rows[0] == 100 and rows[1] == rows[2] <= 11 * 100
 
 
 def test_augmented_rows_cut_to_p_plus_one_d2(monkeypatch):
@@ -431,24 +438,16 @@ def test_augmented_d2_nodes_across_chunks(monkeypatch):
 
 
 @pytest.mark.parametrize("budget", [16384, 200])
-def test_schur_moments_match_per_node_sums(monkeypatch, budget):
-    # the batched contraction against dense D(Q_t) built node by node
+@pytest.mark.parametrize("d", [1, 2])
+def test_mean_rotation_matches_per_node_sums(monkeypatch, budget, d):
+    # the chunked block sums against dense D(Q_t) built node by node; a
+    # 200-row budget puts 14 of the 40 d=2 nodes in a chunk
     monkeypatch.setattr(regression, "_COMPRESS_ROWS", budget)
-    rng = np.random.default_rng(54)
-    basis = enumerate_basis(2, 3, 3)
-    n_inv, p_n = basis.invariant_count, basis.size - basis.invariant_count
-    a_n = rng.normal(size=(70, p_n)) + 1j * rng.normal(size=(70, p_n))
-    gram = a_n.conj().T @ a_n
-    weights, rotations = AugmentationScheme("random", t=11, seed=55).nodes(2)
-    d_bar_ref = np.zeros((p_n, p_n), dtype=complex)
-    d_block_ref = np.zeros((p_n, p_n), dtype=complex)
-    for w, q in zip(weights, rotations):
-        d_t = generalized_d(basis, q)[n_inv:, n_inv:]
-        d_bar_ref += w * d_t
-        d_block_ref += w * (d_t.conj().T @ gram @ d_t)
-    d_bar, d_block = regression._noninvariant_moments(basis, gram, weights, rotations)
+    basis = enumerate_basis(d, 3, 3)
+    weights, rotations = AugmentationScheme("random", t=40, seed=55).nodes(d)
+    d_bar_ref = sum(w * generalized_d(basis, q) for w, q in zip(weights, rotations))
+    d_bar = regression._mean_rotation(basis, weights, rotations)
     assert np.abs(d_bar - d_bar_ref).max() <= 1e-13
-    assert np.abs(d_block - d_block_ref).max() <= 1e-13 * np.abs(d_block_ref).max()
 
 
 def test_full_rank_propagates_to_blocks():
@@ -509,18 +508,20 @@ def test_schur_unavailable_when_rank_deficient():
     assert diag.reason == "singular normal matrix"
 
 
-def test_schur_unavailable_when_schur_complement_is_roundoff():
-    # n = p points, two of them 1e-8 apart: the normal matrix stays above the
-    # singularity floor, its Schur complement does not
+def test_schur_bound_available_on_near_singular_data():
+    # n = p points, two of them 1e-8 apart: the augmented system stays above
+    # the singularity floor, and the Schur complement read from its triangle
+    # (not formed by normal equations) still gives a bound that holds
     basis = enumerate_basis(1, 3, 2)
     rng = np.random.default_rng(56)
     pts = rng.uniform(0.0, 2.0 * np.pi, size=(basis.size, 3))
     pts[1] = pts[0] + 1e-8
     data = Dataset(1, pts, rng.normal(size=basis.size))
     scheme = AugmentationScheme("quadrature", rule=identity_rule(SO2))
-    diag = schur_diagnostics(basis, data, scheme, augmented_lsq(basis, data, scheme))
-    assert not diag.available
-    assert diag.reason == "Schur-complement roundoff"
+    sol = augmented_lsq(basis, data, scheme)
+    diag = schur_diagnostics(basis, data, scheme, sol)
+    assert diag.available and diag.reason is None
+    assert sol.eps_sym <= diag.bound
 
 
 def _schur_cases():
@@ -576,6 +577,14 @@ def test_factor_never_crosses_data(d):
     assert schur_diagnostics(basis, data2, scheme, bare) == fresh
     assert data2._factor is not data1._factor
     assert np.array_equal(data2._factor.r, twin._factor.r)
+    # the augmented factor is kept by the same rule, keyed by the scheme object
+    # too; the diagnostics on data2 and twin neither read nor touched data1's
+    kept = data1._augmented
+    assert kept[0] is scheme and kept[1].basis is basis
+    assert data2._augmented is None and twin._augmented is None  # read once by Schur
+    equal = AugmentationScheme("random", t=8, seed=68)  # the same draws, another object
+    assert np.array_equal(augmented_lsq(basis, data1, equal).beta, sol1.beta)
+    assert data1._augmented[0] is equal and data1._augmented[1] is not kept[1]
 
 
 def test_schur_reuses_the_solves_rotations(monkeypatch):
@@ -592,6 +601,21 @@ def test_schur_reuses_the_solves_rotations(monkeypatch):
     # an equal scheme object draws the same rotations again
     again = AugmentationScheme("random", t=6, seed=78).nodes(2)
     assert [q.matrix.tolist() for q in again[1]] == [q.matrix.tolist() for q in scheme.nodes(2)[1]]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_schur_after_solve_builds_no_stack(monkeypatch, d):
+    basis = enumerate_basis(d, 3, 3 if d == 1 else 2)
+    data = _uniform_data(d, 90, 79, make_target(d, ExponentialDecay(2.0), 5, seed=80))
+    scheme = AugmentationScheme("random", t=8, seed=81)
+    sol = augmented_lsq(basis, data, scheme)
+    calls = []
+    for name in ("_compressed_stack", "apply_generalized_d"):
+        real = getattr(regression, name)
+        monkeypatch.setattr(regression, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    assert schur_diagnostics(basis, data, scheme, sol).available
+    assert calls == []
 
 
 def test_design_factor_keyed_by_basis_and_data():

@@ -3,7 +3,9 @@
 ``perfbench/hooks.py`` patches functions by their ``module.name`` path and
 ``perfbench/checks.py`` imports solver functions directly; a rename in the
 package would blind the per-layer trace or break the output check only when
-the benchmark runs.  These tests read both files as they are, unedited.
+the benchmark runs.  These tests read both files as they are, unedited, and
+check that every config the repository ships, the benchmark's included,
+still passes config validation.
 """
 
 import ast
@@ -16,8 +18,12 @@ import numpy as np
 import pytest
 
 from symquad import dynamics
+from symquad.experiments import load_configs
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+SHIPPED_CONFIGS = sorted([*ROOT.glob("configs/*.ini"), *PERFBENCH.glob("configs/*.ini"),
+                          *PERFBENCH.glob("configs/toy/*.ini")])
 
 
 def _load_hooks():
@@ -61,3 +67,12 @@ def test_tracer_counts_verlet_steps():
     layers = tracer.layer_metrics()
     assert layers["dynamics.particle_steps"] == 4 * 30 + 2 * 20
     assert math.isfinite(layers["dynamics.step_us"]) and layers["dynamics.step_us"] > 0.0
+
+
+def test_shipped_configs_found():
+    assert len(SHIPPED_CONFIGS) >= 10
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: str(path.relative_to(ROOT)))
+def test_shipped_config_loads(path):
+    assert load_configs(path)
