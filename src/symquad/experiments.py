@@ -53,7 +53,7 @@ class ExperimentConfig:
     train_size: int = 0
     test_size: int = 0
     cutoff: str = "auto"            # "auto", or a float literal
-    target_degree: int = 0
+    target_degree: int = 0          # 0 picks 30 (d=1) or 11 (d=2)
     alpha: float = 2.0
     powers: tuple[float, ...] = ()
     kappa: float = 100.0
@@ -120,6 +120,11 @@ def config_from_items(experiment: str, name: str, items: dict) -> ExperimentConf
     return cfg
 
 
+# field -> the least value it (or every entry of it) may take in any experiment
+_MINIMUM = {"trials": 1, "degrees": 0, "quad_degrees": 0, "t_list": 1, "target_degree": 0,
+            "preview_size": 1}
+
+
 def _validate(cfg: ExperimentConfig):
     spec = _EXPERIMENTS[cfg.experiment]
     if not getattr(cfg, spec.required):
@@ -134,8 +139,10 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"[{cfg.name}] field 'kappa' must be > 0")
         if cfg.sigma < 0.0:
             raise ConfigError(f"[{cfg.name}] field 'sigma' must be >= 0")
-    if cfg.trials < 1:
-        raise ConfigError(f"[{cfg.name}] field 'trials' must be >= 1")
+    for key, low in _MINIMUM.items():
+        value = getattr(cfg, key)
+        if min(value if isinstance(value, tuple) else (value,), default=low) < low:
+            raise ConfigError(f"[{cfg.name}] field {key!r} must be >= {low}")
     for key, value in spec.defaults.items():  # a swept list the experiment sets
         if isinstance(value, tuple) and not getattr(cfg, key):
             raise ConfigError(f"[{cfg.name}] field {key!r} must be non-empty")

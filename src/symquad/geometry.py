@@ -16,6 +16,7 @@ SO3 = "SO(3)"
 
 _ORTHO_TOL = 1e-12
 _VERIFY_ENTRIES = 1 << 20  # Wigner-block entries per verify_exactness call
+_VERIFY_TOL = 1e-10  # verify_exactness counts a weighted sum below this as zero
 
 
 class DimensionError(ValueError):
@@ -262,9 +263,12 @@ def load_quadrature_file(path) -> QuadratureRule:
         if len(parts) != 2 or parts[0] != key:
             raise QuadratureFormatError(f"{path}:{lineno}: expected `{key} <value>`")
         try:
-            return int(parts[1])
+            value = int(parts[1])
         except ValueError as exc:
             raise QuadratureFormatError(f"{path}:{lineno}: bad integer {parts[1]!r}") from exc
+        if value < 0:
+            raise QuadratureFormatError(f"{path}:{lineno}: `{key}` must be >= 0")
+        return value
 
     degree = _header(lines[0], "degree")
     count = _header(lines[1], "count")
@@ -309,8 +313,8 @@ def write_quadrature_file(rule: QuadratureRule, path) -> None:
             fh.write(f"{float(w)!r} {a!r} {b!r} {g!r}\n")
 
 
-def verify_exactness(rule: QuadratureRule, l_max: int, tol: float = 1e-10) -> int:
-    """Largest l <= l_max with max |sum_t w_t D^l'(Q_t)| < tol for all l' <= l.
+def verify_exactness(rule: QuadratureRule, l_max: int) -> int:
+    """Largest l <= l_max with max |sum_t w_t D^l'(Q_t)| < 1e-10 for all l' <= l.
 
     Returns 0 if even l = 1 fails.  For SO(2) the checked quantities are the
     weighted sums of e^{i k alpha_t}, 1 <= k <= l.
@@ -319,7 +323,7 @@ def verify_exactness(rule: QuadratureRule, l_max: int, tol: float = 1e-10) -> in
         angles = np.array([rot.angle for rot in rule.rotations])
         best = 0
         for k in range(1, l_max + 1):
-            if abs(np.sum(rule.weights * np.exp(1j * k * angles))) >= tol:
+            if abs(np.sum(rule.weights * np.exp(1j * k * angles))) >= _VERIFY_TOL:
                 break
             best = k
         return best
@@ -334,7 +338,7 @@ def verify_exactness(rule: QuadratureRule, l_max: int, tol: float = 1e-10) -> in
         step = max(1, _VERIFY_ENTRIES // (2 * l + 1) ** 2)
         acc = sum(np.tensordot(rule.weights[i:i + step], wigner_block(l, *eulers[i:i + step].T), 1)
                   for i in range(0, len(rule), step))
-        if np.abs(acc).max() >= tol:
+        if np.abs(acc).max() >= _VERIFY_TOL:
             break
         best = l
     return best

@@ -132,7 +132,7 @@ def invariant_design_matrix(basis: BasisSpec, data: Dataset) -> np.ndarray:
 # Solvers
 # ---------------------------------------------------------------------------
 
-def _triangular_solve(a: np.ndarray, y: np.ndarray, cutoff: float, relative: bool):
+def _triangular_solve(a: np.ndarray, y: np.ndarray, cutoff: float):
     """inv(T) y[:p] for an upper-trapezoidal ``a`` with leading triangle T,
     or None unless norm bounds prove condition number <= ``_KAPPA_FAST``
     and that the cutoff keeps every singular value.
@@ -153,20 +153,17 @@ def _triangular_solve(a: np.ndarray, y: np.ndarray, cutoff: float, relative: boo
             return None
         s_max = np.sqrt(np.linalg.norm(t, 1) * np.linalg.norm(t, np.inf))
         s_min = 1.0 / np.sqrt(np.linalg.norm(inv, 1) * np.linalg.norm(inv, np.inf))
-    threshold = cutoff * s_max if relative else cutoff
-    if not (np.isfinite(s_max) and s_max <= _KAPPA_FAST * s_min and s_min >= threshold):
+    if not (np.isfinite(s_max) and s_max <= _KAPPA_FAST * s_min and s_min >= cutoff):
         return None
     return inv @ y[:p]
 
 
-def lsq_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0,
-              relative: bool = False) -> np.ndarray:
+def lsq_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0) -> np.ndarray:
     """Minimum-norm least-squares solution.
 
     Tall systems are first reduced to the triangular factor of [a | y].
-    Singular values below ``cutoff`` (an absolute threshold unless
-    ``relative``) are discarded; cutoff 0 keeps everything above the machine
-    floor 1e-13 * sigma_max.
+    Singular values below the absolute threshold ``cutoff`` are discarded;
+    cutoff 0 keeps everything above the machine floor 1e-13 * sigma_max.
 
     Two branches give that solution.  When ``a`` is upper trapezoidal (at
     least p rows, exact zeros below the diagonal, as every reduced tall
@@ -183,17 +180,13 @@ def lsq_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0,
     if a.shape[0] > p + 1:  # a factor handed in is solved as it is, not copied
         r = _compressed_stack([np.column_stack([a, y])])
         a, y = r[:, :p], r[:, p]
-    beta = _triangular_solve(a, y, cutoff, relative)
+    beta = _triangular_solve(a, y, cutoff)
     if beta is not None:
         return beta
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros(a.shape[1], dtype=complex)
-    if cutoff == 0.0:
-        keep = s > _MACHINE_FLOOR * s[0]
-    else:
-        thr = cutoff * s[0] if relative else cutoff
-        keep = s >= thr
+    keep = s > _MACHINE_FLOOR * s[0] if cutoff == 0.0 else s >= cutoff
     coeff = (u[:, keep].conj().T @ y) / s[keep]
     return vh[keep].conj().T @ coeff
 
@@ -203,28 +196,25 @@ class DesignFactor:
     """[A | y] = Q r with orthonormal Q, for A = design_matrix(basis, data)
     and y = data.values.
 
-    ``r`` has min(n, p+1) rows: the triangular QR factor when n > p+1,
-    [A | y] itself otherwise; ``n`` is the row count of [A | y] (of the stack,
-    for an augmented factor: ``_augmented_factor``).  Because Q is shared by
-    all columns, any product of column blocks (A_I^H A_N, ||A_N X||, ...)
-    and any least-squares fit on leading columns can be read from ``r``
-    instead of A.
+    ``r`` is the upper-trapezoidal QR factor, min(n, p+1) rows, for n the
+    row count of [A | y] (of the stack, for an augmented factor:
+    ``_augmented_factor``).  Because Q is shared by all columns, any product
+    of column blocks (A_I^H A_N, ||A_N X||, ...) and any least-squares fit
+    on leading columns can be read from ``r`` instead of A.
     """
 
     basis: BasisSpec
-    n: int
     r: np.ndarray
 
     def leading_fit(self, k: int, cutoff: float = 0.0) -> tuple[np.ndarray, float]:
         """(beta, residual norm) of least squares of y on the first k columns of A.
 
-        A_{:k} = Q r_{:k}.  For a triangular r those columns vanish below row
-        k, so the fit reads the leading k+1 rows (all of r when k = p, where
-        it is the plain solve); r's rows past them add only residual.
+        A_{:k} = Q r_{:k}.  Those columns of the triangle vanish below row k,
+        so the fit reads the leading k+1 rows (all of r when k = p, where it
+        is the plain solve); r's rows past them add only residual.
         """
         r, p = self.r, self.basis.size
-        rows = k + 1 if r.shape[0] < self.n else r.shape[0]
-        beta = lsq_solve(r[:rows, :k], r[:rows, p], cutoff)
+        beta = lsq_solve(r[:k + 1, :k], r[:k + 1, p], cutoff)
         return beta, float(np.linalg.norm(r[:, :k] @ beta - r[:, p]))
 
 
@@ -234,14 +224,13 @@ def design_factor(basis: BasisSpec, data: Dataset) -> DesignFactor:
 
     The dataset keeps the last factor built on it, keyed by the basis object,
     so the solves and diagnostics of a pair share it and no other dataset
-    can read it.  Only r is kept, never the n x p design (r is [A | y] itself
-    only when n <= p+1).
+    can read it.  Only r is kept, never the n x p design.
     """
     kept = data._factor
     if kept is not None and kept.basis is basis:
         return kept
     ay = np.column_stack([design_matrix(basis, data), data.values])
-    factor = DesignFactor(basis, data.n, _compressed_stack([ay]))
+    factor = DesignFactor(basis, _compressed_stack([ay]))
     object.__setattr__(data, "_factor", factor)
     return factor
 
@@ -339,8 +328,8 @@ class AugmentationScheme:
 
 
 def _compressed_stack(blocks) -> np.ndarray:
-    """The row stack of a stream of [a | y] blocks, reduced to its triangular
-    factor R when it has more rows than columns.
+    """The row stack of a stream of [a | y] blocks, reduced to its
+    upper-trapezoidal QR factor R of min(rows, columns) rows.
 
     [a | y] = Q R with one orthonormal Q for both parts, so R[:, :-1] has the
     singular values of a, and R gives the same minimum-norm solution and
@@ -356,8 +345,7 @@ def _compressed_stack(blocks) -> np.ndarray:
         buffered += block.shape[0]
     if not buf:
         raise ValueError("no augmentation blocks")
-    stack = buf[0] if len(buf) == 1 else np.concatenate(buf)  # no copy of a lone block
-    return np.linalg.qr(stack, mode="r") if stack.shape[0] > stack.shape[1] else stack
+    return np.linalg.qr(buf[0] if len(buf) == 1 else np.concatenate(buf), mode="r")
 
 
 def _charge_blocks(basis: BasisSpec, r: np.ndarray, weights, rotations):
@@ -419,8 +407,8 @@ def _augmented_factor(basis: BasisSpec, data: Dataset,
     rotations (``_charge_blocks``).  For d=2, the nodes are rotated a chunk
     of at most ``_COMPRESS_ROWS`` rows at a time, and each chunk is
     QR-compressed into the running factor before the next is added
-    (``_rotated_blocks``).  A tall stack ends as its triangular factor of
-    p+1 rows (``_compressed_stack``), which ``lsq_solve`` solves (by the
+    (``_rotated_blocks``).  The stack ends as its triangular factor of at
+    most p+1 rows (``_compressed_stack``), which ``lsq_solve`` solves (by the
     triangle's inverse when that is provably well-conditioned, by the SVD
     otherwise) and which gives the residual.  All reductions are orthogonal,
     so beta, the kept rank and the residual are those of the plain stacked
@@ -438,11 +426,8 @@ def _augmented_factor(basis: BasisSpec, data: Dataset,
     object.__setattr__(data, "_augmented", None)
     weights, rotations = scheme.nodes(basis.d)
     blocks = _charge_blocks if basis.d == 1 else _rotated_blocks
-    rows = []  # block heights: a stack of at most p+1 rows is left unreduced
-    r = _compressed_stack(rows.append(len(block)) or block
-                          for block in blocks(basis, design_factor(basis, data).r,
-                                              weights, rotations))
-    factor = DesignFactor(basis, sum(rows), r)
+    factor = DesignFactor(basis, _compressed_stack(
+        blocks(basis, design_factor(basis, data).r, weights, rotations)))
     object.__setattr__(data, "_augmented", (scheme, factor))
     return factor
 
@@ -483,7 +468,8 @@ def l2_test_error(sol: RegressionSolution, target, test_data: Dataset) -> float:
 class SchurDiagnostics:
     """Upper bound (1/c2) ||A_N Dbar|| ||A_I beta_I - Y|| on eps_sym.
 
-    ``reason`` says why an unavailable bound is missing.
+    ``reason`` says why an unavailable bound is missing.  A basis with no
+    non-invariant column has the bound 0 and no c2.
     """
 
     available: bool
@@ -535,13 +521,13 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     aug = _augmented_factor(basis, data, scheme)
     # read once: a runner keeps every trial's data, and (p+1)^2 per trial adds up
     object.__setattr__(data, "_augmented", None)
+    factor = design_factor(basis, data)
+    if n_inv == p:  # no non-invariant column: beta_N is empty, so eps_sym = 0
+        return SchurDiagnostics(True, 0.0, 0.0, factor.leading_fit(p)[1], None)
     r = aug.r[:, :p]
-    if aug.r.shape[0] == aug.n:  # a stack too short to be reduced
-        r = np.linalg.qr(r, mode="r")
     if r.shape[0] < p or np.linalg.svd(r, compute_uv=False)[-1] <= 1e-10:
         return SchurDiagnostics(False, None, None, None, None, "singular normal matrix")
     c2 = float(np.linalg.svd(r[n_inv:p, n_inv:], compute_uv=False)[-1]) ** 2
-    factor = design_factor(basis, data)
     d_bar = _mean_rotation(basis, *scheme.nodes(basis.d))[n_inv:, n_inv:]
     inv_residual = factor.leading_fit(n_inv)[1]
     d_bar_norm = float(np.linalg.norm(factor.r[:, n_inv:p] @ d_bar, ord=2))

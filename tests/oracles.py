@@ -93,23 +93,18 @@ def random_units(n: int, rng) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def _pinv(a, y, cutoff, relative):
+def _pinv(a, y, cutoff):
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if cutoff == 0.0:
-        keep = s > 1e-13 * s[0]
-    else:
-        keep = s >= (cutoff * s[0] if relative else cutoff)
+    keep = s > 1e-13 * s[0] if cutoff == 0.0 else s >= cutoff
     return vh[keep].conj().T @ ((u[:, keep].conj().T @ y) / s[keep]), s[keep]
 
 
-def pinv_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0,
-               relative: bool = False) -> np.ndarray:
+def pinv_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0) -> np.ndarray:
     """Minimum-norm least squares from the thin SVD of ``a`` itself.
 
-    Keeps singular values >= cutoff (times sigma_max if ``relative``);
-    cutoff 0 keeps those above 1e-13 sigma_max.
+    Keeps singular values >= cutoff; cutoff 0 keeps those above 1e-13 sigma_max.
     """
-    return _pinv(a, y, cutoff, relative)[0]
+    return _pinv(a, y, cutoff)[0]
 
 
 def stacked_augmented_solve(basis, data, scheme, cutoff: float = 0.0):
@@ -124,7 +119,7 @@ def stacked_augmented_solve(basis, data, scheme, cutoff: float = 0.0):
     stack = np.concatenate([np.sqrt(w) * (a @ generalized_d(basis, q))
                             for w, q in zip(weights, rotations)], axis=0)
     ys = np.concatenate([np.sqrt(w) * data.values for w in weights])
-    beta, kept = _pinv(stack, ys, cutoff, False)
+    beta, kept = _pinv(stack, ys, cutoff)
     return beta, float(np.linalg.norm(stack @ beta - ys)), float(kept[0] / kept[-1])
 
 

@@ -379,7 +379,12 @@ def test_cli_list_and_errors(tmp_path, capsys):
                         ("record_every", "[drift]\neps_list = 0.1\nsteps = 50\n"),
                         ("dt", "[drift]\neps_list = 0.1\ndt = nan\n"),
                         ("alpha", "[quad-sweep]\nd = 1\nalpha = nan\n"),
-                        ("cutoff", "[quad-sweep]\nd = 1\ncutoff = nan\n")):
+                        ("cutoff", "[quad-sweep]\nd = 1\ncutoff = nan\n"),
+                        ("degrees", "[random-sweep]\nd = 1\ndegrees = 2 -1\n"),
+                        ("quad_degrees", "[quad-sweep]\nd = 1\nquad_degrees = -1\n"),
+                        ("t_list", "[random-sweep]\nd = 1\nt_list = 4 0\n"),
+                        ("target_degree", "[quad-sweep]\nd = 1\ntarget_degree = -2\n"),
+                        ("preview_size", "[distributions-preview]\nd = 1\npreview_size = 0\n")):
         bad.write_text(text)
         assert main(["run", str(bad)]) == 2
         assert f"'{field}'" in capsys.readouterr().err
@@ -400,8 +405,10 @@ def test_cli_run_and_verify(tmp_path, capsys):
     assert "verified_degree=3" in capsys.readouterr().out
     assert main(["verify-quadrature", str(tmp_path / "nope.txt")]) == 2
     capsys.readouterr()
-    for body in ("-0.5 0 0 0\n1.5 0 1 0\n", "0.5 0 0 0\n0.5 inf 1 0\n"):
-        rule_path.write_text("degree 1\ncount 2\n" + body)
+    for header, body in (("degree 1", "-0.5 0 0 0\n1.5 0 1 0\n"),
+                         ("degree 1", "0.5 0 0 0\n0.5 inf 1 0\n"),
+                         ("degree -3", "0.5 0 0 0\n0.5 0 1 0\n")):
+        rule_path.write_text(f"{header}\ncount 2\n" + body)
         assert main(["verify-quadrature", str(rule_path)]) == 2
         assert "rule.txt:" in capsys.readouterr().err
 

@@ -126,15 +126,6 @@ def test_lsq_solve_cutoff_discards_directions():
         lsq_solve(np.zeros((0, 2)), np.zeros(0))
 
 
-def test_lsq_solve_relative_mode():
-    a = np.diag([1.0, 1e-3])
-    y = np.array([1.0, 1.0])
-    keep_all = lsq_solve(a, y, cutoff=1e-4, relative=False)
-    dropped = lsq_solve(a, y, cutoff=1e-2, relative=True)
-    assert abs(keep_all[1] - 1e3) < 1e-9
-    assert dropped[1] == 0.0
-
-
 def test_invariant_lsq_recovers_invariant_target():
     target = make_target(1, ExponentialDecay(2.0), 3, seed=4)
     basis = enumerate_basis(1, 3, 3)
@@ -294,15 +285,13 @@ def test_lsq_solve_qr_first_matches_svd_pseudo_inverse():
                "kappa 1e14": triangle(np.geomspace(1.0, 1e-14, 5), 1e-3),
                "zero diagonal": zero_diagonal,
                "general (p+1) x p": general, "general p x p": general[:6],
-               # sigma 4 ... 0.1: the absolute cutoffs 1e-3 < 0.1 < 0.3 and the
-               # relative ones 1e-6 < 0.1 / 4 < 0.05 bracket sigma_min
+               # sigma 4 ... 0.1: the cutoffs 1e-3 < 0.1 < 0.3 bracket sigma_min
                "well-conditioned": triangle(np.geomspace(4.0, 0.1, 6))}
-    cutoffs = [(0.0, False), (1e-3, False), (0.3, False), (1e-6, True), (0.05, True)]
     for name, a in systems.items():
         y = cmat(a.shape[0], 1)[:, 0]
-        for cutoff, relative in cutoffs:
-            ref = pinv_solve(a, y, cutoff, relative)
-            beta = lsq_solve(a, y, cutoff, relative)
+        for cutoff in (0.0, 1e-3, 0.3):
+            ref = pinv_solve(a, y, cutoff)
+            beta = lsq_solve(a, y, cutoff)
             assert np.abs(beta - ref).max() <= 1e-12 * np.abs(ref).max(), (name, cutoff)
 
 
@@ -399,7 +388,7 @@ def test_augmented_rows_independent_of_t(monkeypatch):
     data = _uniform_data(1, 100, 44, target)
     for t in (16, 256):
         augmented_lsq(basis, data, AugmentationScheme("random", t=t, seed=45))
-    # [A | y] (100 rows, short of p+1 = 232, so left as it is) enters first
+    # [A | y] (100 rows, short of p+1 = 232) enters first
     assert len(rows) == 3
     assert rows[0] == 100 and rows[1] == rows[2] <= 11 * 100
 
@@ -524,6 +513,21 @@ def test_schur_bound_available_on_near_singular_data():
     assert sol.eps_sym <= diag.bound
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_schur_bound_zero_without_noninvariant_columns(d):
+    # K = 0: every column is invariant, beta_N is empty and eps_sym = 0
+    basis = enumerate_basis(d, 3, 0)
+    assert basis.invariant_count == basis.size
+    data = _uniform_data(d, 20, 85, make_target(d, ExponentialDecay(2.0), 3, seed=86))
+    scheme = AugmentationScheme("random", t=4, seed=87)
+    sol = augmented_lsq(basis, data, scheme)
+    diag = schur_diagnostics(basis, data, scheme, sol)
+    assert diag.available and diag.reason is None and diag.c2 is None
+    assert diag.bound == diag.d_bar_norm == 0.0 == sol.eps_sym
+    ref = invariant_lsq(basis, data)
+    assert abs(diag.invariant_residual - ref.train_residual) <= 1e-12 * np.linalg.norm(data.values)
+
+
 def _schur_cases():
     """(label, basis, data, scheme): both d, n below and above p+1, Euler and
     random node sets, and pinned (rank-deficient) dUU data."""
@@ -624,7 +628,7 @@ def test_design_factor_keyed_by_basis_and_data():
     small, large = enumerate_basis(2, 3, 1), enumerate_basis(2, 3, 2)
     for basis in (small, large, small):
         factor = design_factor(basis, data)
-        assert factor.basis is basis and factor.n == data.n and factor is data._factor
+        assert factor.basis is basis and factor is data._factor
         assert design_factor(basis, data) is factor  # kept for the same basis object
         assert factor.r.shape == (min(data.n, basis.size + 1), basis.size + 1)
         ref = np.column_stack([design_matrix(basis, data), data.values])
@@ -635,6 +639,45 @@ def test_design_factor_keyed_by_basis_and_data():
     assert design_factor(small, other) is not factor and data._factor is factor
     # an equal basis that is another object builds its own factor
     assert design_factor(enumerate_basis(2, 3, 1), data) is not factor
+
+
+def _stacked_with_y(basis, data, scheme):
+    """The plain augmented stack [sqrt(w_t) A D(Q_t) | sqrt(w_t) y] from dense D(Q_t)."""
+    weights, rotations = scheme.nodes(basis.d)
+    a = design_matrix(basis, data)
+    return np.concatenate([np.sqrt(w) * np.column_stack([a @ generalized_d(basis, q), data.values])
+                           for w, q in zip(weights, rotations)])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_every_factor_is_its_stacks_triangle(monkeypatch, d):
+    # every factor, design or augmented, short stack or tall, is the
+    # upper-trapezoidal QR factor of what entered the reducer, with the
+    # plain stack's Gram matrix
+    rows = _count_stack_rows(monkeypatch)
+    basis = enumerate_basis(d, 3, 3 if d == 1 else 2)
+    p = basis.size
+    target = make_target(d, ExponentialDecay(2.0), 5, seed=82)
+    one_node = so2_quadrature(1) if d == 1 else so3_quadrature_euler(0)
+    schemes = [AugmentationScheme("quadrature", rule=identity_rule(one_node.group)),
+               AugmentationScheme("quadrature", rule=one_node),
+               AugmentationScheme("random", t=5, seed=83)]
+    for n in (p // 2, p + 1, 2 * p):
+        data = _uniform_data(d, n, 84 + n, target)
+        plain_ay = np.column_stack([design_matrix(basis, data), data.values])
+        for scheme in schemes:
+            augmented_lsq(basis, data, scheme)
+            for factor, stack, stack_rows in ((data._factor, plain_ay, rows[0]),
+                                              (data._augmented[1],
+                                               _stacked_with_y(basis, data, scheme), rows[-1])):
+                r = factor.r
+                assert r.shape == (min(stack_rows, p + 1), p + 1), (n, scheme.kind)
+                assert not np.tril(r, -1).any(), (n, scheme.kind)
+                gram = r.conj().T @ r
+                ref = stack.conj().T @ stack
+                assert np.abs(gram - ref).max() <= 1e-12 * np.abs(ref).max(), (n, scheme.kind)
+        assert rows[0] == n  # the design factor is built once per dataset
+        rows.clear()
 
 
 @pytest.mark.parametrize("d", [1, 2])
