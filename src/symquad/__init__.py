@@ -7,8 +7,7 @@ __version__ = "0.1.0"  # set before the submodules, which read it
 from .coupling import (BasisSpec, CoupledFunction, clebsch_gordan, enumerate_basis,
                        invariant_basis_sphere3, invariant_indices_circle, sym_coeffs)
 from .dynamics import (PerturbedPotential, PhaseState, Trajectory, default_potential,
-                       force, hitting_time, simulate, simulate_batch, verlet_step,
-                       write_trajectory_csv)
+                       force, hitting_time, simulate, simulate_batch, write_trajectory_csv)
 from .experiments import (ConfigError, ExperimentConfig, ResultTable, emit_plot,
                           list_experiments, load_configs, run_config_file, run_experiment)
 from .geometry import (SO2, SO3, QuadratureRule, Rotation, compose, identity_rule,

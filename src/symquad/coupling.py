@@ -104,43 +104,77 @@ class CoupledFunction:
     coeffs: np.ndarray
 
 
-@functools.lru_cache(maxsize=None)  # one entry per l-tuple, bounded by the degree
-def _invariant_block(l: tuple[int, ...]) -> np.ndarray:
-    """Orthonormal real basis of the rotation-invariant vectors of one l-tuple
-    block, as (dim, n_inv) columns over the block's m-tuples in lexicographic
-    order.
-
-    A vector is invariant iff it lies in the total-M = 0 sector and the total
-    raising operator J+ = sum_p J+^(p) annihilates it (a highest-weight state
-    of weight zero).  The kernel comes from the SVD of J+ restricted to the
-    M = 0 -> M = 1 sectors.  Each vector is signed so that its entry at the
-    last m-tuple of its support is positive, which reproduces the
-    Condon-Shortley Clebsch-Gordan couplings for N <= 3.
-    """
-    if 2 * max(l) > sum(l):  # no invariant: l_max exceeds what the rest can couple to
-        return np.zeros((math.prod(2 * li + 1 for li in l), 0))
+def _raising(l: tuple[int, ...]) -> np.ndarray:
+    """The total raising operator J+ = sum_p J+^(p) of one l-tuple block, a
+    real (dim, dim) matrix over the block's m-tuples in lexicographic order."""
     grid = _m_grid(l)
-    total = grid.sum(axis=1)
-    zero, one = np.flatnonzero(total == 0), np.flatnonzero(total == 1)
-    row = np.zeros(len(grid), dtype=int)
-    row[one] = np.arange(len(one))
-    jplus = np.zeros((len(one), len(zero)))
+    jplus = np.zeros((len(grid), len(grid)))
     stride = len(grid)
     for p, lp in enumerate(l):
         stride //= 2 * lp + 1  # raising m_p moves the lexicographic index by this
-        m = grid[zero, p]
+        m = grid[:, p]
         up = np.flatnonzero(m < lp)
-        jplus[row[zero[up] + stride], up] = np.sqrt(lp * (lp + 1) - m[up] * (m[up] + 1))
-    _, s, vh = np.linalg.svd(jplus)
-    rank = int((s > _RANK_TOL * s[0]).sum()) if s.size else 0
-    kernel = vh[rank:].T
+        jplus[up + stride, up] = np.sqrt(lp * (lp + 1) - m[up] * (m[up] + 1))
+    return jplus
+
+
+@functools.lru_cache(maxsize=None)  # one entry per (l-tuple, weight), bounded by the degree
+def _highest_weights(l: tuple[int, ...], big_l: int) -> np.ndarray:
+    """Orthonormal real basis of the highest-weight vectors of weight L in one
+    l-tuple block, as (dim, mult) columns over the block's m-tuples in
+    lexicographic order; at L = 0, the rotation-invariant vectors.
+
+    They span the kernel of J+ from the total M = L to the M = L+1 sector (J+
+    is onto), from its SVD.  Each is signed so that its entry at the last
+    m-tuple of its support is positive, which reproduces the Condon-Shortley
+    Clebsch-Gordan couplings for N <= 3.
+    """
+    total = _m_grid(l).sum(axis=1)
+    here, above = np.flatnonzero(total == big_l), np.flatnonzero(total == big_l + 1)
+    if len(here) == len(above):  # no weight L: J+ maps the sector onto an equal one
+        return np.zeros((len(total), 0))
+    kernel = np.linalg.svd(_raising(l)[np.ix_(above, here)])[2][len(above):].T
     kernel[np.abs(kernel) < _RANK_TOL] = 0.0
     last = [np.flatnonzero(v)[-1] for v in kernel.T]
     kernel *= np.sign(kernel[last, np.arange(kernel.shape[1])])
-    vecs = np.zeros((len(grid), kernel.shape[1]))
-    vecs[zero] = kernel
+    vecs = np.zeros((len(total), kernel.shape[1]))
+    vecs[here] = kernel
     vecs.setflags(write=False)  # shared through the cache
     return vecs
+
+
+@functools.lru_cache(maxsize=None)  # one entry per l-tuple, bounded by the degree
+def _irrep_block(l: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(u, mults): a real orthogonal (dim, dim) change of basis of one l-tuple
+    block that reduces the rotations to irreducible blocks, and the number
+    of copies of each weight L = 0..sum(l) it holds.
+
+    The rows of u run over the block's m-tuples in lexicographic order, its
+    columns over (L, mu, M): weight L ascending, copy mu = 0..mults[L]-1,
+    M = -L..L, so that u^T kron_p W^{l_p}(Q) u = (+)_L I_{mults[L]} (x) W^L(Q)
+    for the Wigner blocks W (Peter-Weyl; Chirikjian & Kyatkin, Engineering
+    Applications of Noncommutative Harmonic Analysis, 2001).  The copies of
+    weight L start from its highest-weight vectors (``_highest_weights``)
+    and J- lowers them to M = -L.  The L = 0 columns are the invariant ones.
+    """
+    jlower = _raising(l).T
+    dim = len(jlower)
+    cols, mults, done = [], [], {}  # done[M]: the vectors of the higher weights at M
+    for big_l in range(sum(l), -1, -1):
+        ladder = [_highest_weights(l, big_l)]
+        for m in range(big_l, -big_l, -1):  # M -> M-1
+            v = jlower @ ladder[-1] / math.sqrt(big_l * (big_l + 1) - m * (m - 1))
+            # lowering amplifies roundoff along the higher weights: project it out
+            higher = done.get(m - 1, np.zeros((dim, 0)))
+            ladder.append(v - higher @ (higher.T @ v))
+        for m, vecs in zip(range(big_l, -big_l - 1, -1), ladder):
+            done[m] = np.concatenate([done.get(m, np.zeros((dim, 0))), vecs], axis=1)
+        cols.append(np.stack(ladder[::-1], axis=2).reshape(dim, -1))
+        mults.append(ladder[0].shape[1])
+    u = np.concatenate(cols[::-1], axis=1)
+    assert np.abs(u.T @ u - np.eye(dim)).max() < 1e-12
+    u.setflags(write=False)  # shared through the cache
+    return u, tuple(mults[::-1])
 
 
 def invariant_couplings(n_particles: int, degree: int) -> list[CoupledFunction]:
@@ -154,7 +188,7 @@ def invariant_couplings(n_particles: int, degree: int) -> list[CoupledFunction]:
         raise ValueError("need n_particles >= 1 and degree >= 0")
     out = []
     for l in _l_tuples(n_particles, degree):
-        for v in _invariant_block(l).T:
+        for v in _highest_weights(l, 0).T:
             support = np.flatnonzero(v)
             out.append(CoupledFunction(l, _m_grid(l)[support], v[support]))
     return out
@@ -188,18 +222,23 @@ def eval_coupled(funcs: list[CoupledFunction], y_tables: list[np.ndarray]) -> np
 
 @dataclass(frozen=True)
 class Block:
-    """Contiguous tensor-index range sharing one l-tuple (d=2)."""
+    """Contiguous tensor-index range sharing one l-tuple (d=2), with its
+    irrep-adapted change of basis ``u`` (``_irrep_block``)."""
 
     l: tuple[int, ...]
     start: int
     stop: int
-    u: np.ndarray          # (dim, dim) unitary; first n_inv columns invariant
-    n_inv: int
+    u: np.ndarray          # (dim, dim) real orthogonal, columns (L, mu, M)
+    mults: tuple[int, ...]
     work_cols: np.ndarray  # working column of each local basis function
 
     @property
     def dim(self) -> int:
         return self.stop - self.start
+
+    @property
+    def n_inv(self) -> int:
+        return self.mults[0]
 
 
 @dataclass(frozen=True)
@@ -207,12 +246,14 @@ class BasisSpec:
     """Ordered tensor basis of total degree <= K with its invariant sub-basis.
 
     Coefficient vectors used throughout the package live in the *working*
-    order: the ``invariant_count`` orthonormal invariant functions first, the
-    orthonormal complement after.  For d=1 the tensor functions themselves
-    are listed invariant-first and the working basis coincides with them; for
-    d=2 the working basis is the tensor basis recombined blockwise by each
-    block's unitary ``u``: its orthonormal invariant columns and their
-    completion.
+    order: the ``invariant_count`` orthonormal invariant functions first.  It
+    is adapted to the irreducible representations, so rotations act on it
+    through their irreducible entries alone (``harmonics.rotation_blocks``).
+    For d=1 the tensor functions are listed invariant-first and the working
+    basis coincides with them, column j of charge ``sums[j]``.  For d=2 it is
+    the tensor basis recombined by each block's irrep-adapted ``u``, sorted by
+    weight: ``mults[L]`` copies of L = 0..K (block order), 2L+1 columns
+    M = -L..L each, on which a rotation acts as (+)_L I_{mults[L]} (x) W^L(Q).
     """
 
     d: int
@@ -222,6 +263,7 @@ class BasisSpec:
     invariant_count: int
     sums: np.ndarray | None = field(default=None, repr=False)      # d=1: sum(k) per index
     blocks: tuple = field(default=(), repr=False)                  # d=2
+    mults: tuple = field(default=(), repr=False)                   # d=2: copies of each L
 
     @property
     def size(self) -> int:
@@ -234,7 +276,8 @@ def enumerate_basis(d: int, n_particles: int, degree: int) -> BasisSpec:
 
     d=1 lists every k with ||k||_1 <= K, the sum(k) = 0 elements first (each
     is itself invariant).  d=2 lists (l, m) pairs grouped by l-tuple in
-    lexicographic order; each block's invariant columns span the kernel of
+    lexicographic order; each block's working columns are its irrep-adapted
+    combinations (``_irrep_block``), whose invariant ones span the kernel of
     total angular momentum (the Clebsch-Gordan couplings for N <= 3).
     """
     if d not in (1, 2):
@@ -251,26 +294,20 @@ def enumerate_basis(d: int, n_particles: int, degree: int) -> BasisSpec:
         return BasisSpec(1, n_particles, degree, indices, len(inv), sums=sums)
 
     tuples = _l_tuples(n_particles, degree)
-    kernels = [_invariant_block(l) for l in tuples]
-    n_inv_total = sum(v.shape[1] for v in kernels)
-    indices, blocks = [], []
-    start, inv_offset, non_offset = 0, 0, n_inv_total
-    for l, vecs in zip(tuples, kernels):
-        dim, n_inv_b = vecs.shape
-        assert np.abs(vecs.conj().T @ vecs - np.eye(n_inv_b)).max(initial=0.0) < 1e-12
+    irreps = [_irrep_block(l) for l in tuples]
+    # the weight of each block's columns, block after block; working order sorts by weight
+    weight = np.concatenate([np.repeat(np.arange(len(m)), np.multiply(m, 2 * np.arange(len(m)) + 1))
+                             for _, m in irreps])
+    work = np.empty(len(weight), dtype=int)
+    work[np.argsort(weight, kind="stable")] = np.arange(len(weight))
+    mults = np.bincount(weight, minlength=degree + 1) // (2 * np.arange(degree + 1) + 1)
+    indices, blocks, start = [], [], 0
+    for l, (u, block_mults) in zip(tuples, irreps):
         indices.extend((l, tuple(m)) for m in _m_grid(l).tolist())
-        # complete the invariant columns to a unitary with the least change of
-        # the tensor basis: QR of [invariant | identity]
-        q, _ = np.linalg.qr(np.concatenate([vecs.astype(complex), np.eye(dim)], axis=1))
-        u = np.concatenate([vecs, q[:, n_inv_b:dim]], axis=1)
-        work = np.concatenate([np.arange(inv_offset, inv_offset + n_inv_b),
-                               np.arange(non_offset, non_offset + dim - n_inv_b)])
-        blocks.append(Block(l, start, start + dim, u, n_inv_b, work))
-        start += dim
-        inv_offset += n_inv_b
-        non_offset += dim - n_inv_b
-    return BasisSpec(2, n_particles, degree, tuple(indices), n_inv_total,
-                     blocks=tuple(blocks))
+        blocks.append(Block(l, start, start + len(u), u, block_mults, work[start:start + len(u)]))
+        start += len(u)
+    return BasisSpec(2, n_particles, degree, tuple(indices), int(mults[0]),
+                     blocks=tuple(blocks), mults=tuple(mults.tolist()))
 
 
 def sym_coeffs(beta: np.ndarray, basis: BasisSpec) -> np.ndarray:

@@ -149,16 +149,6 @@ def force(pot: PerturbedPotential, theta: np.ndarray) -> np.ndarray:
     return -pot.gradient(np.asarray(theta, dtype=float))
 
 
-def verlet_step(state: PhaseState, pot: PerturbedPotential, dt: float) -> PhaseState:
-    """One kick-drift-kick Velocity Verlet update."""
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    p_half = state.p + 0.5 * dt * force(pot, state.theta)
-    theta = state.theta + dt * p_half
-    p = p_half + 0.5 * dt * force(pot, theta)
-    return PhaseState(theta, p, state.time + dt)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded observables of one run; arrays share one entry per record."""

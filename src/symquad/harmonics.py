@@ -1,5 +1,5 @@
-"""Complex spherical harmonics and the unitary matrices describing how
-tensor-product bases transform under rotations."""
+"""Complex spherical harmonics, Wigner blocks, and the unitary matrices
+describing how the irrep-adapted working bases transform under rotations."""
 
 from __future__ import annotations
 
@@ -139,14 +139,13 @@ def wigner_d(l: int, q: Rotation) -> WignerBlock:
 # Generalized rotation matrices on tensor bases
 # ---------------------------------------------------------------------------
 
-def rotation_blocks(basis: BasisSpec, rotations):
-    """Blockwise data of the working-basis rotation matrices of a sequence of
-    T rotations, with a leading node axis.
+def rotation_blocks(basis: BasisSpec, rotations) -> np.ndarray:
+    """(T, S) irreducible-representation entries of a sequence of T rotations,
+    of which every working-basis D(Q_t) is a fixed arrangement (row t).
 
-    d=1: the (T, p) diagonal phases e^{i alpha_t sum(k)} in basis order.
-    d=2: one (T, dim, dim) array of unitaries per l-block, rows/columns in the
-    block's working order (invariant columns first), aligned with
-    ``basis.blocks``.
+    d=1: the phases e^{i s alpha_t} of the charges s = -K..K, S = 2K+1.
+    d=2: the Wigner blocks ``wigner_block(L, ...)`` for L = 0..K, each
+    flattened row-major and concatenated, S = sum_L (2L+1)^2.
     """
     group = SO2 if basis.d == 1 else SO3
     for q in rotations:
@@ -154,18 +153,35 @@ def rotation_blocks(basis: BasisSpec, rotations):
             raise ValueError(f"{q.group} rotation does not act on a d={basis.d} basis")
     if basis.d == 1:
         angles = np.array([q.angle for q in rotations], dtype=float)
-        return np.exp(1j * angles[:, None] * basis.sums)
+        return np.exp(1j * np.outer(angles, np.arange(-basis.degree, basis.degree + 1)))
     alpha, beta, gamma = np.array([q.euler_zyz() for q in rotations], dtype=float).reshape(-1, 3).T
-    w = [wigner_block(l, alpha, beta, gamma) for l in range(basis.degree + 1)]
-    out = []
-    for blk in basis.blocks:
-        kron = w[blk.l[0]]
-        for li in blk.l[1:]:
-            # batched np.kron: kron[t, (i, j), (k, l)] = kron[t, i, k] w[t, j, l]
-            nxt = w[li]
-            kron = (kron[:, :, None, :, None] * nxt[:, None, :, None, :]).reshape(
-                alpha.size, kron.shape[1] * nxt.shape[1], -1)
-        out.append(blk.u.conj().T @ kron @ blk.u)
+    return np.concatenate([wigner_block(big_l, alpha, beta, gamma).reshape(alpha.size, -1)
+                           for big_l in range(basis.degree + 1)], axis=1)
+
+
+def _trivial_entry(basis: BasisSpec) -> int:
+    """Index of the trivial entry (charge 0, or L = 0) in ``rotation_blocks``."""
+    return basis.degree if basis.d == 1 else 0
+
+
+def _apply_entries(basis: BasisSpec, a: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """(..., m, p) products a . D of an (m, p) working matrix a with the
+    matrices D whose irreducible entries are ``entries``, (..., S) like the
+    rows of ``rotation_blocks``; D is linear in them.  d=1 scales each column
+    by the entry of its charge, d=2 applies the block of weight L to each of
+    its copies' 2L+1 columns (``BasisSpec.mults``)."""
+    if basis.d == 1:
+        return a * entries[..., None, basis.sums + basis.degree]
+    lead = entries.shape[:-1]
+    out = np.empty(lead + a.shape, dtype=complex)
+    col = ent = 0
+    for big_l, mult in enumerate(basis.mults):
+        dim = 2 * big_l + 1
+        w = entries[..., ent:ent + dim * dim].reshape(lead + (dim, dim))
+        seg = a[:, col:col + mult * dim].reshape(-1, dim) @ w
+        out[..., col:col + mult * dim] = seg.reshape(lead + (a.shape[0], mult * dim))
+        col += mult * dim
+        ent += dim * dim
     return out
 
 
@@ -177,22 +193,10 @@ def generalized_d(basis: BasisSpec, q: Rotation) -> np.ndarray:
     the row-vector convention the map reverses composition order:
     D(Q1 o Q2) = D(Q2) D(Q1).
     """
-    blocks = rotation_blocks(basis, [q])
-    if basis.d == 1:
-        return np.diag(blocks[0])
-    out = np.zeros((basis.size, basis.size), dtype=complex)
-    for blk, mats in zip(basis.blocks, blocks):
-        out[np.ix_(blk.work_cols, blk.work_cols)] = mats[0]
-    return out
+    return _apply_entries(basis, np.eye(basis.size), rotation_blocks(basis, [q])[0])
 
 
 def apply_generalized_d(basis: BasisSpec, a_work: np.ndarray, rotations) -> np.ndarray:
     """(T, n, p) stack of A . D(Q_t) over a sequence of T rotations, computed
-    blockwise without materializing any D."""
-    blocks = rotation_blocks(basis, rotations)
-    if basis.d == 1:
-        return a_work[None, :, :] * blocks[:, None, :]
-    out = np.empty((len(rotations),) + a_work.shape, dtype=complex)
-    for blk, mats in zip(basis.blocks, blocks):
-        out[:, :, blk.work_cols] = a_work[:, blk.work_cols] @ mats
-    return out
+    from the irreducible entries without materializing any D."""
+    return _apply_entries(basis, a_work, rotation_blocks(basis, rotations))

@@ -6,7 +6,14 @@ Every fit of a (basis, dataset) pair reads one evaluation of its design:
 ``design_factor`` reduces [A | y] to its factor R once and the dataset keeps
 it, and the plain, invariant-leading and augmented solves and the Schur
 diagnostics all read R instead of evaluating A again.  The augmented solve
-and its Schur bound likewise share one factor of the rotated stack."""
+and its Schur bound likewise share one factor of the rotated stack.
+
+Rotations reach both only through their irreducible entries
+(``harmonics.rotation_blocks``): in the irrep-adapted working basis D(Q) is
+an arrangement of the charge phases (d=1) or of the Wigner entries of
+degree <= K (d=2).  One reducer, ``_virtual_nodes``, collapses any number
+of rotations to min(T, S) virtual nodes for both d, and the Schur bound's
+mean rotation is the weighted mean of the same entries."""
 
 from __future__ import annotations
 
@@ -16,7 +23,7 @@ import numpy as np
 
 from .coupling import BasisSpec, eval_coupled, invariant_couplings
 from .geometry import SO2, SO3, DimensionError, QuadratureRule, Rotation, sample_haar_many
-from .harmonics import apply_generalized_d, rotation_blocks, sph_harm_table
+from .harmonics import _apply_entries, _trivial_entry, rotation_blocks, sph_harm_table
 
 _MACHINE_FLOOR = 1e-13
 _UNIT_TOL = 1e-12
@@ -348,47 +355,27 @@ def _compressed_stack(blocks) -> np.ndarray:
     return np.linalg.qr(buf[0] if len(buf) == 1 else np.concatenate(buf), mode="r")
 
 
-def _charge_blocks(basis: BasisSpec, r: np.ndarray, weights, rotations):
-    """Row blocks of the d=1 augmented stack, reduced to one block per charge.
+def _virtual_nodes(basis: BasisSpec, r: np.ndarray, weights, rotations):
+    """Row blocks of the augmented stack, one per virtual node: min(T, S)
+    blocks whatever the number T of rotations.
 
     ``r`` is the factor [R_a | r_y] of [A | y] (``design_factor``), m =
-    min(n, p+1) rows.  Row block t of the plain stack is
-    sqrt(w_t) [A diag(e^{i s_j theta_t}) | y] = Q sqrt(w_t) [R_a diag(...) | r_y],
-    which is Q sum_c V[t, c] B_c with V[t, c] = sqrt(w_t) e^{i s_c theta_t}
-    and B_c = [R_a restricted to the columns of charge s_c | r_y if s_c = 0].
-    With V = Q_V R_V the plain stack is (Q_V (x) Q) times the stack of R_V B,
-    which has orthonormal columns: the reduced stack has the same singular
-    values, minimum-norm solution and residual, in min(T, C) m rows.
+    min(n, p+1) rows, so row block t of the plain stack is
+    Q sqrt(w_t) [R_a D(Q_t) | r_y] with one orthonormal Q for every node.
+    D(Q_t) is linear in the S irreducible entries of Q_t
+    (``rotation_blocks``), and y sees only the trivial entry, 1.  With
+    V[t, e] = sqrt(w_t) entry_e(Q_t) = Q_V R_V, the plain stack is
+    (Q_V (x) Q) times the stack of the virtual nodes
+    [R_a D_j | R_V[j, trivial] r_y], D_j the matrix whose entries are row j
+    of R_V.  Q_V (x) Q has orthonormal columns, so the reduced stack keeps
+    the singular values, minimum-norm solution and residual.
     """
     p = basis.size
     a, y = r[:, :p], r[:, p]
-    charges, col = np.unique(np.append(basis.sums, 0), return_inverse=True)
-    v = np.sqrt(weights)[:, None] * np.exp(1j * np.outer([q.angle for q in rotations], charges))
-    col_a, col_y = col[:-1], col[-1]
+    trivial = _trivial_entry(basis)
+    v = np.sqrt(weights)[:, None] * rotation_blocks(basis, rotations)
     for row in np.linalg.qr(v, mode="r"):
-        yield np.concatenate([a * row[col_a], (row[col_y] * y)[:, None]], axis=1)
-
-
-def _rotated_blocks(basis: BasisSpec, r: np.ndarray, weights, rotations):
-    """Row blocks of the d=2 augmented stack, one array pass per chunk of nodes.
-
-    ``r`` is the factor [R_a | r_y] of [A | y] (``design_factor``): D(Q) acts
-    on columns only, so [A D(Q_t) | y] = Q [R_a D(Q_t) | r_y] with the same
-    orthonormal Q for every node, and the stack of the reduced blocks has the
-    singular values, minimum-norm solution and residual of the plain stack.
-    Each yielded block holds the rows sqrt(w_t) [R_a D(Q_t) | r_y] of up to
-    ``_COMPRESS_ROWS`` rows' worth of nodes.
-    """
-    p = basis.size
-    a, y = r[:, :p], r[:, p]
-    per_chunk = max(1, _COMPRESS_ROWS // a.shape[0])
-    for start in range(0, len(rotations), per_chunk):
-        nodes = rotations[start:start + per_chunk]
-        block = np.empty((len(nodes), a.shape[0], p + 1), dtype=complex)
-        block[:, :, :p] = apply_generalized_d(basis, a, nodes)
-        block[:, :, p] = y
-        block *= np.sqrt(weights[start:start + per_chunk])[:, None, None]
-        yield block.reshape(-1, p + 1)
+        yield np.concatenate([_apply_entries(basis, a, row), (row[trivial] * y)[:, None]], axis=1)
 
 
 def _augmented_factor(basis: BasisSpec, data: Dataset,
@@ -399,20 +386,17 @@ def _augmented_factor(basis: BasisSpec, data: Dataset,
     The problem minimizes (1/2) sum_t w_t ||A D(Q_t) beta - Y||^2: least
     squares on the row stack of the sqrt(w_t)-scaled rotated design blocks
     with the data vector replicated, never rotated.  The stack is reduced
-    exactly before it is factored.  Both d start from the min(n, p+1) rows
-    of the factor of [A | y] (``design_factor``) rather than A's n rows.
-    For d=1, D(Q_t) is diagonal and reaches the data only through the phases
-    e^{i s theta_t} of the distinct charges s = sum(k), so the stack
-    collapses to at most one block per charge whatever the number of
-    rotations (``_charge_blocks``).  For d=2, the nodes are rotated a chunk
-    of at most ``_COMPRESS_ROWS`` rows at a time, and each chunk is
-    QR-compressed into the running factor before the next is added
-    (``_rotated_blocks``).  The stack ends as its triangular factor of at
-    most p+1 rows (``_compressed_stack``), which ``lsq_solve`` solves (by the
-    triangle's inverse when that is provably well-conditioned, by the SVD
-    otherwise) and which gives the residual.  All reductions are orthogonal,
-    so beta, the kept rank and the residual are those of the plain stacked
-    solve up to roundoff.
+    exactly before it is factored: it starts from the min(n, p+1) rows of
+    the factor of [A | y] (``design_factor``) rather than A's n rows, and the
+    T rotations reach it only through their S irreducible entries (the
+    charge phases on the circle, the Wigner entries of degree <= K on the
+    sphere), so it collapses to min(T, S) virtual nodes (``_virtual_nodes``).
+    Their rows end as one triangular factor of at most p+1 rows
+    (``_compressed_stack``), which ``lsq_solve`` solves (by the triangle's
+    inverse when that is provably well-conditioned, by the SVD otherwise)
+    and which gives the residual.  All reductions are orthogonal, so beta,
+    the kept rank and the residual are those of the plain stacked solve up
+    to roundoff.
 
     The dataset keeps the last augmented factor built on it, keyed by the
     basis and scheme objects, so the solve and its Schur diagnostics share
@@ -425,9 +409,8 @@ def _augmented_factor(basis: BasisSpec, data: Dataset,
     del kept  # with the slot cleared below, the old factor is freed before the build
     object.__setattr__(data, "_augmented", None)
     weights, rotations = scheme.nodes(basis.d)
-    blocks = _charge_blocks if basis.d == 1 else _rotated_blocks
     factor = DesignFactor(basis, _compressed_stack(
-        blocks(basis, design_factor(basis, data).r, weights, rotations)))
+        _virtual_nodes(basis, design_factor(basis, data).r, weights, rotations)))
     object.__setattr__(data, "_augmented", (scheme, factor))
     return factor
 
@@ -480,25 +463,6 @@ class SchurDiagnostics:
     reason: str | None = None
 
 
-def _mean_rotation(basis: BasisSpec, weights, rotations) -> np.ndarray:
-    """Dbar = sum_t w_t D(Q_t), dense p x p, from ``rotation_blocks`` over a
-    chunk of nodes at a time; a chunk's blocks hold no more entries than a
-    ``_COMPRESS_ROWS``-row stack chunk."""
-    p = basis.size
-    per_node = p if basis.d == 1 else sum(blk.dim ** 2 for blk in basis.blocks)
-    per_chunk = max(1, _COMPRESS_ROWS * (p + 1) // per_node)
-    d_bar = np.zeros((p, p), dtype=complex)
-    for start in range(0, len(rotations), per_chunk):
-        w = weights[start:start + per_chunk]
-        mats = rotation_blocks(basis, rotations[start:start + per_chunk])
-        if basis.d == 1:
-            d_bar.flat[::p + 1] += w @ mats
-        else:
-            for blk, mat in zip(basis.blocks, mats):
-                d_bar[np.ix_(blk.work_cols, blk.work_cols)] += np.tensordot(w, mat, 1)
-    return d_bar
-
-
 def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
                       sol: RegressionSolution) -> SchurDiagnostics:
     """Schur-complement bound for the augmented solve that produced ``sol``:
@@ -528,7 +492,9 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     if r.shape[0] < p or np.linalg.svd(r, compute_uv=False)[-1] <= 1e-10:
         return SchurDiagnostics(False, None, None, None, None, "singular normal matrix")
     c2 = float(np.linalg.svd(r[n_inv:p, n_inv:], compute_uv=False)[-1]) ** 2
-    d_bar = _mean_rotation(basis, *scheme.nodes(basis.d))[n_inv:, n_inv:]
+    weights, rotations = scheme.nodes(basis.d)
+    # Dbar is linear in the entries: the weighted mean of the rotations' entries
+    a_d_bar = _apply_entries(basis, factor.r[:, :p], weights @ rotation_blocks(basis, rotations))
     inv_residual = factor.leading_fit(n_inv)[1]
-    d_bar_norm = float(np.linalg.norm(factor.r[:, n_inv:p] @ d_bar, ord=2))
+    d_bar_norm = float(np.linalg.norm(a_d_bar[:, n_inv:], ord=2))
     return SchurDiagnostics(True, d_bar_norm * inv_residual / c2, d_bar_norm, inv_residual, c2)

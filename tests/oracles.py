@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from symquad.dynamics import PerturbedPotential, force
+from symquad.dynamics import PerturbedPotential, PhaseState, force
 from symquad.harmonics import generalized_d
 from symquad.regression import SchurDiagnostics, design_matrix
 
@@ -208,6 +208,15 @@ def plain_default_potential(epsilon: float) -> PerturbedPotential:
     written as its plain formula, one numpy expression each."""
     return PerturbedPotential(_pair_cosine_value, _pair_cosine_grad, _wobble_value,
                               _wobble_grad, epsilon, 3)
+
+
+def verlet_step(state: PhaseState, pot: PerturbedPotential, dt: float) -> PhaseState:
+    """One kick-drift-kick Velocity Verlet update of a single state, written
+    with ``force()`` and a fresh force at both ends."""
+    p_half = state.p + 0.5 * dt * force(pot, state.theta)
+    theta = state.theta + dt * p_half
+    p = p_half + 0.5 * dt * force(pot, theta)
+    return PhaseState(theta, p, state.time + dt)
 
 
 def verlet_force_loop(pot, thetas, ps, dt: float, n_steps: int, every: int):

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from oracles import random_units, sph_harm_table_loop, sphere_product_rule
 from symquad.coupling import enumerate_basis
 from symquad.geometry import SO2, SO3, Rotation, compose, sample_haar, sample_haar_many, so2_quadrature
-from symquad.harmonics import (apply_generalized_d, generalized_d, rotation_blocks,
-                               sph_harm_table, wigner_block, wigner_d, wigner_little_d)
+from symquad.harmonics import (_apply_entries, apply_generalized_d, generalized_d,
+                               rotation_blocks, sph_harm_table, wigner_block, wigner_d,
+                               wigner_little_d)
 
 
 def test_sph_harm_constant():
@@ -117,7 +118,7 @@ def test_generalized_d_unitary():
     # K = 6 checked blockwise; the matrix is block diagonal in working order
     basis6 = enumerate_basis(2, 3, 6)
     for q in sample_haar_many(SO3, 3, rng):
-        for blk, mats in zip(basis6.blocks, rotation_blocks(basis6, [q])):
+        for blk, mats in zip(basis6.blocks, _working_blocks(basis6, rotation_blocks(basis6, [q]))):
             mat = mats[0]
             assert np.abs(mat.conj().T @ mat - np.eye(blk.dim)).max() < 1e-10
 
@@ -181,6 +182,38 @@ def _per_node_blocks(basis, q):
     return out
 
 
+def _working_blocks(basis, entries):
+    """Per l-block, the (T, dim, dim) working-basis blocks of the rotation
+    matrices whose irreducible entries are the rows of ``entries``."""
+    out = []
+    for blk in basis.blocks:
+        rows = np.zeros((blk.dim, basis.size))
+        rows[np.arange(blk.dim), blk.work_cols] = 1.0
+        out.append(_apply_entries(basis, rows, entries)[..., blk.work_cols])
+    return out
+
+
+@pytest.mark.parametrize("n, degrees", [(3, range(7)), (4, [3])])
+def test_working_blocks_are_irreducible(n, degrees):
+    # u^H kron_p W^{l_p}(Q) u is (+)_L I_mult (x) W^L(Q) on every l-block
+    rots = sample_haar_many(SO3, 3, np.random.default_rng(11))
+    rots.append(Rotation.from_euler_zyz(0.4, math.pi, 1.3))
+    for k in degrees:
+        basis = enumerate_basis(2, n, k)
+        for q in rots:
+            w = [wigner_block(l, *q.euler_zyz()) for l in range(k + 1)]
+            for blk, mat in zip(basis.blocks, _per_node_blocks(basis, q)):
+                assert len(blk.mults) == sum(blk.l) + 1 and blk.n_inv == blk.mults[0]
+                expect = np.zeros((blk.dim, blk.dim), dtype=complex)
+                at = 0
+                for big_l, mult in enumerate(blk.mults):
+                    for _ in range(mult):
+                        expect[at:at + 2 * big_l + 1, at:at + 2 * big_l + 1] = w[big_l]
+                        at += 2 * big_l + 1
+                assert at == blk.dim
+                assert np.abs(mat - expect).max() <= 1e-13, (n, k, blk.l)
+
+
 def test_rotation_blocks_node_batch_matches_per_node():
     rng = np.random.default_rng(9)
     rots = sample_haar_many(SO3, 6, rng) + [Rotation.identity(SO3),
@@ -188,15 +221,19 @@ def test_rotation_blocks_node_batch_matches_per_node():
     for k in range(7):
         basis = enumerate_basis(2, 3, k)
         batch = rotation_blocks(basis, rots)
+        assert batch.shape == (len(rots), sum((2 * l + 1) ** 2 for l in range(k + 1)))
         for t, q in enumerate(rots):
-            for mats, ref in zip(batch, _per_node_blocks(basis, q)):
-                assert np.abs(mats[t] - ref).max() <= 1e-14, (k, t)
+            ref = np.concatenate([wigner_block(l, *q.euler_zyz()).ravel() for l in range(k + 1)])
+            assert np.abs(batch[t] - ref).max() <= 1e-14, (k, t)
+            assert np.abs(batch[t] - rotation_blocks(basis, [q])[0]).max() <= 1e-14, (k, t)
     basis = enumerate_basis(1, 3, 3)
     circle = sample_haar_many(SO2, 5, rng)
     phases = rotation_blocks(basis, circle)
-    assert phases.shape == (5, basis.size)
+    assert phases.shape == (5, 7)
     for t, q in enumerate(circle):
-        assert np.abs(phases[t] - np.exp(1j * q.angle * basis.sums)).max() <= 1e-14
+        assert np.abs(phases[t] - np.exp(1j * q.angle * np.arange(-3, 4))).max() <= 1e-14
+        assert np.abs(np.diag(generalized_d(basis, q))
+                      - np.exp(1j * q.angle * basis.sums)).max() <= 1e-14
 
 
 def test_wigner_block_broadcasts_over_angles():
@@ -242,8 +279,11 @@ def test_rotation_blocks_group_properties(k, t, seed):
     q1 = sample_haar_many(SO3, t, rng)
     q2 = sample_haar_many(SO3, t, rng)
     composed = rotation_blocks(basis, [compose(a, b) for a, b in zip(q1, q2)])
-    for blk, m1, m2, m12 in zip(basis.blocks, rotation_blocks(basis, q1),
-                                rotation_blocks(basis, q2), composed):
+    entries = rotation_blocks(basis, q1)
+    assert entries.shape == (t, sum((2 * l + 1) ** 2 for l in range(k + 1)))
+    for blk, m1, m2, m12 in zip(basis.blocks, _working_blocks(basis, entries),
+                                _working_blocks(basis, rotation_blocks(basis, q2)),
+                                _working_blocks(basis, composed)):
         eye = np.eye(blk.dim)
         assert m1.shape == (t, blk.dim, blk.dim)
         assert np.abs(m12 - m2 @ m1).max() < 1e-12

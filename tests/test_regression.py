@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import pinv_solve, schur_from_design, stacked_augmented_solve
 from symquad import regression
 from symquad.coupling import enumerate_basis, sym_coeffs
-from symquad.geometry import (SO2, identity_rule, sample_haar,
-                              so2_quadrature, so3_quadrature_euler)
+from symquad.geometry import (SO2, identity_rule, load_quadrature_file, sample_haar,
+                              so2_quadrature, so3_quadrature_euler, write_quadrature_file)
 from symquad.harmonics import generalized_d
 from symquad.regression import (AugmentationScheme, Dataset, RegressionSolution,
                                 augmented_lsq, design_factor, design_matrix, full_lsq,
@@ -325,7 +325,7 @@ def _oracle_case(d, k, dist, n, scheme, cutoff, seed):
 
 @pytest.mark.parametrize("dist", ["UUU", "dUU"])
 @pytest.mark.parametrize("cutoff", [0.0, 1e-3])
-def test_augmented_lsq_matches_stacked_oracle(dist, cutoff):
+def test_augmented_lsq_matches_stacked_oracle(dist, cutoff, tmp_path):
     # d=1, K=5 has 11 charges: T=3 is below the charge count, T=64 far above;
     # so2_quadrature(m) has degree m-1, so m=3 is under-resolved (q=2 < K) and
     # m=6, 8 are exact (q=5, 7 >= K); so3_quadrature_euler(q) has degree q;
@@ -340,10 +340,15 @@ def test_augmented_lsq_matches_stacked_oracle(dist, cutoff):
     schemes1 += [AugmentationScheme("quadrature", rule=so2_quadrature(m)) for m in (3, 6)]
     for i, scheme in enumerate(schemes1):
         _oracle_case(1, 3, dist, 150, scheme, cutoff, 310 + i)
-    # d=2, K=2 has p=52: n=40 rotates the n rows themselves, n=80 > p+1 is cut
-    # to its 53-row triangular factor first
-    schemes2 = [AugmentationScheme("random", t=t, seed=42 + t) for t in (3, 16)]
+    # d=2, K=2 has p=52 and S=35 irreducible entries: T=3 and 16 are below S,
+    # T=35 equal, T=64 above; n=40 rotates the n rows themselves, n=80 > p+1
+    # is cut to its 53-row triangular factor first; the loaded rule file is
+    # the q=2 Euler rule read back from text
+    path = tmp_path / "euler2.txt"
+    write_quadrature_file(so3_quadrature_euler(2), path)
+    schemes2 = [AugmentationScheme("random", t=t, seed=42 + t) for t in (3, 16, 35, 64)]
     schemes2 += [AugmentationScheme("quadrature", rule=so3_quadrature_euler(q)) for q in (1, 2)]
+    schemes2.append(AugmentationScheme("quadrature", rule=load_quadrature_file(path)))
     for i, scheme in enumerate(schemes2):
         _oracle_case(2, 2, dist, 40, scheme, cutoff, 320 + i)
         _oracle_case(2, 2, dist, 80, scheme, cutoff, 330 + i)
@@ -400,14 +405,17 @@ def test_augmented_rows_cut_to_p_plus_one_d2(monkeypatch):
     data = _uniform_data(2, 200, 50, target)
     rule = so3_quadrature_euler(2)
     augmented_lsq(basis, data, AugmentationScheme("quadrature", rule=rule))
+    augmented_lsq(basis, data, AugmentationScheme("random", t=64, seed=48))
     assert (basis.size, len(rule)) == (52, 32)
-    # [A | y] (200 rows) is cut first, then 32 nodes of 53 rows are stacked
-    assert rows == [200, 32 * 53]
+    # [A | y] (200 rows) is cut first, then min(T, S) virtual nodes of 53 rows
+    # are stacked, S = 35 Wigner entries of degree <= 2: all 32 nodes of the
+    # rule, and 35 for the 64 random rotations
+    assert rows == [200, 32 * 53, 35 * 53]
 
 
 def test_augmented_d2_nodes_across_chunks(monkeypatch):
-    # 53 rows a node: a 120-row budget puts two nodes in a stack chunk and
-    # three in a Schur chunk, so every node set below spans several chunks
+    # 53 rows a virtual node: a 120-row budget puts two in a stack chunk, so
+    # every node set below spans several chunks
     target = make_target(2, ExponentialDecay(2.0), 4, seed=51)
     basis = enumerate_basis(2, 3, 2)
     data = _uniform_data(2, 80, 52, target)
@@ -424,19 +432,6 @@ def test_augmented_d2_nodes_across_chunks(monkeypatch):
         assert diag.available and ref_diag.available
         # the exact q=2 rule leaves a bound at the roundoff floor
         assert abs(diag.bound - ref_diag.bound) <= 1e-12 * max(ref_diag.bound, 1e-3)
-
-
-@pytest.mark.parametrize("budget", [16384, 200])
-@pytest.mark.parametrize("d", [1, 2])
-def test_mean_rotation_matches_per_node_sums(monkeypatch, budget, d):
-    # the chunked block sums against dense D(Q_t) built node by node; a
-    # 200-row budget puts 14 of the 40 d=2 nodes in a chunk
-    monkeypatch.setattr(regression, "_COMPRESS_ROWS", budget)
-    basis = enumerate_basis(d, 3, 3)
-    weights, rotations = AugmentationScheme("random", t=40, seed=55).nodes(d)
-    d_bar_ref = sum(w * generalized_d(basis, q) for w, q in zip(weights, rotations))
-    d_bar = regression._mean_rotation(basis, weights, rotations)
-    assert np.abs(d_bar - d_bar_ref).max() <= 1e-13
 
 
 def test_full_rank_propagates_to_blocks():
@@ -614,7 +609,7 @@ def test_schur_after_solve_builds_no_stack(monkeypatch, d):
     scheme = AugmentationScheme("random", t=8, seed=81)
     sol = augmented_lsq(basis, data, scheme)
     calls = []
-    for name in ("_compressed_stack", "apply_generalized_d"):
+    for name in ("_compressed_stack", "_virtual_nodes"):
         real = getattr(regression, name)
         monkeypatch.setattr(regression, name,
                             lambda *args, real=real, name=name: calls.append(name) or real(*args))

@@ -17,7 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symquad import dynamics
+from symquad import dynamics, regression
+from symquad.coupling import enumerate_basis
+from symquad.regression import AugmentationScheme
+from symquad.sampling import DistributionSpec, ExponentialDecay, make_target, sample_dataset
 from symquad.experiments import load_configs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,6 +70,24 @@ def test_tracer_counts_verlet_steps():
     layers = tracer.layer_metrics()
     assert layers["dynamics.particle_steps"] == 4 * 30 + 2 * 20
     assert math.isfinite(layers["dynamics.step_us"]) and layers["dynamics.step_us"] > 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_tracer_counts_rotation_entries_once_per_solve_and_bound(d):
+    # the augmented reducer and the Schur bound read the rotations through the
+    # harmonics.rotation_blocks global, one call each, so the layer stays traced
+    target = make_target(d, ExponentialDecay(2.0), 4, seed=88)
+    data = sample_dataset(DistributionSpec(d, "UUU"), 60, np.random.default_rng(89), target)
+    basis = enumerate_basis(d, 3, 3 if d == 1 else 2)
+    scheme = AugmentationScheme("random", t=40, seed=90)
+    tracer = HOOKS.Tracer("test")
+    patches = HOOKS.install(tracer, ["harmonics.rotation_blocks"])
+    try:
+        sol = regression.augmented_lsq(basis, data, scheme)
+        assert regression.schur_diagnostics(basis, data, scheme, sol).available
+    finally:
+        HOOKS.uninstall(patches)
+    assert tracer.layer_metrics()["harmonics.rotation_blocks_calls"] == 2
 
 
 def test_shipped_configs_found():
