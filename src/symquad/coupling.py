@@ -104,18 +104,33 @@ class CoupledFunction:
     coeffs: np.ndarray
 
 
-def _raising(l: tuple[int, ...]) -> np.ndarray:
-    """The total raising operator J+ = sum_p J+^(p) of one l-tuple block, a
-    real (dim, dim) matrix over the block's m-tuples in lexicographic order."""
+@functools.lru_cache(maxsize=1)  # shared by _irrep_block(l) and its _highest_weights(l, L) calls
+def _raising(l: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list]:
+    """(order, bounds, jplus): one l-tuple block's m-tuples (their indices in
+    lexicographic order) sorted by total M = -sum(l)..sum(l), lexicographic
+    within each sector, so that sector M is order[bounds[i]:bounds[i+1]] for
+    i = M + sum(l); and the total raising operator J+ = sum_p J+^(p) from each
+    sector to the next, jplus[i] a real (len(sector M+1), len(sector M))
+    matrix (0 rows at the top).  J+ links no other pair of sectors.
+    """
     grid = _m_grid(l)
-    jplus = np.zeros((len(grid), len(grid)))
-    stride = len(grid)
+    top, dim = sum(l), len(grid)
+    total = grid.sum(axis=1) + top
+    order = np.argsort(total, kind="stable")
+    counts = np.bincount(total, minlength=2 * top + 2)  # one empty sector above the top
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    pos = np.empty(dim, dtype=int)  # each m-tuple's place within its sector
+    pos[order] = np.arange(dim) - bounds[total[order]]
+    padded = np.zeros((2 * top + 1, counts.max(), counts.max()))
+    stride = dim
     for p, lp in enumerate(l):
         stride //= 2 * lp + 1  # raising m_p moves the lexicographic index by this
         m = grid[:, p]
         up = np.flatnonzero(m < lp)
-        jplus[up + stride, up] = np.sqrt(lp * (lp + 1) - m[up] * (m[up] + 1))
-    return jplus
+        padded[total[up], pos[up + stride], pos[up]] = np.sqrt(lp * (lp + 1) - m[up] * (m[up] + 1))
+    for arr in (order, bounds, padded):
+        arr.setflags(write=False)  # shared through the cache
+    return order, bounds, [padded[i, :counts[i + 1], :counts[i]] for i in range(2 * top + 1)]
 
 
 @functools.lru_cache(maxsize=None)  # one entry per (l-tuple, weight), bounded by the degree
@@ -130,15 +145,16 @@ def _highest_weights(l: tuple[int, ...], big_l: int) -> np.ndarray:
     Clebsch-Gordan couplings for N <= 3.
     """
     total = _m_grid(l).sum(axis=1)
-    here, above = np.flatnonzero(total == big_l), np.flatnonzero(total == big_l + 1)
-    if len(here) == len(above):  # no weight L: J+ maps the sector onto an equal one
-        return np.zeros((len(total), 0))
-    kernel = np.linalg.svd(_raising(l)[np.ix_(above, here)])[2][len(above):].T
+    if np.count_nonzero(total == big_l) == np.count_nonzero(total == big_l + 1):
+        return np.zeros((len(total), 0))  # no weight L: J+ maps the sector onto an equal one
+    order, bounds, jplus = _raising(l)
+    i = big_l + sum(l)
+    kernel = np.linalg.svd(jplus[i])[2][jplus[i].shape[0]:].T
     kernel[np.abs(kernel) < _RANK_TOL] = 0.0
     last = [np.flatnonzero(v)[-1] for v in kernel.T]
     kernel *= np.sign(kernel[last, np.arange(kernel.shape[1])])
-    vecs = np.zeros((len(total), kernel.shape[1]))
-    vecs[here] = kernel
+    vecs = np.zeros((len(order), kernel.shape[1]))
+    vecs[order[bounds[i]:bounds[i + 1]]] = kernel
     vecs.setflags(write=False)  # shared through the cache
     return vecs
 
@@ -156,22 +172,30 @@ def _irrep_block(l: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
     Applications of Noncommutative Harmonic Analysis, 2001).  The copies of
     weight L start from its highest-weight vectors (``_highest_weights``)
     and J- lowers them to M = -L.  The L = 0 columns are the invariant ones.
+
+    Every vector lies in one total-M sector, so each step works on that
+    sector's rows alone: J- from M to M-1 is the transpose of the J+ block
+    from M-1 to M (``_raising``), and u is filled with its rows sorted by M.
     """
-    jlower = _raising(l).T
-    dim = len(jlower)
-    cols, mults, done = [], [], {}  # done[M]: the vectors of the higher weights at M
-    for big_l in range(sum(l), -1, -1):
-        ladder = [_highest_weights(l, big_l)]
+    order, bounds, jplus = _raising(l)
+    top, dim = sum(l), len(order)
+    u = np.zeros((dim, dim))
+    col, mults, done = dim, [], {}  # done[M]: the sector-M rows of the higher weights
+    for big_l in range(top, -1, -1):
+        i = big_l + top
+        ladder = [_highest_weights(l, big_l)[order[bounds[i]:bounds[i + 1]]]]
         for m in range(big_l, -big_l, -1):  # M -> M-1
-            v = jlower @ ladder[-1] / math.sqrt(big_l * (big_l + 1) - m * (m - 1))
+            v = jplus[m - 1 + top].T @ ladder[-1] / math.sqrt(big_l * (big_l + 1) - m * (m - 1))
             # lowering amplifies roundoff along the higher weights: project it out
-            higher = done.get(m - 1, np.zeros((dim, 0)))
-            ladder.append(v - higher @ (higher.T @ v))
+            higher = done.get(m - 1)
+            ladder.append(v if higher is None else v - higher @ (higher.T @ v))
+        mult, width = ladder[0].shape[1], 2 * big_l + 1
+        col -= mult * width  # this weight's columns, (mu, M) with M fastest
         for m, vecs in zip(range(big_l, -big_l - 1, -1), ladder):
-            done[m] = np.concatenate([done.get(m, np.zeros((dim, 0))), vecs], axis=1)
-        cols.append(np.stack(ladder[::-1], axis=2).reshape(dim, -1))
-        mults.append(ladder[0].shape[1])
-    u = np.concatenate(cols[::-1], axis=1)
+            u[bounds[m + top]:bounds[m + top + 1], col + big_l + m:col + mult * width:width] = vecs
+            done[m] = vecs if m not in done else np.concatenate([done[m], vecs], axis=1)
+        mults.append(mult)
+    u[order] = u.copy()  # rows back to lexicographic order
     assert np.abs(u.T @ u - np.eye(dim)).max() < 1e-12
     u.setflags(write=False)  # shared through the cache
     return u, tuple(mults[::-1])

@@ -26,12 +26,15 @@ def sph_harm_table(l_max: int, vecs: np.ndarray) -> np.ndarray:
     (n, (l_max+1)^2) complex array, column l*l + l + m holding Y_l^m.
 
     Condon-Shortley phase; evaluated by the stable upward recurrence on fully
-    normalized associated Legendre functions.
+    normalized associated Legendre functions.  The polar cosine and sine are
+    z and hypot(x, y), normalized together: sqrt(1 - cos^2) would cancel
+    near the poles (to 0 at a polar angle of 1e-8).
     """
     vecs = np.atleast_2d(np.asarray(vecs, dtype=float))
     n = vecs.shape[0]
-    ct = np.clip(vecs[:, 2], -1.0, 1.0)
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+    rho = np.hypot(vecs[:, 0], vecs[:, 1])
+    norm = np.hypot(rho, vecs[:, 2])
+    ct, st = np.clip(vecs[:, 2] / norm, -1.0, 1.0), rho / norm
     phi = np.arctan2(vecs[:, 1], vecs[:, 0])
 
     # leg[l, m] = sqrt((2l+1)(l-m)! / (4 pi (l+m)!)) P_l^m(ct),  m >= 0;

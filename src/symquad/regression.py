@@ -13,21 +13,31 @@ Rotations reach both only through their irreducible entries
 an arrangement of the charge phases (d=1) or of the Wigner entries of
 degree <= K (d=2).  One reducer, ``_virtual_nodes``, collapses any number
 of rotations to min(T, S) virtual nodes for both d, and the Schur bound's
-mean rotation is the weighted mean of the same entries."""
+mean rotation is the weighted mean of the same entries.
+
+The d=2 invariant functions (the invariant design and the random targets of
+``sampling``) are evaluated in each sample's pole frame (``_pole_frame``):
+being invariant, they take the same value once the sample is rotated so
+that its last particle sits on +z, where Y_l^m(z) = delta_{m0}
+sqrt((2l+1)/4pi) leaves only the m_N = 0 terms of the couplings, a product
+over the other N-1 particles' harmonic tables (``_pole_terms``)."""
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import BasisSpec, eval_coupled, invariant_couplings
+from .coupling import BasisSpec, invariant_couplings
 from .geometry import SO2, SO3, DimensionError, QuadratureRule, Rotation, sample_haar_many
 from .harmonics import _apply_entries, _trivial_entry, rotation_blocks, sph_harm_table
 
 _MACHINE_FLOOR = 1e-13
 _UNIT_TOL = 1e-12
 _COMPRESS_ROWS = 16384
+_GATHER_ENTRIES = 1 << 16  # (rows x terms) per chunk of the pole-frame product gather
 _KAPPA_FAST = 1e4  # condition bound under which lsq_solve skips the SVD
 
 
@@ -107,6 +117,76 @@ def _phase_product(points: np.ndarray, keys, degree: int) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=None)  # one entry per (N, K), built on first use
+def _pole_terms(n_particles: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, w): the invariant couplings ``invariant_couplings(N, K)`` in the
+    pole frame, where the last particle sits on +z.
+
+    There Y_l^m(z) = delta_{m0} sqrt((2l+1)/4pi) (Varshalovich, Moskalev &
+    Khersonskii, Quantum Theory of Angular Momentum, 1988, sec. 5.2), so only
+    the m_N = 0 terms survive and each is a product over the other N-1
+    particles alone: term t reads column cols[p, t] = l*l + l + m of particle
+    p's harmonic table, each distinct product once.  w (terms, couplings)
+    sums coeff * sqrt((2 l_N + 1)/4pi) over the m-tuples of a coupling that
+    share a product.
+    """
+    funcs = invariant_couplings(n_particles, degree)
+    slots, entries = {}, []
+    for j, f in enumerate(funcs):
+        head = np.array(f.l[:-1])
+        at_pole = f.ms[:, -1] == 0
+        scale = math.sqrt((2 * f.l[-1] + 1) / (4.0 * math.pi))
+        for cols, c in zip((head * (head + 1) + f.ms[at_pole, :-1]).tolist(), f.coeffs[at_pole]):
+            entries.append((slots.setdefault(tuple(cols), len(slots)), j, c * scale))
+    w = np.zeros((len(slots), len(funcs)))
+    for t, j, c in entries:
+        w[t, j] += c
+    cols = np.array(list(slots), dtype=int).reshape(len(slots), n_particles - 1).T
+    for arr in (cols, w):
+        arr.setflags(write=False)  # shared through the cache
+    return cols, w
+
+
+def _pole_frame(points: np.ndarray, degree: int, cols: np.ndarray,
+                weights: np.ndarray) -> np.ndarray:
+    """Invariant functions at (n, N, 3) unit vectors from their pole-frame
+    terms (``_pole_terms``): the d=2 invariant evaluator.
+
+    An invariant function takes the same value at every rotation of a
+    configuration, so each sample is rotated by R = Ry(-theta) Rz(-phi),
+    which takes its last particle (polar angle theta, azimuth phi) to +z;
+    at the poles phi is arbitrary and R is still such a rotation.  The other
+    N-1 particles then need one degree-K harmonic table each, and the
+    column products ``cols`` reduce to the result by one matrix product with
+    ``weights``, (terms,) for one function or (terms, k) for k columns; the
+    products are gathered in row chunks of at most ``_GATHER_ENTRIES``.
+    """
+    x, y, z = points[:, -1].T
+    rho = np.hypot(x, y)
+    norm = np.hypot(rho, z)
+    ct, st = (z / norm)[:, None], (rho / norm)[:, None]
+    phi = np.arctan2(y, x)
+    cp, sp = np.cos(phi)[:, None], np.sin(phi)[:, None]
+    ox, oy, oz = np.moveaxis(points[:, :-1], 2, 0)
+    u = cp * ox + sp * oy  # Rz(-phi) puts the last particle in the x-z plane
+    rotated = np.stack([ct * u - st * oz, cp * oy - sp * ox, st * u + ct * oz], axis=2)
+    tables = [sph_harm_table(degree, rotated[:, p]) for p in range(points.shape[1] - 1)]
+    weights = np.asarray(weights, dtype=complex)
+    n, terms = points.shape[0], cols.shape[1]
+    out = np.empty((n,) + weights.shape[1:], dtype=complex)
+    step = max(1, _GATHER_ENTRIES // max(1, terms))
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        if tables:
+            prod = tables[0][rows, cols[0]]
+            for table, c in zip(tables[1:], cols[1:]):
+                prod *= table[rows, c]
+        else:  # one particle: every term is the constant at the pole
+            prod = np.ones((min(step, n - lo), terms), dtype=complex)
+        out[rows] = prod @ weights
+    return out
+
+
 def design_matrix(basis: BasisSpec, data: Dataset) -> np.ndarray:
     """n x p evaluations of the working basis functions, in basis order."""
     if data.d != basis.d or data.n_particles != basis.n_particles:
@@ -126,13 +206,19 @@ def design_matrix(basis: BasisSpec, data: Dataset) -> np.ndarray:
 
 
 def invariant_design_matrix(basis: BasisSpec, data: Dataset) -> np.ndarray:
-    """n x invariant_count evaluations of the invariant basis functions only."""
+    """n x invariant_count evaluations of the invariant basis functions only.
+
+    d=2 evaluates them in the pole frame of each sample (``_pole_frame``):
+    rotated so that its last particle sits on +z, where only the m_N = 0
+    terms of the couplings survive, one weight column per coupling.
+    """
+    if data.d != basis.d or data.n_particles != basis.n_particles:
+        raise ValueError("dataset and basis dimensions do not match")
     if basis.d == 1:
         return np.ascontiguousarray(
             _phase_product(data.points, basis.indices[:basis.invariant_count], basis.degree))
-    y_tables = [sph_harm_table(basis.degree, data.points[:, p, :])
-                for p in range(basis.n_particles)]
-    return eval_coupled(invariant_couplings(basis.n_particles, basis.degree), y_tables)
+    return _pole_frame(data.points, basis.degree,
+                       *_pole_terms(basis.n_particles, basis.degree))
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +361,11 @@ def invariant_lsq(basis: BasisSpec, data: Dataset, cutoff: float = 0.0) -> Regre
     """Least squares restricted to the invariant columns; eps_sym is 0 by
     construction and the returned beta embeds the fit in the full basis.
 
-    It evaluates the invariant design itself, independent of the factor the
-    other solves share, so it can serve as their reference; the same fit
-    from the factor is ``design_factor(basis, data).leading_fit(n_inv)``.
+    It evaluates the invariant design itself (``invariant_design_matrix``;
+    d=2 in each sample's pole frame, from the m_N = 0 terms of the couplings),
+    independent of the factor the other solves share, so it can serve as
+    their reference; the same fit from the factor is
+    ``design_factor(basis, data).leading_fit(n_inv)``.
     """
     if basis.invariant_count < 1:
         raise ValueError("basis has no invariant functions")

@@ -8,10 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import eval_coupled, invariant_basis_sphere3, invariant_indices_circle
+from .coupling import invariant_basis_sphere3, invariant_indices_circle
 from .geometry import TWO_PI, wrap_angle
-from .harmonics import sph_harm_table
-from .regression import Dataset, _phase_product
+from .regression import Dataset, _phase_product, _pole_frame, _pole_terms
 
 _N_PARTICLES = 3
 
@@ -153,14 +152,21 @@ class TargetFunction:
     seed: int
     keys: tuple = field(repr=False)
     coeffs: np.ndarray = field(repr=False)
-    funcs: tuple = field(default=(), repr=False)  # d=2 coupled functions
 
     @property
     def n_particles(self) -> int:
         return _N_PARTICLES
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Values at (n, N) angle or (n, N, 3) vector samples."""
+        """Values at (n, N) angle or (n, N, 3) vector samples.
+
+        d=1 sums the phase products of ``keys``.  d=2 evaluates in the pole
+        frame of each sample (``regression._pole_frame``): the target is
+        invariant, so each sample is rotated to put its last particle on +z,
+        where only the m_N = 0 terms of the coupled functions survive; they
+        need the harmonic tables of the other two particles and are summed
+        with the coefficients already contracted into one weight per term.
+        """
         points = np.asarray(points)
         n = self.n_particles
         if points.shape[1:] != ((n,) if self.d == 1 else (n, 3)):
@@ -168,8 +174,8 @@ class TargetFunction:
                              f"target of {n} particles")
         if self.d == 1:
             return _phase_product(points, self.keys, self.degree) @ self.coeffs.astype(complex)
-        y_tables = [sph_harm_table(self.degree, points[:, p, :]) for p in range(n)]
-        return eval_coupled(list(self.funcs), y_tables) @ self.coeffs.astype(complex)
+        cols, w = _pole_terms(n, self.degree)
+        return _pole_frame(points, self.degree, cols, w @ self.coeffs)
 
     def __call__(self, data) -> np.ndarray:
         pts = data.points if isinstance(data, Dataset) else data
@@ -193,16 +199,13 @@ def make_target(d: int, decay, degree: int, seed: int) -> TargetFunction:
     rng = np.random.default_rng(seed)
     if d == 1:
         keys = tuple(invariant_indices_circle(_N_PARTICLES, degree))
-        funcs: tuple = ()
     elif d == 2:
-        cf = invariant_basis_sphere3(degree)
-        keys = tuple(f.l for f in cf)
-        funcs = tuple(cf)
+        keys = tuple(f.l for f in invariant_basis_sphere3(degree))
     else:
         raise ValueError("d must be 1 or 2")
     raw = rng.uniform(-1.0, 1.0, len(keys))
     envelope = np.array([decay.factor(sum(abs(c) for c in key)) for key in keys])
-    return TargetFunction(d, degree, decay, seed, keys, raw * envelope, funcs)
+    return TargetFunction(d, degree, decay, seed, keys, raw * envelope)
 
 
 # ---------------------------------------------------------------------------

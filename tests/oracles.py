@@ -129,8 +129,9 @@ def sph_harm_table_loop(l_max: int, vecs: np.ndarray) -> np.ndarray:
     coefficients and e^{i m phi} formed per column."""
     vecs = np.atleast_2d(np.asarray(vecs, dtype=float))
     n = vecs.shape[0]
-    ct = np.clip(vecs[:, 2], -1.0, 1.0)
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+    rho = np.hypot(vecs[:, 0], vecs[:, 1])
+    norm = np.hypot(rho, vecs[:, 2])
+    ct, st = np.clip(vecs[:, 2] / norm, -1.0, 1.0), rho / norm
     phi = np.arctan2(vecs[:, 1], vecs[:, 0])
     leg = np.zeros((n, l_max + 1, l_max + 1))
     leg[:, 0, 0] = math.sqrt(1.0 / (4.0 * math.pi))

@@ -46,6 +46,29 @@ def test_sph_harm_against_scipy():
             assert np.abs(table[:, l * l + l + m] - ref).max() < 1e-12
 
 
+def test_sph_harm_accurate_near_the_poles():
+    # sqrt(1 - cos^2) would round the polar sine to 0 at 1e-8; every entry
+    # up to l = 11 must keep its relative accuracy however close the pole
+    scipy_special = pytest.importorskip("scipy.special")
+    phi = np.linspace(-3.0, 3.0, 5)
+    for theta in (1e-4, 1e-8, 1e-12, np.pi - 1e-8):
+        vecs = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                         np.full_like(phi, np.cos(theta))], axis=1)
+        table = sph_harm_table(11, vecs)
+        y11 = -0.5 * math.sqrt(3.0 / (2.0 * math.pi)) * np.sin(theta) * np.exp(1j * phi)
+        assert np.abs(table[:, 3] - y11).max() <= 1e-14 * np.abs(y11).max()
+        for l in range(12):
+            for m in range(-l, l + 1):
+                ref = scipy_special.sph_harm_y(l, m, theta, phi)
+                assert np.abs(table[:, l * l + l + m] - ref).max() <= 1e-12 * np.abs(ref).max()
+    for z in (1.0, -1.0):  # at the poles only m = 0 survives: z^l sqrt((2l+1)/4pi)
+        table = sph_harm_table(11, np.array([[0.0, 0.0, z], [-0.0, 0.0, z]]))
+        expect = np.zeros((2, 144))
+        for l in range(12):
+            expect[:, l * l + l] = z ** l * math.sqrt((2 * l + 1) / (4.0 * math.pi))
+        assert np.abs(table - expect).max() < 1e-15
+
+
 def test_sph_harm_table_matches_loop_bit_for_bit():
     # random directions plus both poles and the equator (incl. phi = pi)
     rng = np.random.default_rng(5)

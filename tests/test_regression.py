@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import pinv_solve, schur_from_design, stacked_augmented_solve
-from symquad import regression
-from symquad.coupling import enumerate_basis, sym_coeffs
+from oracles import pinv_solve, random_units, schur_from_design, stacked_augmented_solve
+from symquad import coupling, regression, sampling
+from symquad.coupling import enumerate_basis, eval_coupled, invariant_couplings, sym_coeffs
 from symquad.geometry import (SO2, identity_rule, load_quadrature_file, sample_haar,
                               so2_quadrature, so3_quadrature_euler, write_quadrature_file)
-from symquad.harmonics import generalized_d
+from symquad.harmonics import generalized_d, sph_harm_table
 from symquad.regression import (AugmentationScheme, Dataset, RegressionSolution,
                                 augmented_lsq, design_factor, design_matrix, full_lsq,
                                 invariant_design_matrix, invariant_lsq,
                                 l2_test_error, l2_test_errors,
                                 lsq_solve, rotate_dataset, schur_diagnostics,
-                                _compressed_stack)
+                                _compressed_stack, _pole_frame, _pole_terms)
 from symquad.sampling import DistributionSpec, ExponentialDecay, make_target, sample_dataset
 
 
@@ -79,6 +79,92 @@ def test_invariant_design_matches_leading_columns():
         full = design_matrix(basis, data)
         inv = invariant_design_matrix(basis, data)
         assert np.abs(full[:, :basis.invariant_count] - inv).max() < 1e-12
+
+
+def _pole_geometries(n_particles, seed):
+    """Uniform configurations plus the pole-frame edge cases: the last
+    particle exactly on +z and -z and within 1e-9 of either pole, and the
+    first particle on the last one and opposite it, also at the poles, or
+    1e-8 rad from it or from its antipode (near the pole of the frame)."""
+    rng = np.random.default_rng(seed)
+    pts = random_units(12 * n_particles, rng).reshape(12, n_particles, 3)
+    tilt = math.sqrt(1.0 - 1e-18)
+    pts[[0, 6], -1] = (0.0, 0.0, 1.0)
+    pts[[1, 7], -1] = (0.0, 0.0, -1.0)
+    pts[[2, 8], -1] = (1e-9, 0.0, tilt)
+    pts[3, -1] = (0.0, -1e-9, -tilt)
+    if n_particles > 1:
+        pts[[4, 6, 8], 0] = pts[[4, 6, 8], -1]
+        pts[[5, 7], 0] = -pts[[5, 7], -1]
+        for row, sign in ((9, 1.0), (10, -1.0)):
+            last = pts[row, -1]
+            normal = np.cross(last, pts[row, 0])
+            normal /= np.linalg.norm(normal)
+            pts[row, 0] = sign * (math.cos(1e-8) * last + math.sin(1e-8) * normal)
+    return pts
+
+
+def test_pole_frame_matches_coupled_oracle():
+    # the m_N = 0 pole-frame terms against the full Clebsch-Gordan loop, for
+    # every coupling of N = 1..4 particles up to K = 11, on uniform data, the
+    # edge cases of _pole_geometries and pinned (dUU-like) data
+    for n_particles in range(1, 5):
+        uniform = _pole_geometries(n_particles, 90 + n_particles)
+        pinned = uniform.copy()
+        pinned[:, 0] = (0.0, 0.0, 1.0)
+        for pts in (uniform, pinned):
+            for k in range(12):
+                tables = [sph_harm_table(k, pts[:, p]) for p in range(n_particles)]
+                ref = eval_coupled(invariant_couplings(n_particles, k), tables)
+                got = _pole_frame(pts, k, *_pole_terms(n_particles, k))
+                assert got.shape == ref.shape
+                err = np.abs(got - ref).max() / np.abs(ref).max()
+                assert err <= 1e-12, (n_particles, k, err)
+
+
+def test_pole_frame_gathers_in_bounded_chunks(monkeypatch):
+    # 12 samples in chunks of 5 rows: every row is evaluated once, in place
+    pts = _pole_geometries(3, 97)
+    cols, w = _pole_terms(3, 6)
+    whole = _pole_frame(pts, 6, cols, w)
+    monkeypatch.setattr(regression, "_GATHER_ENTRIES", 5 * cols.shape[1])
+    assert np.abs(_pole_frame(pts, 6, cols, w) - whole).max() <= 1e-15 * np.abs(whole).max()
+
+
+def test_pole_frame_callers_match_coupled_oracle():
+    # the two d=2 callers: the target (coefficients contracted into the
+    # weights) and the invariant design (one weight column per coupling)
+    target = make_target(2, ExponentialDecay(2.0), 11, seed=95)
+    basis = enumerate_basis(2, 3, 4)
+    for name in ("UUU", "dUU", "dsUU", "dH1U", "dsH1sU"):
+        pts = sample_dataset(DistributionSpec(2, name), 40, np.random.default_rng(96)).points
+        tables = [sph_harm_table(11, pts[:, p]) for p in range(3)]
+        ref = eval_coupled(invariant_couplings(3, 11), tables) @ target.coeffs
+        assert np.abs(target.evaluate(pts) - ref).max() <= 1e-12 * np.abs(ref).max()
+        ref = eval_coupled(invariant_couplings(3, 4), tables)
+        got = invariant_design_matrix(basis, Dataset(2, pts))
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_d2_invariants_never_reach_eval_coupled(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval_coupled called")
+
+    monkeypatch.setattr(coupling, "eval_coupled", refuse)
+    for module in (regression, sampling):
+        if hasattr(module, "eval_coupled"):
+            monkeypatch.setattr(module, "eval_coupled", refuse)
+    target = make_target(2, ExponentialDecay(2.0), 6, seed=98)
+    data = _uniform_data(2, 30, 99, target)
+    basis = enumerate_basis(2, 3, 2)
+    assert invariant_design_matrix(basis, data).shape == (30, basis.invariant_count)
+    assert invariant_lsq(basis, data).beta.shape == (basis.size,)
+
+
+def test_invariant_design_rejects_mismatched_data():
+    pts = random_units(8, np.random.default_rng(0)).reshape(4, 2, 3)
+    with pytest.raises(ValueError, match="do not match"):
+        invariant_design_matrix(enumerate_basis(2, 3, 2), Dataset(2, pts))
 
 
 def test_circle_evaluator_bitwise_and_row_major():
