@@ -59,6 +59,8 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.lmax < 0:
+        raise ConfigError(f"--lmax must be >= 0, got {args.lmax}")
     rule = load_quadrature_file(args.file)
     degree = verify_exactness(rule, args.lmax)
     print(f"nodes={len(rule)} declared_degree={rule.declared_degree} "
@@ -93,7 +95,7 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
         if args.command == "drift":
             return _cmd_drift(args)
-    except (ConfigError, QuadratureFormatError, FileNotFoundError) as exc:
+    except (ConfigError, QuadratureFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalAbort, np.linalg.LinAlgError) as exc:

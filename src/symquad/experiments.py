@@ -9,6 +9,7 @@ import hashlib
 import math
 import os
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, get_args, get_origin, get_type_hints
 
@@ -190,7 +191,7 @@ def load_configs(path) -> list[ExperimentConfig]:
     parser = configparser.ConfigParser()
     try:
         parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not parser.sections():
         raise ConfigError(f"{path}: no experiment sections")
@@ -318,11 +319,15 @@ def _make_rule(d: int, degree: int):
 
 def _setup(cfg: ExperimentConfig, target=None, test: bool = True):
     """Shared set-up of the regression runners: size defaults, cutoff, target
-    (the exponential-decay one unless given) and each trial's (train, test)
-    pair, drawn once so that every sweep point of a trial fits the same data.
+    (the exponential-decay one unless given) and a generator of the trials'
+    (train, test) pairs.
 
-    Train comes from seed path (2, trial), test from the uniform distribution
-    on (3, trial); test is None when ``test`` is false.
+    Each pair is drawn when its trial starts, train from seed path
+    (2, trial) and test from the uniform distribution on (3, trial); test is
+    None when ``test`` is false.  A runner iterates the generator once, with
+    trials outermost, so every sweep point of a trial fits the same data and
+    a trial's datasets, with the factors they cache, are freed once the next
+    trial's pair replaces them.
     """
     cfg = _apply_size_defaults(cfg)
     if target is None:
@@ -330,11 +335,21 @@ def _setup(cfg: ExperimentConfig, target=None, test: bool = True):
                              _int_seed(cfg.seed, 1))
     dist = DistributionSpec(cfg.d, cfg.distribution, cfg.kappa, cfg.sigma)
     uniform = DistributionSpec(cfg.d, "UUU")
-    data = [(sample_dataset(dist, cfg.train_size, _rng(cfg.seed, 2, trial), target),
-             sample_dataset(uniform, cfg.test_size, _rng(cfg.seed, 3, trial), target)
-             if test else None)
-            for trial in range(cfg.trials)]
-    return cfg, _resolve_cutoff(cfg), target, data
+    trials = ((sample_dataset(dist, cfg.train_size, _rng(cfg.seed, 2, trial), target),
+               sample_dataset(uniform, cfg.test_size, _rng(cfg.seed, 3, trial), target)
+               if test else None)
+              for trial in range(cfg.trials))
+    return cfg, _resolve_cutoff(cfg), target, trials
+
+
+def _collected(cfg: ExperimentConfig, values: dict) -> ResultTable:
+    """The result table of per-trial values collected under (sweep, metric)
+    keys, one row per key; a third key entry keeps apart the rows of one
+    sweep and metric (compare's quadrature degrees of equal budget)."""
+    table = _new_table(cfg)
+    for (sweep, metric, *_), vals in values.items():
+        table.add(sweep, metric, vals)
+    return table
 
 
 @_experiment("approx-rates", "semilogy",
@@ -347,29 +362,22 @@ def run_approx_rates(cfg: ExperimentConfig) -> ResultTable:
     The invariant fit is the leading fit of the training factor the full fit
     read, and the three fits share one evaluation of the test design.
     """
-    cfg, cutoff, target, data = _setup(cfg)
-    table = _new_table(cfg)
-    bases = {k: enumerate_basis(cfg.d, 3, k) for k in cfg.degrees}
-    results = {k: {name: [] for name in ("full", "invariant", "projected", "full_eps_sym")}
-               for k in cfg.degrees}
-    for train, test in data:
-        for k in cfg.degrees:
-            basis = bases[k]
+    cfg, cutoff, target, trials = _setup(cfg)
+    bases = [enumerate_basis(cfg.d, 3, k) for k in cfg.degrees]
+    values = defaultdict(list)
+    for train, test in trials:
+        for k, basis in zip(cfg.degrees, bases):
             sol_full = full_lsq(basis, train, cutoff)
             beta_inv = design_factor(basis, train).leading_fit(basis.invariant_count, cutoff)[0]
             betas = (sol_full.beta, np.pad(beta_inv, (0, basis.size - beta_inv.size)),
                      sym_coeffs(sol_full.beta, basis))
             errors = l2_test_errors(basis, betas, target, test)
             for name, error in zip(("full", "invariant", "projected"), errors):
-                results[k][name].append(error)
-            results[k]["full_eps_sym"].append(sol_full.eps_sym)
+                values[k, f"{name}_error"].append(error)
+            values[k, "full_eps_sym"].append(sol_full.eps_sym)
     for k in cfg.degrees:
-        table.add(k, "full_error", results[k]["full"])
-        table.add(k, "invariant_error", results[k]["invariant"])
-        table.add(k, "projected_error", results[k]["projected"])
-        table.add(k, "full_eps_sym", results[k]["full_eps_sym"])
-        table.add(k, "target_tail", [target.tail_norm(k)])
-    return table
+        values[k, "target_tail"] = [target.tail_norm(k)]
+    return _collected(cfg, values)
 
 
 @_experiment("quad-sweep", "semilogy",
@@ -378,26 +386,23 @@ def run_approx_rates(cfg: ExperimentConfig) -> ResultTable:
               "quad_degrees": tuple(range(10))})
 def run_quad_sweep(cfg: ExperimentConfig) -> ResultTable:
     """eps_sym and test error vs quadrature degree, per model degree."""
-    cfg, cutoff, target, data = _setup(cfg)
-    table = _new_table(cfg)
-    rules = {q: _make_rule(cfg.d, q) for q in cfg.quad_degrees}
-    for k in cfg.degrees:
-        basis = enumerate_basis(cfg.d, 3, k)
-        eps = {q: [] for q in cfg.quad_degrees}
-        err = {q: [] for q in cfg.quad_degrees}
-        for train, test in data:
-            sols = [augmented_lsq(basis, train, AugmentationScheme("quadrature", rule=rules[q]),
+    cfg, cutoff, target, trials = _setup(cfg)
+    bases = [enumerate_basis(cfg.d, 3, k) for k in cfg.degrees]
+    rules = [_make_rule(cfg.d, q) for q in cfg.quad_degrees]
+    values = defaultdict(list)
+    for train, test in trials:
+        for k, basis in zip(cfg.degrees, bases):
+            sols = [augmented_lsq(basis, train, AugmentationScheme("quadrature", rule=rule),
                                   cutoff)
-                    for q in cfg.quad_degrees]
+                    for rule in rules]
             errors = l2_test_errors(basis, [sol.beta for sol in sols], target, test)
             for q, sol, error in zip(cfg.quad_degrees, sols, errors):
-                eps[q].append(sol.eps_sym)
-                err[q].append(error)
+                values[q, f"eps_sym[K={k}]"].append(sol.eps_sym)
+                values[q, f"test_error[K={k}]"].append(error)
+    for k in cfg.degrees:
         for q in cfg.quad_degrees:
-            table.add(q, f"eps_sym[K={k}]", eps[q])
-            table.add(q, f"test_error[K={k}]", err[q])
-            table.add(q, f"past_threshold[K={k}]", [1.0 if q >= k else 0.0])
-    return table
+            values[q, f"past_threshold[K={k}]"] = [1.0 if q >= k else 0.0]
+    return _collected(cfg, values)
 
 
 @_experiment("random-sweep", "loglog",
@@ -406,29 +411,24 @@ def run_quad_sweep(cfg: ExperimentConfig) -> ResultTable:
               "t_list": (4, 8, 16, 32, 64, 128, 256)})
 def run_random_sweep(cfg: ExperimentConfig) -> ResultTable:
     """eps_sym (with Schur bound) vs number of random rotations."""
-    cfg, cutoff, target, data = _setup(cfg)
-    table = _new_table(cfg)
-    for k in cfg.degrees:
-        basis = enumerate_basis(cfg.d, 3, k)
-        # one list per t_list entry, one value per trial
-        eps, errs, bounds = ([[] for _ in cfg.t_list] for _ in range(3))
-        for trial, (train, test) in enumerate(data):
+    cfg, cutoff, target, trials = _setup(cfg)
+    bases = [enumerate_basis(cfg.d, 3, k) for k in cfg.degrees]
+    values = defaultdict(list)
+    for trial, (train, test) in enumerate(trials):
+        for k, basis in zip(cfg.degrees, bases):
             betas = []
             for ti, t in enumerate(cfg.t_list):
                 scheme = AugmentationScheme("random", t=t,
                                             seed=_int_seed(cfg.seed, 4, ti, trial))
                 sol = augmented_lsq(basis, train, scheme, cutoff)
                 diag = schur_diagnostics(basis, train, scheme, sol)
-                eps[ti].append(sol.eps_sym)
-                bounds[ti].append(diag.bound if diag.available else math.nan)
+                values[t, f"eps_sym[K={k}]"].append(sol.eps_sym)
+                values[t, f"schur_bound[K={k}]"].append(diag.bound if diag.available
+                                                         else math.nan)
                 betas.append(sol.beta)
-            for ti, error in enumerate(l2_test_errors(basis, betas, target, test)):
-                errs[ti].append(error)
-        for ti, t in enumerate(cfg.t_list):
-            table.add(t, f"eps_sym[K={k}]", eps[ti])
-            table.add(t, f"test_error[K={k}]", errs[ti])
-            table.add(t, f"schur_bound[K={k}]", bounds[ti])
-    return table
+            for t, error in zip(cfg.t_list, l2_test_errors(basis, betas, target, test)):
+                values[t, f"test_error[K={k}]"].append(error)
+    return _collected(cfg, values)
 
 
 @_experiment("compare", "loglog",
@@ -436,31 +436,31 @@ def run_random_sweep(cfg: ExperimentConfig) -> ResultTable:
              {"train_size": 100, "test_size": 100, "trials": 10, "degrees": (6,),
               "quad_degrees": tuple(range(10))})
 def run_compare(cfg: ExperimentConfig) -> ResultTable:
-    """Quadrature vs random augmentation on a shared rotation-count axis."""
-    cfg, cutoff, _, data = _setup(cfg, test=False)
-    table = _new_table(cfg)
+    """Quadrature vs random augmentation on a shared rotation-count axis.
+
+    Values are keyed by q as well as by budget: on the sphere two degrees
+    can share a node count (q = 2 and 3 both give 32), and each keeps its rows.
+    """
+    cfg, cutoff, _, trials = _setup(cfg, test=False)
+    bases = [enumerate_basis(cfg.d, 3, k) for k in cfg.degrees]
+    rules = [_make_rule(cfg.d, q) for q in cfg.quad_degrees]
+    values = defaultdict(list)
+    for trial, (train, _) in enumerate(trials):
+        for k, basis in zip(cfg.degrees, bases):
+            for qi, (q, rule) in enumerate(zip(cfg.quad_degrees, rules)):
+                quad = AugmentationScheme("quadrature", rule=rule)
+                rand = AugmentationScheme("random", t=len(rule),
+                                          seed=_int_seed(cfg.seed, 5, qi, trial))
+                for name, scheme in (("quad", quad), ("random", rand)):
+                    values[len(rule), f"{name}_eps_sym[K={k}]", q].append(
+                        augmented_lsq(basis, train, scheme, cutoff).eps_sym)
     for k in cfg.degrees:
-        basis = enumerate_basis(cfg.d, 3, k)
-        for qi, q in enumerate(cfg.quad_degrees):
-            rule = _make_rule(cfg.d, q)
-            budget = len(rule)
-            quad_eps, rand_eps = [], []
-            for trial, (train, _) in enumerate(data):
-                sol_q = augmented_lsq(basis, train,
-                                      AugmentationScheme("quadrature", rule=rule), cutoff)
-                sol_r = augmented_lsq(basis, train,
-                                      AugmentationScheme("random", t=budget,
-                                                         seed=_int_seed(cfg.seed, 5, qi, trial)),
-                                      cutoff)
-                quad_eps.append(sol_q.eps_sym)
-                rand_eps.append(sol_r.eps_sym)
-            q_mean = float(np.mean(quad_eps))
-            r_mean = float(np.mean(rand_eps))
+        for q, rule in zip(cfg.quad_degrees, rules):
+            q_mean = float(np.mean(values[len(rule), f"quad_eps_sym[K={k}]", q]))
+            r_mean = float(np.mean(values[len(rule), f"random_eps_sym[K={k}]", q]))
             ratio = RATIO_CAP if q_mean < 1e-10 else min(r_mean / q_mean, RATIO_CAP)
-            table.add(budget, f"quad_eps_sym[K={k}]", quad_eps)
-            table.add(budget, f"random_eps_sym[K={k}]", rand_eps)
-            table.add(budget, f"ratio[K={k}]", [ratio])
-    return table
+            values[len(rule), f"ratio[K={k}]", q] = [ratio]
+    return _collected(cfg, values)
 
 
 @_experiment("drift", "loglog",
@@ -521,21 +521,20 @@ def regularity_target(d: int, power: float, degree: int, seed: int):
               "t_list": (16, 64, 256), "powers": (0.5, 1.0, 2.0, 3.0), "target_degree": 30})
 def run_regularity_sweep(cfg: ExperimentConfig) -> ResultTable:
     """Random-augmentation eps_sym across algebraic smoothness classes."""
-    table = _new_table(cfg)
+    bases = [enumerate_basis(cfg.d, 3, k) for k in cfg.degrees]
+    values = defaultdict(list)
     for pi, power in enumerate(cfg.powers):
         target = regularity_target(cfg.d, power, _target_degree(cfg),
                                    _int_seed(cfg.seed, 1, pi))
-        _, cutoff, _, data = _setup(cfg, target, test=False)
-        for k in cfg.degrees:
-            basis = enumerate_basis(cfg.d, 3, k)
-            for ti, t in enumerate(cfg.t_list):
-                eps = []
-                for trial, (train, _) in enumerate(data):
+        _, cutoff, _, trials = _setup(cfg, target, test=False)
+        for trial, (train, _) in enumerate(trials):
+            for k, basis in zip(cfg.degrees, bases):
+                for ti, t in enumerate(cfg.t_list):
                     scheme = AugmentationScheme("random", t=t,
                                                 seed=_int_seed(cfg.seed, 7, pi, ti, trial))
-                    eps.append(augmented_lsq(basis, train, scheme, cutoff).eps_sym)
-                table.add(t, f"eps_sym[K={k},p={power:g}]", eps)
-    return table
+                    values[t, f"eps_sym[K={k},p={power:g}]"].append(
+                        augmented_lsq(basis, train, scheme, cutoff).eps_sym)
+    return _collected(cfg, values)
 
 
 @_experiment("distributions-preview", "semilogy",

@@ -248,12 +248,12 @@ def load_quadrature_file(path) -> QuadratureRule:
 
     Input weight sums of 1 or 8*pi^2 are accepted within 1e-6 relative.
     """
-    lines = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                lines.append((lineno, text))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            texts = [raw.split("#", 1)[0].strip() for raw in fh]
+    except UnicodeDecodeError as exc:
+        raise QuadratureFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    lines = [(lineno, text) for lineno, text in enumerate(texts, start=1) if text]
     if len(lines) < 2:
         raise QuadratureFormatError(f"{path}: expected `degree` and `count` header lines")
 

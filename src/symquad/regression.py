@@ -47,9 +47,9 @@ class Dataset:
 
     ``points`` is (n, N) angles for d=1 or (n, N, 3) unit vectors for d=2;
     ``values`` is None for unlabeled data (e.g. distribution previews).
-    The last ``DesignFactor`` built on the data and the last augmented one
-    are kept with it (``design_factor``, ``_augmented_factor``), so that the
-    fits of one (basis, dataset) pair share one design evaluation.
+    It caches the last ``DesignFactor`` built on it and the last augmented
+    one (``design_factor``, ``_augmented_factor``), so that the fits of one
+    (basis, dataset) pair share one design evaluation.
     """
 
     d: int
@@ -486,10 +486,9 @@ def _augmented_factor(basis: BasisSpec, data: Dataset,
     the kept rank and the residual are those of the plain stacked solve up
     to roundoff.
 
-    The dataset keeps the last augmented factor built on it, keyed by the
+    The dataset caches the last augmented factor built on it, keyed by the
     basis and scheme objects, so the solve and its Schur diagnostics share
-    it; the old one is dropped before the next is built, and
-    ``schur_diagnostics`` drops the one it read.
+    it; the old one is dropped before the next is built.
     """
     kept = data._augmented
     if kept is not None and kept[0] is scheme and kept[1].basis is basis:
@@ -571,8 +570,6 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     """
     p, n_inv = basis.size, basis.invariant_count
     aug = _augmented_factor(basis, data, scheme)
-    # read once: a runner keeps every trial's data, and (p+1)^2 per trial adds up
-    object.__setattr__(data, "_augmented", None)
     factor = design_factor(basis, data)
     if n_inv == p:  # no non-invariant column: beta_N is empty, so eps_sym = 0
         return SchurDiagnostics(True, 0.0, 0.0, factor.leading_fit(p)[1], None)

@@ -1,5 +1,7 @@
+import gc
 import math
 import os
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -210,6 +212,73 @@ def test_runners_draw_each_trials_data_once(monkeypatch):
     assert len(calls) == 2 * 2  # train only, once per (power, trial)
 
 
+# every regression runner at two degrees, two sweep points and three trials,
+# with the solve each one calls first through the experiments module
+_RUNNER_CASES = [
+    ("approx-rates", run_approx_rates, "full_lsq", dict(degrees="1 2")),
+    ("quad-sweep", run_quad_sweep, "augmented_lsq", dict(degrees="1 2", quad_degrees="0 2")),
+    ("random-sweep", run_random_sweep, "augmented_lsq", dict(degrees="1 2", t_list="4 8")),
+    ("compare", run_compare, "augmented_lsq", dict(degrees="1 2", quad_degrees="0 2")),
+    ("regularity-sweep", run_regularity_sweep, "augmented_lsq",
+     dict(degrees="1 2", t_list="4 8", powers="1 2", target_degree=6)),
+]
+
+
+def _runner_cfg(experiment, trials, kv):
+    return _cfg(experiment, d=1, trials=trials, train_size=30, test_size=10, seed=9, **kv)
+
+
+@pytest.mark.parametrize("experiment, runner, solve, kv", _RUNNER_CASES,
+                         ids=[case[0] for case in _RUNNER_CASES])
+def test_a_trials_datasets_are_freed_before_the_next_trial_solves(monkeypatch, experiment,
+                                                                 runner, solve, kv):
+    from symquad import experiments
+
+    drawn = []  # a weak reference to every dataset, in draw order
+    real_sample = experiments.sample_dataset
+
+    def sample(*args):
+        data = real_sample(*args)
+        drawn.append(weakref.ref(data))
+        return data
+
+    real_solve = getattr(experiments, solve)
+    trains = set()
+
+    def solve_checked(basis, data, *args):
+        gc.collect()
+        first = next(i for i, ref in enumerate(drawn) if ref() is data)
+        alive = [i for i, ref in enumerate(drawn[:first]) if ref() is not None]
+        assert not alive, f"datasets {alive} of an earlier trial outlive it"
+        trains.add(first)
+        return real_solve(basis, data, *args)
+
+    monkeypatch.setattr(experiments, "sample_dataset", sample)
+    monkeypatch.setattr(experiments, solve, solve_checked)
+    runner(_runner_cfg(experiment, 3, kv))
+    assert len(trains) == 3 * (2 if runner is run_regularity_sweep else 1)
+
+
+def test_every_runner_reports_each_trial_once():
+    once = ("past_threshold", "target_tail", "ratio")  # one value per sweep point
+    for experiment, runner, _, kv in _RUNNER_CASES:
+        table = runner(_runner_cfg(experiment, 2, kv))
+        expected = {run_approx_rates: 2 * 5, run_regularity_sweep: 2 * 2 * 2}.get(runner, 12)
+        assert len(table.rows) == expected, experiment
+        for sweep, metric, _, _, trials in table.rows:
+            assert trials == (1 if metric.split("[")[0] in once else 2), (experiment, sweep,
+                                                                            metric)
+    # on the sphere q = 2 and q = 3 both give a 32-node rule: each keeps its rows
+    table = run_compare(_cfg("compare", d=2, degrees="1 2", quad_degrees="1 2 3", trials=2,
+                             train_size=30, seed=10))
+    assert len(table.rows) == 2 * 3 * 3
+    at_32 = [metric for sweep, metric, _, _, _ in table.rows if sweep == 32]
+    assert sorted(at_32) == sorted(2 * [f"{name}[K={k}]" for k in (1, 2)
+                                        for name in ("quad_eps_sym", "random_eps_sym", "ratio")])
+    assert all(trials == (1 if metric.startswith("ratio") else 2)
+               for _, metric, _, _, trials in table.rows)
+
+
 def test_one_design_evaluation_per_dataset_and_basis(monkeypatch):
     from symquad import regression
 
@@ -411,6 +480,37 @@ def test_cli_run_and_verify(tmp_path, capsys):
         rule_path.write_text(f"{header}\ncount 2\n" + body)
         assert main(["verify-quadrature", str(rule_path)]) == 2
         assert "rule.txt:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["config-not-utf8", "rule-not-utf8", "rule-is-directory",
+                                  "run-outdir-under-file", "drift-outdir-under-file",
+                                  "negative-lmax"])
+def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, case):
+    from symquad.geometry import so3_quadrature_euler, write_quadrature_file
+
+    latin1 = tmp_path / "latin1.txt"  # the two non-UTF-8 files, empty for the other cases
+    latin1.write_bytes({"config-not-utf8": "[quad-sweep]\nd = 1\n# caf\u00e9\n",
+                        "rule-not-utf8": "degree 0\ncount 1\n1 0 0 0  # caf\u00e9\n"}
+                       .get(case, "").encode("latin-1"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    ini = tmp_path / "run.ini"
+    ini.write_text("[quad-sweep]\nd = 1\ndegrees = 1\nquad_degrees = 0\n"
+                   "train_size = 10\ntest_size = 5\n")
+    rule_path = tmp_path / "rule.txt"
+    write_quadrature_file(so3_quadrature_euler(1), rule_path)
+    argv = {"config-not-utf8": ["run", str(latin1)],
+            "rule-not-utf8": ["verify-quadrature", str(latin1)],
+            "rule-is-directory": ["verify-quadrature", str(tmp_path)],
+            "run-outdir-under-file": ["run", str(ini), "--outdir", str(blocker / "out")],
+            "drift-outdir-under-file": ["drift", "--eps", "0.01", "--steps", "20",
+                                        "--record-every", "10", "--outdir", str(blocker)],
+            "negative-lmax": ["verify-quadrature", str(rule_path), "--lmax", "-3"]}[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "tested up to" not in captured.out
 
 
 def test_cli_drift(tmp_path, capsys):

@@ -663,10 +663,13 @@ def test_factor_never_crosses_data(d):
     assert data2._factor is not data1._factor
     assert np.array_equal(data2._factor.r, twin._factor.r)
     # the augmented factor is kept by the same rule, keyed by the scheme object
-    # too; the diagnostics on data2 and twin neither read nor touched data1's
+    # too; the diagnostics on data2 and twin neither read nor touched data1's,
+    # and each dataset holds its own (scheme, factor)
     kept = data1._augmented
-    assert kept[0] is scheme and kept[1].basis is basis
-    assert data2._augmented is None and twin._augmented is None  # read once by Schur
+    for data in (data1, data2, twin):
+        assert data._augmented[0] is scheme and data._augmented[1].basis is basis
+    assert len({id(data._augmented[1]) for data in (data1, data2, twin)}) == 3
+    assert np.array_equal(data2._augmented[1].r, twin._augmented[1].r)
     equal = AugmentationScheme("random", t=8, seed=68)  # the same draws, another object
     assert np.array_equal(augmented_lsq(basis, data1, equal).beta, sol1.beta)
     assert data1._augmented[0] is equal and data1._augmented[1] is not kept[1]
