@@ -131,8 +131,11 @@ def _validate(cfg: ExperimentConfig):
     if not getattr(cfg, spec.required):
         raise ConfigError(f"[{cfg.name}] missing required field {spec.required!r}")
     for key, kind in _TYPES.items():
-        if _item_type(kind) is float and not np.all(np.isfinite(getattr(cfg, key))):
+        value = getattr(cfg, key)
+        if _item_type(kind) is float and not np.all(np.isfinite(value)):
             raise ConfigError(f"[{cfg.name}] field {key!r} must be finite")
+        if get_origin(kind) is tuple and len(set(value)) < len(value):  # would pool sweep points
+            raise ConfigError(f"[{cfg.name}] field {key!r} has duplicate entries")
     if spec.required == "d":
         if cfg.d not in (1, 2):
             raise ConfigError(f"[{cfg.name}] field 'd' must be 1 or 2")
@@ -320,14 +323,16 @@ def _make_rule(d: int, degree: int):
 def _setup(cfg: ExperimentConfig, target=None, test: bool = True):
     """Shared set-up of the regression runners: size defaults, cutoff, target
     (the exponential-decay one unless given) and a generator of the trials'
-    (train, test) pairs.
+    (trial, train, test) triples.
 
     Each pair is drawn when its trial starts, train from seed path
     (2, trial) and test from the uniform distribution on (3, trial); test is
     None when ``test`` is false.  A runner iterates the generator once, with
-    trials outermost, so every sweep point of a trial fits the same data and
-    a trial's datasets, with the factors they cache, are freed once the next
-    trial's pair replaces them.
+    trials outermost, so every sweep point of a trial fits the same data, and
+    deletes its names for the pair at the end of the trial, so a trial's
+    datasets, with the factors they cache, are freed before the next pair is
+    drawn.  The generator yields the trial index itself: ``enumerate`` would
+    hold the previous pair while it draws the next.
     """
     cfg = _apply_size_defaults(cfg)
     if target is None:
@@ -335,7 +340,8 @@ def _setup(cfg: ExperimentConfig, target=None, test: bool = True):
                              _int_seed(cfg.seed, 1))
     dist = DistributionSpec(cfg.d, cfg.distribution, cfg.kappa, cfg.sigma)
     uniform = DistributionSpec(cfg.d, "UUU")
-    trials = ((sample_dataset(dist, cfg.train_size, _rng(cfg.seed, 2, trial), target),
+    trials = ((trial,
+               sample_dataset(dist, cfg.train_size, _rng(cfg.seed, 2, trial), target),
                sample_dataset(uniform, cfg.test_size, _rng(cfg.seed, 3, trial), target)
                if test else None)
               for trial in range(cfg.trials))
@@ -365,7 +371,7 @@ def run_approx_rates(cfg: ExperimentConfig) -> ResultTable:
     cfg, cutoff, target, trials = _setup(cfg)
     bases = [enumerate_basis(cfg.d, 3, k) for k in cfg.degrees]
     values = defaultdict(list)
-    for train, test in trials:
+    for _, train, test in trials:
         for k, basis in zip(cfg.degrees, bases):
             sol_full = full_lsq(basis, train, cutoff)
             beta_inv = design_factor(basis, train).leading_fit(basis.invariant_count, cutoff)[0]
@@ -375,6 +381,7 @@ def run_approx_rates(cfg: ExperimentConfig) -> ResultTable:
             for name, error in zip(("full", "invariant", "projected"), errors):
                 values[k, f"{name}_error"].append(error)
             values[k, "full_eps_sym"].append(sol_full.eps_sym)
+        del train, test
     for k in cfg.degrees:
         values[k, "target_tail"] = [target.tail_norm(k)]
     return _collected(cfg, values)
@@ -390,7 +397,7 @@ def run_quad_sweep(cfg: ExperimentConfig) -> ResultTable:
     bases = [enumerate_basis(cfg.d, 3, k) for k in cfg.degrees]
     rules = [_make_rule(cfg.d, q) for q in cfg.quad_degrees]
     values = defaultdict(list)
-    for train, test in trials:
+    for _, train, test in trials:
         for k, basis in zip(cfg.degrees, bases):
             sols = [augmented_lsq(basis, train, AugmentationScheme("quadrature", rule=rule),
                                   cutoff)
@@ -399,6 +406,7 @@ def run_quad_sweep(cfg: ExperimentConfig) -> ResultTable:
             for q, sol, error in zip(cfg.quad_degrees, sols, errors):
                 values[q, f"eps_sym[K={k}]"].append(sol.eps_sym)
                 values[q, f"test_error[K={k}]"].append(error)
+        del train, test
     for k in cfg.degrees:
         for q in cfg.quad_degrees:
             values[q, f"past_threshold[K={k}]"] = [1.0 if q >= k else 0.0]
@@ -414,7 +422,7 @@ def run_random_sweep(cfg: ExperimentConfig) -> ResultTable:
     cfg, cutoff, target, trials = _setup(cfg)
     bases = [enumerate_basis(cfg.d, 3, k) for k in cfg.degrees]
     values = defaultdict(list)
-    for trial, (train, test) in enumerate(trials):
+    for trial, train, test in trials:
         for k, basis in zip(cfg.degrees, bases):
             betas = []
             for ti, t in enumerate(cfg.t_list):
@@ -428,6 +436,7 @@ def run_random_sweep(cfg: ExperimentConfig) -> ResultTable:
                 betas.append(sol.beta)
             for t, error in zip(cfg.t_list, l2_test_errors(basis, betas, target, test)):
                 values[t, f"test_error[K={k}]"].append(error)
+        del train, test
     return _collected(cfg, values)
 
 
@@ -445,7 +454,7 @@ def run_compare(cfg: ExperimentConfig) -> ResultTable:
     bases = [enumerate_basis(cfg.d, 3, k) for k in cfg.degrees]
     rules = [_make_rule(cfg.d, q) for q in cfg.quad_degrees]
     values = defaultdict(list)
-    for trial, (train, _) in enumerate(trials):
+    for trial, train, _ in trials:
         for k, basis in zip(cfg.degrees, bases):
             for qi, (q, rule) in enumerate(zip(cfg.quad_degrees, rules)):
                 quad = AugmentationScheme("quadrature", rule=rule)
@@ -454,6 +463,7 @@ def run_compare(cfg: ExperimentConfig) -> ResultTable:
                 for name, scheme in (("quad", quad), ("random", rand)):
                     values[len(rule), f"{name}_eps_sym[K={k}]", q].append(
                         augmented_lsq(basis, train, scheme, cutoff).eps_sym)
+        del train
     for k in cfg.degrees:
         for q, rule in zip(cfg.quad_degrees, rules):
             q_mean = float(np.mean(values[len(rule), f"quad_eps_sym[K={k}]", q]))
@@ -527,13 +537,14 @@ def run_regularity_sweep(cfg: ExperimentConfig) -> ResultTable:
         target = regularity_target(cfg.d, power, _target_degree(cfg),
                                    _int_seed(cfg.seed, 1, pi))
         _, cutoff, _, trials = _setup(cfg, target, test=False)
-        for trial, (train, _) in enumerate(trials):
+        for trial, train, _ in trials:
             for k, basis in zip(cfg.degrees, bases):
                 for ti, t in enumerate(cfg.t_list):
                     scheme = AugmentationScheme("random", t=t,
                                                 seed=_int_seed(cfg.seed, 7, pi, ti, trial))
                     values[t, f"eps_sym[K={k},p={power:g}]"].append(
                         augmented_lsq(basis, train, scheme, cutoff).eps_sym)
+            del train
     return _collected(cfg, values)
 
 
@@ -575,6 +586,8 @@ def run_config_file(path, outdir_override=None) -> list[str]:
     for cfg in load_configs(path):
         if outdir_override:
             cfg = replace(cfg, outdir=outdir_override)
+        # an unusable outdir fails here, before the sweep, not after it
+        os.makedirs(os.path.join(cfg.outdir, cfg.experiment), exist_ok=True)
         written += _write_outputs(cfg, run_experiment(cfg))
     return written
 

@@ -39,6 +39,8 @@ _UNIT_TOL = 1e-12
 _COMPRESS_ROWS = 16384
 _GATHER_ENTRIES = 1 << 16  # (rows x terms) per chunk of the pole-frame product gather
 _KAPPA_FAST = 1e4  # condition bound under which lsq_solve skips the SVD
+_INVERSE_LEAF = 32  # triangles up to this size are inverted by np.linalg.inv
+_SINGULAR = 1e-10  # sigma_min of the augmented system at or below which Schur is unavailable
 
 
 @dataclass(frozen=True)
@@ -225,28 +227,73 @@ def invariant_design_matrix(basis: BasisSpec, data: Dataset) -> np.ndarray:
 # Solvers
 # ---------------------------------------------------------------------------
 
+def _blocked_inverse(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """inv(T) of a nonsingular upper triangle by 2 x 2 block recursion,
+    inv([[A, B], [0, C]]) = [[inv(A), -inv(A) B inv(C)], [0, inv(C)]], with
+    ``np.linalg.inv`` only on leaves of at most ``_INVERSE_LEAF`` rows.  The
+    blocks are written in place into ``out`` (a new zero array by default).
+
+    ``np.linalg.inv`` treats T as a general matrix, an LU and two triangular
+    solves with p right-hand sides, about 8p^3/3 flops; the block products
+    here take about 2p^3/3.  The method is as stable as the unblocked one
+    (Du Croz & Higham, "Stability of methods for matrix inversion", IMA J.
+    Numer. Anal. 12, 1992; LAPACK xTRTRI).  On a triangle ``np.linalg.inv``
+    pivots on the diagonal, so its LU factor is T itself.
+    """
+    p = t.shape[0]
+    if out is None:
+        out = np.zeros(t.shape, np.result_type(t, 1.0))
+    if p <= _INVERSE_LEAF:
+        out[...] = np.linalg.inv(t)
+        return out
+    h = p // 2
+    a, c = _blocked_inverse(t[:h, :h], out[:h, :h]), _blocked_inverse(t[h:, h:], out[h:, h:])
+    out[:h, h:] = -(a @ t[:h, h:]) @ c
+    return out
+
+
+def _triangle_inverse(t: np.ndarray):
+    """(inv(T), s_max, s_min) for a square upper triangle T: its inverse
+    (``_blocked_inverse``, None when a diagonal entry is exactly zero), an
+    upper bound on sigma_max(T) and a lower bound on sigma_min(T) (0 when
+    singular).
+
+    ||X||_2 <= sqrt(||X||_1 ||X||_inf) bounds sigma_max(T) from above and,
+    applied to inv(T), sigma_min(T) from below.  Nothing is cached.
+    """
+    def norm_bound(x):  # ||x||_1 and ||x||_inf, the max column and row sums of |x|
+        mag = np.abs(x)
+        return np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max())
+
+    with np.errstate(all="ignore"):
+        s_max = norm_bound(t)
+        if not np.diagonal(t).all():
+            return None, s_max, 0.0
+        inv = _blocked_inverse(t)
+        s_min = 1.0 / norm_bound(inv)
+    return inv, s_max, s_min
+
+
+def _well_conditioned(s_max, s_min) -> bool:
+    """Whether the bounds of ``_triangle_inverse`` prove condition number
+    <= ``_KAPPA_FAST``; within it inv(T) is accurate to about kappa * p *
+    eps_mach relative, far below what either caller needs."""
+    return bool(np.isfinite(s_max) and s_max <= _KAPPA_FAST * s_min)
+
+
 def _triangular_solve(a: np.ndarray, y: np.ndarray, cutoff: float):
     """inv(T) y[:p] for an upper-trapezoidal ``a`` with leading triangle T,
     or None unless norm bounds prove condition number <= ``_KAPPA_FAST``
     and that the cutoff keeps every singular value.
 
-    Rows past p are zero, so they add only residual.  ||X||_2 <=
-    sqrt(||X||_1 ||X||_inf) bounds sigma_max(T) from above and, applied to
-    inv(T), sigma_min(T) from below; within the gate inv(T) y and the SVD
-    pseudo-inverse agree to about kappa * eps_mach.
+    Rows past p are zero, so they add only residual.  Within the gate
+    inv(T) y and the SVD pseudo-inverse agree to about kappa * eps_mach.
     """
     p = a.shape[1]
     if a.shape[0] < p or p == 0 or np.tril(a, -1).any():
         return None
-    t = a[:p]
-    with np.errstate(all="ignore"):
-        try:
-            inv = np.linalg.inv(t)
-        except np.linalg.LinAlgError:
-            return None
-        s_max = np.sqrt(np.linalg.norm(t, 1) * np.linalg.norm(t, np.inf))
-        s_min = 1.0 / np.sqrt(np.linalg.norm(inv, 1) * np.linalg.norm(inv, np.inf))
-    if not (np.isfinite(s_max) and s_max <= _KAPPA_FAST * s_min and s_min >= cutoff):
+    inv, s_max, s_min = _triangle_inverse(a[:p])
+    if inv is None or not (_well_conditioned(s_max, s_min) and s_min >= cutoff):
         return None
     return inv @ y[:p]
 
@@ -550,6 +597,25 @@ class SchurDiagnostics:
     reason: str | None = None
 
 
+def _singular(r: np.ndarray) -> bool:
+    """Whether the SVD puts sigma_min of the upper-trapezoidal ``r`` (p
+    columns, at least p rows, zero past row p) at or below ``_SINGULAR``.
+
+    The SVD runs only when the bounds of ``_triangle_inverse`` cannot
+    decide.  The computed sigma_min can sit c p eps sigma_max away from the
+    true one (LAPACK Users' Guide, sec. 4.9), and within the condition gate
+    the lower bound is accurate to about kappa p eps <= 1e-9 relative; a
+    bound above twice (threshold + p eps s_max) leaves room for both, so a
+    system the bound passes is one the SVD would also pass.
+    """
+    p = r.shape[1]
+    _, s_max, s_min = _triangle_inverse(r[:p])
+    clear = 2.0 * (_SINGULAR + p * np.finfo(float).eps * s_max)
+    if _well_conditioned(s_max, s_min) and s_min > clear:
+        return False
+    return bool(np.linalg.svd(r, compute_uv=False)[-1] <= _SINGULAR)
+
+
 def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
                       sol: RegressionSolution) -> SchurDiagnostics:
     """Schur-complement bound for the augmented solve that produced ``sol``:
@@ -557,7 +623,9 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     non-invariant rotation block Dbar = sum_t w_t D_{t,N} and c2 the smallest
     eigenvalue of the Schur complement S = D - C^H B^{-1} C of the augmented
     normal matrix on its non-invariant block.  A singular augmented system
-    (sigma_min <= 1e-10) yields an unavailable diagnostic instead of a crash.
+    (sigma_min <= 1e-10, ``_singular``: the triangle's certified bound, the
+    SVD only where the bound cannot decide) yields an unavailable diagnostic
+    instead of a crash.
 
     The normal matrix is F^H F for the augmented stack F = Q R that the solve
     reduced (``_augmented_factor``, the same factor, not built again), so S =
@@ -574,7 +642,7 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     if n_inv == p:  # no non-invariant column: beta_N is empty, so eps_sym = 0
         return SchurDiagnostics(True, 0.0, 0.0, factor.leading_fit(p)[1], None)
     r = aug.r[:, :p]
-    if r.shape[0] < p or np.linalg.svd(r, compute_uv=False)[-1] <= 1e-10:
+    if r.shape[0] < p or _singular(r):
         return SchurDiagnostics(False, None, None, None, None, "singular normal matrix")
     c2 = float(np.linalg.svd(r[n_inv:p, n_inv:], compute_uv=False)[-1]) ** 2
     weights, rotations = scheme.nodes(basis.d)

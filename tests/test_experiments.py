@@ -259,6 +259,33 @@ def test_a_trials_datasets_are_freed_before_the_next_trial_solves(monkeypatch, e
     assert len(trains) == 3 * (2 if runner is run_regularity_sweep else 1)
 
 
+@pytest.mark.parametrize("experiment, runner, solve, kv", _RUNNER_CASES,
+                         ids=[case[0] for case in _RUNNER_CASES])
+def test_a_trials_datasets_are_freed_before_the_next_trial_is_drawn(monkeypatch, experiment,
+                                                                    runner, solve, kv):
+    from symquad import experiments
+
+    cfg = _runner_cfg(experiment, 3, kv)
+    drawn = []  # a weak reference to every dataset, in draw order
+    trains = 0
+    real_sample = experiments.sample_dataset
+
+    def sample(spec, n, *args):
+        nonlocal trains
+        if n == cfg.train_size:  # a trial starts: nothing drawn before may be alive
+            gc.collect()
+            alive = [i for i, ref in enumerate(drawn) if ref() is not None]
+            assert not alive, f"datasets {alive} of an earlier trial outlive it"
+            trains += 1
+        data = real_sample(spec, n, *args)
+        drawn.append(weakref.ref(data))
+        return data
+
+    monkeypatch.setattr(experiments, "sample_dataset", sample)
+    runner(cfg)
+    assert trains == 3 * (2 if runner is run_regularity_sweep else 1)
+
+
 def test_every_runner_reports_each_trial_once():
     once = ("past_threshold", "target_tail", "ratio")  # one value per sweep point
     for experiment, runner, _, kv in _RUNNER_CASES:
@@ -415,6 +442,41 @@ def test_run_config_file_outputs(tmp_path):
     assert any(p.endswith(".svg") for p in written)
     for p in written:
         assert os.path.isfile(p)
+
+
+@pytest.mark.parametrize("key, raw", [("degrees", "2 2"), ("quad_degrees", "0 1 0"),
+                                      ("t_list", "4 4"), ("eps_list", "0.1 0.10"),
+                                      ("powers", "1 2 1.0"), ("hit_targets", "1e-3 0.001")])
+def test_config_rejects_duplicate_sweep_entries(tmp_path, capsys, key, raw):
+    # a repeated entry would pool two sweep points into one row, or write a
+    # drift row and its trajectory files twice
+    experiment = {"eps_list": "drift", "hit_targets": "drift",
+                  "powers": "regularity-sweep"}.get(key, "compare" if key == "quad_degrees"
+                                                    else "random-sweep")
+    items = {"eps_list": "0.1"} if experiment == "drift" else {"d": "1"}
+    items[key] = raw
+    with pytest.raises(ConfigError, match=f"field '{key}' has duplicate entries"):
+        config_from_items(experiment, experiment, items)
+    ini = tmp_path / "dup.ini"
+    ini.write_text(f"[{experiment}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items()))
+    assert main(["run", str(ini), "--outdir", str(tmp_path / "out")]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_reports_a_bad_outdir_before_the_sweep(tmp_path, capsys, monkeypatch):
+    from symquad import experiments
+
+    ran = []
+    monkeypatch.setattr(experiments, "run_experiment", lambda cfg: ran.append(cfg))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    ini = tmp_path / "run.ini"
+    ini.write_text("[quad-sweep]\nd = 1\ndegrees = 1\nquad_degrees = 0\n"
+                   "train_size = 10\ntest_size = 5\n")
+    assert main(["run", str(ini), "--outdir", str(blocker / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert ran == []
 
 
 def test_emit_plot_polylines_and_determinism(tmp_path):

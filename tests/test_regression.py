@@ -15,7 +15,8 @@ from symquad.regression import (AugmentationScheme, Dataset, RegressionSolution,
                                 invariant_design_matrix, invariant_lsq,
                                 l2_test_error, l2_test_errors,
                                 lsq_solve, rotate_dataset, schur_diagnostics,
-                                _compressed_stack, _pole_frame, _pole_terms)
+                                DesignFactor, _blocked_inverse, _compressed_stack, _pole_frame,
+                                _pole_terms)
 from symquad.sampling import DistributionSpec, ExponentialDecay, make_target, sample_dataset
 
 
@@ -396,6 +397,77 @@ def test_lsq_solve_well_conditioned_skips_svd(monkeypatch):
     a[:, 7] = a[:, 6]  # rank deficient: only the SVD decides what to drop
     with pytest.raises(AssertionError, match="svd called"):
         lsq_solve(a, y)
+
+
+@pytest.mark.parametrize("p", [1, 2, 31, 32, 33, 64, 65, 231, 553])
+def test_blocked_inverse_matches_dense_inverse(p):
+    # the triangles lsq_solve sees: QR factors of tall complex stacks; the
+    # sizes straddle the 32-row leaves and the recursion's splits
+    rng = np.random.default_rng(p)
+    t = np.linalg.qr(rng.normal(size=(p + 8, p)) + 1j * rng.normal(size=(p + 8, p)), mode="r")
+    ref = np.linalg.inv(t)
+    inv = _blocked_inverse(t)
+    assert not np.tril(inv, -1).any()
+    assert np.abs(inv - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("p, zero", [(6, 3), (70, 0), (70, 50), (70, 69)])
+def test_lsq_solve_exactly_singular_triangle_takes_the_svd(p, zero):
+    rng = np.random.default_rng(47 + zero)
+    t = np.triu(rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p))) + 4.0 * np.eye(p)
+    t[zero, zero] = 0.0
+    y = rng.normal(size=p) + 1j * rng.normal(size=p)
+    ref = pinv_solve(t, y)
+    assert np.abs(lsq_solve(t, y) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _triangle_with_sigma(s, dense, rng):
+    """An upper triangle with singular values s: diag(s), or the QR factor
+    of U diag(s) V^H for random unitary U, V."""
+    if not dense:
+        return np.diag(s).astype(complex)
+    u, _ = np.linalg.qr(rng.normal(size=(len(s) + 3, len(s)))
+                        + 1j * rng.normal(size=(len(s) + 3, len(s))))
+    v, _ = np.linalg.qr(rng.normal(size=(len(s), len(s))) + 1j * rng.normal(size=(len(s), len(s))))
+    return np.linalg.qr(u @ np.diag(s) @ v.conj().T, mode="r")
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+@pytest.mark.parametrize("scale", [1 - 0.5, 1 - 1e-6, 1 + 1e-6, 1 + 0.5, 3.0, 10.0])
+def test_schur_availability_equals_the_svd_rule(monkeypatch, scale, dense):
+    # sigma_min around the 1e-10 threshold, kappa 100, so the condition gate
+    # of the certified bound passes and only the threshold test decides
+    basis = enumerate_basis(1, 3, 2)
+    p = basis.size
+    rng = np.random.default_rng(57)
+    s = np.geomspace(1e-10 * scale, 1e-8, p)[::-1]
+    r = np.zeros((p + 1, p + 1), dtype=complex)
+    r[:p, :p] = _triangle_with_sigma(s, dense, rng)
+    r[:p, p] = rng.normal(size=p)
+    r[p, p] = 1.0
+    expected = np.linalg.svd(r[:, :p], compute_uv=False)[-1] > 1e-10
+    data = _uniform_data(1, 60, 58, make_target(1, ExponentialDecay(2.0), 4, seed=59))
+    monkeypatch.setattr(regression, "_augmented_factor",
+                        lambda *args: DesignFactor(basis, r))
+    scheme = AugmentationScheme("random", t=4, seed=60)
+    diag = schur_diagnostics(basis, data, scheme, None)
+    assert diag.available == expected
+    assert diag.reason == (None if expected else "singular normal matrix")
+
+
+def test_schur_certified_bound_spares_the_full_svd(monkeypatch):
+    basis = enumerate_basis(1, 3, 3)
+    data = _uniform_data(1, 200, 61, make_target(1, ExponentialDecay(2.0), 5, seed=62))
+    scheme = AugmentationScheme("random", t=16, seed=63)
+    sol = augmented_lsq(basis, data, scheme)
+    calls = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(a.shape)
+                        or real_svd(a, *args, **kw))
+    diag = schur_diagnostics(basis, data, scheme, sol)
+    assert diag.available
+    n_inv = basis.invariant_count
+    assert calls == [(basis.size - n_inv, basis.size - n_inv)]  # R_NN only, for c2
 
 
 def _oracle_case(d, k, dist, n, scheme, cutoff, seed):
