@@ -310,9 +310,8 @@ def enumerate_basis(d: int, n_particles: int, degree: int) -> BasisSpec:
         raise ValueError("need n_particles >= 1 and degree >= 0")
 
     if d == 1:
-        all_k = _circle_indices(n_particles, degree)
-        inv = [k for k in all_k if sum(k) == 0]
-        non = [k for k in all_k if sum(k) != 0]
+        inv = invariant_indices_circle(n_particles, degree)
+        non = [k for k in _circle_indices(n_particles, degree) if sum(k) != 0]
         indices = tuple(inv + non)
         sums = np.array([sum(k) for k in indices], dtype=int)
         return BasisSpec(1, n_particles, degree, indices, len(inv), sums=sums)

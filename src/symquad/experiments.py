@@ -103,6 +103,8 @@ def _experiment(key: str, plot: str, description: str, defaults: dict, **declare
 
 def config_from_items(experiment: str, name: str, items: dict) -> ExperimentConfig:
     """Build and validate a config from raw string key/value pairs."""
+    if any(sep and sep in name for sep in (os.sep, os.altsep)):  # the name is a file name
+        raise ConfigError(f"section name {name!r} must not contain a path separator")
     if experiment not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; choose from "
                           + ", ".join(sorted(_EXPERIMENTS)))
@@ -123,7 +125,7 @@ def config_from_items(experiment: str, name: str, items: dict) -> ExperimentConf
 
 # field -> the least value it (or every entry of it) may take in any experiment
 _MINIMUM = {"trials": 1, "degrees": 0, "quad_degrees": 0, "t_list": 1, "target_degree": 0,
-            "preview_size": 1}
+            "preview_size": 1, "alpha": 0}  # the target's envelope e^{-alpha s} is a decay
 
 
 def _validate(cfg: ExperimentConfig):
@@ -170,6 +172,8 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"[{cfg.name}] field 'record_every' must be <= steps")
         if min(cfg.eps_list) < 0.0:
             raise ConfigError(f"[{cfg.name}] field 'eps_list' must be >= 0")
+        if min(cfg.hit_targets, default=1.0) <= 0.0:  # |J| >= 0 would hit at the first record
+            raise ConfigError(f"[{cfg.name}] field 'hit_targets' must be > 0")
     if cfg.cutoff != "auto":
         try:
             cutoff = float(cfg.cutoff)

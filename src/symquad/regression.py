@@ -9,11 +9,12 @@ diagnostics all read R instead of evaluating A again.  The augmented solve
 and its Schur bound likewise share one factor of the rotated stack.
 
 Rotations reach both only through their irreducible entries
-(``harmonics.rotation_blocks``): in the irrep-adapted working basis D(Q) is
-an arrangement of the charge phases (d=1) or of the Wigner entries of
-degree <= K (d=2).  One reducer, ``_virtual_nodes``, collapses any number
-of rotations to min(T, S) virtual nodes for both d, and the Schur bound's
-mean rotation is the weighted mean of the same entries.
+(``harmonics.rotation_blocks``), evaluated once per augmented build
+(``_augmented_factor``): in the irrep-adapted working basis D(Q) is an
+arrangement of the charge phases (d=1) or of the Wigner entries of degree
+<= K (d=2).  One reducer, ``_virtual_nodes``, collapses any number of
+rotations to min(T, S) virtual nodes for both d, and the build keeps the
+weighted mean of the same entries, the Schur bound's mean rotation.
 
 The d=2 invariant functions (the invariant design and the random targets of
 ``sampling``) are evaluated in each sample's pole frame (``_pole_frame``):
@@ -50,7 +51,7 @@ class Dataset:
     ``points`` is (n, N) angles for d=1 or (n, N, 3) unit vectors for d=2;
     ``values`` is None for unlabeled data (e.g. distribution previews).
     It caches the last ``DesignFactor`` built on it and the last augmented
-    one (``design_factor``, ``_augmented_factor``), so that the fits of one
+    build (``design_factor``, ``_augmented_factor``), so that the fits of one
     (basis, dataset) pair share one design evaluation.
     """
 
@@ -436,7 +437,6 @@ class AugmentationScheme:
     rule: QuadratureRule | None = None
     t: int | None = None
     seed: int | None = None
-    _drawn: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "quadrature":
@@ -451,22 +451,16 @@ class AugmentationScheme:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
 
     def nodes(self, d: int) -> tuple[np.ndarray, list[Rotation]]:
-        """(weights, rotations) for data on S^d; deterministic given the seed.
-
-        A random scheme draws once per d and returns that draw on every later
-        call, so a solve and its Schur diagnostics share the rotations.
-        """
+        """(weights, rotations) for data on S^d, a pure function of the scheme
+        and d: a random scheme draws the same rotations from its seed on every
+        call."""
         group = SO2 if d == 1 else SO3
         if self.kind == "quadrature":
             if self.rule.group != group:
                 raise ValueError(f"{self.rule.group} rule cannot augment d={d} data")
             return self.rule.weights, self.rule.rotations
-        if d not in self._drawn:
-            rots = sample_haar_many(group, self.t, np.random.default_rng(self.seed))
-            weights = np.full(self.t, 1.0 / self.t)
-            weights.setflags(write=False)  # shared by every caller
-            self._drawn[d] = (weights, rots)
-        return self._drawn[d]
+        rots = sample_haar_many(group, self.t, np.random.default_rng(self.seed))
+        return np.full(self.t, 1.0 / self.t), rots
 
 
 def _compressed_stack(blocks) -> np.ndarray:
@@ -490,7 +484,7 @@ def _compressed_stack(blocks) -> np.ndarray:
     return np.linalg.qr(buf[0] if len(buf) == 1 else np.concatenate(buf), mode="r")
 
 
-def _virtual_nodes(basis: BasisSpec, r: np.ndarray, weights, rotations):
+def _virtual_nodes(basis: BasisSpec, r: np.ndarray, v: np.ndarray):
     """Row blocks of the augmented stack, one per virtual node: min(T, S)
     blocks whatever the number T of rotations.
 
@@ -499,7 +493,7 @@ def _virtual_nodes(basis: BasisSpec, r: np.ndarray, weights, rotations):
     Q sqrt(w_t) [R_a D(Q_t) | r_y] with one orthonormal Q for every node.
     D(Q_t) is linear in the S irreducible entries of Q_t
     (``rotation_blocks``), and y sees only the trivial entry, 1.  With
-    V[t, e] = sqrt(w_t) entry_e(Q_t) = Q_V R_V, the plain stack is
+    ``v`` = V[t, e] = sqrt(w_t) entry_e(Q_t) = Q_V R_V, the plain stack is
     (Q_V (x) Q) times the stack of the virtual nodes
     [R_a D_j | R_V[j, trivial] r_y], D_j the matrix whose entries are row j
     of R_V.  Q_V (x) Q has orthonormal columns, so the reduced stack keeps
@@ -508,15 +502,15 @@ def _virtual_nodes(basis: BasisSpec, r: np.ndarray, weights, rotations):
     p = basis.size
     a, y = r[:, :p], r[:, p]
     trivial = _trivial_entry(basis)
-    v = np.sqrt(weights)[:, None] * rotation_blocks(basis, rotations)
     for row in np.linalg.qr(v, mode="r"):
         yield np.concatenate([_apply_entries(basis, a, row), (row[trivial] * y)[:, None]], axis=1)
 
 
 def _augmented_factor(basis: BasisSpec, data: Dataset,
-                      scheme: AugmentationScheme) -> DesignFactor:
-    """The factor of the reduced stack [sqrt(w_t) A D(Q_t) | sqrt(w_t) y] of
-    the symmetry-augmented least-squares problem.
+                      scheme: AugmentationScheme) -> tuple[DesignFactor, np.ndarray]:
+    """(factor, mean): the factor of the reduced stack [sqrt(w_t) A D(Q_t) |
+    sqrt(w_t) y] of the symmetry-augmented least-squares problem, and the
+    entries sum_t w_t entry(Q_t) of the mean rotation Dbar = sum_t w_t D(Q_t).
 
     The problem minimizes (1/2) sum_t w_t ||A D(Q_t) beta - Y||^2: least
     squares on the row stack of the sqrt(w_t)-scaled rotated design blocks
@@ -525,35 +519,38 @@ def _augmented_factor(basis: BasisSpec, data: Dataset,
     the factor of [A | y] (``design_factor``) rather than A's n rows, and the
     T rotations reach it only through their S irreducible entries (the
     charge phases on the circle, the Wigner entries of degree <= K on the
-    sphere), so it collapses to min(T, S) virtual nodes (``_virtual_nodes``).
-    Their rows end as one triangular factor of at most p+1 rows
-    (``_compressed_stack``), which ``lsq_solve`` solves (by the triangle's
-    inverse when that is provably well-conditioned, by the SVD otherwise)
-    and which gives the residual.  All reductions are orthogonal, so beta,
-    the kept rank and the residual are those of the plain stacked solve up
-    to roundoff.
+    sphere), evaluated once for the stack and the mean, so it collapses to
+    min(T, S) virtual nodes (``_virtual_nodes``).  Their rows end as one
+    triangular factor of at most p+1 rows (``_compressed_stack``), which
+    ``lsq_solve`` solves (by the triangle's inverse when that is provably
+    well-conditioned, by the SVD otherwise) and which gives the residual.
+    All reductions are orthogonal, so beta, the kept rank and the residual
+    are those of the plain stacked solve up to roundoff.
 
-    The dataset caches the last augmented factor built on it, keyed by the
-    basis and scheme objects, so the solve and its Schur diagnostics share
-    it; the old one is dropped before the next is built.
+    The dataset caches the last build on it, keyed by the basis and scheme
+    objects, so the solve and its Schur diagnostics share it; the old one is
+    dropped before the next is built.
     """
     kept = data._augmented
     if kept is not None and kept[0] is scheme and kept[1].basis is basis:
-        return kept[1]
+        return kept[1:]
     del kept  # with the slot cleared below, the old factor is freed before the build
     object.__setattr__(data, "_augmented", None)
     weights, rotations = scheme.nodes(basis.d)
-    factor = DesignFactor(basis, _compressed_stack(
-        _virtual_nodes(basis, design_factor(basis, data).r, weights, rotations)))
-    object.__setattr__(data, "_augmented", (scheme, factor))
-    return factor
+    entries = rotation_blocks(basis, rotations)
+    factor = DesignFactor(basis, _compressed_stack(_virtual_nodes(
+        basis, design_factor(basis, data).r, np.sqrt(weights)[:, None] * entries)))
+    mean = weights @ entries
+    mean.setflags(write=False)  # shared through the cache
+    object.__setattr__(data, "_augmented", (scheme, factor, mean))
+    return factor, mean
 
 
 def augmented_lsq(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
                   cutoff: float = 0.0) -> RegressionSolution:
     """Symmetry-augmented least squares, solved on the factor of the
     reduced rotated stack (``_augmented_factor``)."""
-    beta, res = _augmented_factor(basis, data, scheme).leading_fit(basis.size, cutoff)
+    beta, res = _augmented_factor(basis, data, scheme)[0].leading_fit(basis.size, cutoff)
     return RegressionSolution(basis, beta, cutoff, res)
 
 
@@ -631,13 +628,13 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     reduced (``_augmented_factor``, the same factor, not built again), so S =
     R_NN^H R_NN for the trailing block R_NN of its triangle and c2 =
     sigma_min(R_NN)^2, with no normal equations formed (Golub & Van Loan,
-    Matrix Computations, sec. 5.3).  ||A_N Dbar|| = ||R_N Dbar|| and the
-    invariant residual are read from the factor of [A | y]
-    (``design_factor``), and the rotations are the scheme's, drawn once;
-    nothing is read from ``sol``.
+    Matrix Computations, sec. 5.3).  Dbar is the mean that the same build
+    kept, so no rotation is evaluated again.  ||A_N Dbar|| = ||R_N Dbar||
+    and the invariant residual are read from the factor of [A | y]
+    (``design_factor``); nothing is read from ``sol``.
     """
     p, n_inv = basis.size, basis.invariant_count
-    aug = _augmented_factor(basis, data, scheme)
+    aug, mean = _augmented_factor(basis, data, scheme)
     factor = design_factor(basis, data)
     if n_inv == p:  # no non-invariant column: beta_N is empty, so eps_sym = 0
         return SchurDiagnostics(True, 0.0, 0.0, factor.leading_fit(p)[1], None)
@@ -645,9 +642,7 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     if r.shape[0] < p or _singular(r):
         return SchurDiagnostics(False, None, None, None, None, "singular normal matrix")
     c2 = float(np.linalg.svd(r[n_inv:p, n_inv:], compute_uv=False)[-1]) ** 2
-    weights, rotations = scheme.nodes(basis.d)
-    # Dbar is linear in the entries: the weighted mean of the rotations' entries
-    a_d_bar = _apply_entries(basis, factor.r[:, :p], weights @ rotation_blocks(basis, rotations))
+    a_d_bar = _apply_entries(basis, factor.r[:, :p], mean)
     inv_residual = factor.leading_fit(n_inv)[1]
     d_bar_norm = float(np.linalg.norm(a_d_bar[:, n_inv:], ord=2))
     return SchurDiagnostics(True, d_bar_norm * inv_residual / c2, d_bar_norm, inv_residual, c2)

@@ -515,7 +515,13 @@ def test_cli_list_and_errors(tmp_path, capsys):
                         ("quad_degrees", "[quad-sweep]\nd = 1\nquad_degrees = -1\n"),
                         ("t_list", "[random-sweep]\nd = 1\nt_list = 4 0\n"),
                         ("target_degree", "[quad-sweep]\nd = 1\ntarget_degree = -2\n"),
-                        ("preview_size", "[distributions-preview]\nd = 1\npreview_size = 0\n")):
+                        ("preview_size", "[distributions-preview]\nd = 1\npreview_size = 0\n"),
+                        ("alpha", "[approx-rates]\nd = 1\nalpha = -30\n"),
+                        ("hit_targets", "[drift]\neps_list = 0.1\nhit_targets = -1 0\n"),
+                        # a section name is a file name under outdir/<experiment>
+                        ("approx-rates.../../../escaped",
+                         "[approx-rates.../../../escaped]\nd = 1\n"),
+                        ("distributions-preview.a/b", "[distributions-preview.a/b]\nd = 1\n")):
         bad.write_text(text)
         assert main(["run", str(bad)]) == 2
         assert f"'{field}'" in capsys.readouterr().err

@@ -447,9 +447,11 @@ def test_schur_availability_equals_the_svd_rule(monkeypatch, scale, dense):
     r[p, p] = 1.0
     expected = np.linalg.svd(r[:, :p], compute_uv=False)[-1] > 1e-10
     data = _uniform_data(1, 60, 58, make_target(1, ExponentialDecay(2.0), 4, seed=59))
-    monkeypatch.setattr(regression, "_augmented_factor",
-                        lambda *args: DesignFactor(basis, r))
     scheme = AugmentationScheme("random", t=4, seed=60)
+    weights, rotations = scheme.nodes(1)
+    mean = weights @ regression.rotation_blocks(basis, rotations)
+    monkeypatch.setattr(regression, "_augmented_factor",
+                        lambda *args: (DesignFactor(basis, r), mean))
     diag = schur_diagnostics(basis, data, scheme, None)
     assert diag.available == expected
     assert diag.reason == (None if expected else "singular normal matrix")
@@ -758,24 +760,32 @@ def test_schur_reuses_the_solves_rotations(monkeypatch):
     sol = augmented_lsq(basis, data, scheme)
     assert schur_diagnostics(basis, data, scheme, sol).available
     assert len(draws) == 1
-    # an equal scheme object draws the same rotations again
+    # nodes is a pure function of the scheme's fields: an equal scheme object,
+    # and the same one called again, draw the same rotations
     again = AugmentationScheme("random", t=6, seed=78).nodes(2)
     assert [q.matrix.tolist() for q in again[1]] == [q.matrix.tolist() for q in scheme.nodes(2)[1]]
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_schur_after_solve_builds_no_stack(monkeypatch, d):
+    # nor does it draw or evaluate a rotation: the solve's build kept Dbar's
+    # entries beside its factor
     basis = enumerate_basis(d, 3, 3 if d == 1 else 2)
     data = _uniform_data(d, 90, 79, make_target(d, ExponentialDecay(2.0), 5, seed=80))
-    scheme = AugmentationScheme("random", t=8, seed=81)
-    sol = augmented_lsq(basis, data, scheme)
-    calls = []
-    for name in ("_compressed_stack", "_virtual_nodes"):
-        real = getattr(regression, name)
-        monkeypatch.setattr(regression, name,
-                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    assert schur_diagnostics(basis, data, scheme, sol).available
-    assert calls == []
+    rule = so2_quadrature(3) if d == 1 else so3_quadrature_euler(1)
+    for scheme in (AugmentationScheme("random", t=8, seed=81),
+                   AugmentationScheme("quadrature", rule=rule)):
+        sol = augmented_lsq(basis, data, scheme)
+        calls = []
+        for owner, name in ((regression, "_compressed_stack"), (regression, "_virtual_nodes"),
+                            (regression, "rotation_blocks"), (regression, "sample_haar_many"),
+                            (AugmentationScheme, "nodes")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *args, f=real, name=name: calls.append(name) or f(*args))
+        assert schur_diagnostics(basis, data, scheme, sol).available, scheme.kind
+        assert calls == [], scheme.kind
+        monkeypatch.undo()
 
 
 def test_design_factor_keyed_by_basis_and_data():
