@@ -167,6 +167,19 @@ def _trivial_entry(basis: BasisSpec) -> int:
     return basis.degree if basis.d == 1 else 0
 
 
+def _weight_blocks(basis: BasisSpec):
+    """(columns, entries, mult, dim) of each weight L of a d=2 basis with
+    copies: its mult * dim working columns and its dim^2 entries in
+    ``rotation_blocks``, dim = 2L+1."""
+    col = ent = 0
+    for big_l, mult in enumerate(basis.mults):
+        dim = 2 * big_l + 1
+        if mult:
+            yield slice(col, col + mult * dim), slice(ent, ent + dim * dim), mult, dim
+        col += mult * dim
+        ent += dim * dim
+
+
 def _apply_entries(basis: BasisSpec, a: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """(..., m, p) products a . D of an (m, p) working matrix a with the
     matrices D whose irreducible entries are ``entries``, (..., S) like the
@@ -177,14 +190,60 @@ def _apply_entries(basis: BasisSpec, a: np.ndarray, entries: np.ndarray) -> np.n
         return a * entries[..., None, basis.sums + basis.degree]
     lead = entries.shape[:-1]
     out = np.empty(lead + a.shape, dtype=complex)
-    col = ent = 0
-    for big_l, mult in enumerate(basis.mults):
-        dim = 2 * big_l + 1
-        w = entries[..., ent:ent + dim * dim].reshape(lead + (dim, dim))
-        seg = a[:, col:col + mult * dim].reshape(-1, dim) @ w
-        out[..., col:col + mult * dim] = seg.reshape(lead + (a.shape[0], mult * dim))
-        col += mult * dim
-        ent += dim * dim
+    for cols, ents, mult, dim in _weight_blocks(basis):
+        seg = a[:, cols].reshape(-1, dim) @ entries[..., ents].reshape(lead + (dim, dim))
+        out[..., cols] = seg.reshape(lead + (a.shape[0], mult * dim))
+    return out
+
+
+def _rotate_coefficients(basis: BasisSpec, entries: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """(J, p) array whose row j is D_j beta, for the matrices D_j whose
+    irreducible entries are the J rows of ``entries``: A D_j beta, for all j
+    at once, is then one product with A."""
+    if basis.d == 1:
+        return entries[:, basis.sums + basis.degree] * beta
+    out = np.empty((entries.shape[0], basis.size), dtype=complex)
+    for cols, ents, mult, dim in _weight_blocks(basis):
+        w = entries[:, ents].reshape(-1, dim, dim)
+        out[:, cols] = (w @ beta[cols].reshape(mult, dim).T).swapaxes(1, 2).reshape(-1, mult * dim)
+    return out
+
+
+def _adjoint_sum(basis: BasisSpec, entries: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """sum_j D_j^H h_j over the rows of ``entries`` (J, S) and of h (J, p)."""
+    if basis.d == 1:
+        return (entries[:, basis.sums + basis.degree].conj() * h).sum(axis=0)
+    out = np.empty(basis.size, dtype=complex)
+    for cols, ents, mult, dim in _weight_blocks(basis):
+        w = entries[:, ents].reshape(-1, dim, dim).conj()
+        out[cols] = np.tensordot(h[:, cols].reshape(-1, mult, dim), w, ((0, 2), (0, 1))).ravel()
+    return out
+
+
+def _twirl(basis: BasisSpec, g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """sum_t w_t D_t^H G D_t for a (p, p) matrix G, from the (S, S) Gram
+    gamma = V^H V of the rows V[t] = sqrt(w_t) entries(Q_t): D_t is linear
+    in its entries, so the sum sees the rotations only through gamma.
+
+    d=1 scales G[j, k] by gamma at the charges of columns j and k.  d=2
+    contracts each block pair of weights (L, L') as
+    M[(mu, a), (nu, c)] = sum_{b, d} G[(mu, b), (nu, d)] gamma[(b, a), (d, c)],
+    one matrix product per pair; the pairs L > L' are the adjoints of L < L'.
+    """
+    if basis.d == 1:
+        charge = basis.sums + basis.degree
+        return g * gamma[charge[:, None], charge[None, :]]
+    out = np.empty(g.shape, dtype=complex)
+    blocks = list(_weight_blocks(basis))
+    for i, (cols, ents, mult, dim) in enumerate(blocks):
+        for cols2, ents2, mult2, dim2 in blocks[i:]:
+            g4 = g[cols, cols2].reshape(mult, dim, mult2, dim2).transpose(0, 2, 1, 3)
+            c4 = gamma[ents, ents2].reshape(dim, dim, dim2, dim2).transpose(0, 2, 1, 3)
+            m4 = g4.reshape(mult * mult2, -1) @ c4.reshape(dim * dim2, -1)
+            out[cols, cols2] = m4.reshape(mult, mult2, dim, dim2).transpose(0, 2, 1, 3).reshape(
+                mult * dim, mult2 * dim2)
+            if cols2 != cols:
+                out[cols2, cols] = out[cols, cols2].conj().T
     return out
 
 

@@ -12,9 +12,12 @@ Rotations reach both only through their irreducible entries
 (``harmonics.rotation_blocks``), evaluated once per augmented build
 (``_augmented_factor``): in the irrep-adapted working basis D(Q) is an
 arrangement of the charge phases (d=1) or of the Wigner entries of degree
-<= K (d=2).  One reducer, ``_virtual_nodes``, collapses any number of
-rotations to min(T, S) virtual nodes for both d, and the build keeps the
-weighted mean of the same entries, the Schur bound's mean rotation.
+<= K (d=2), and the build keeps the weighted mean of the entries, the Schur
+bound's mean rotation.  A stack whose normal matrix is provably well
+conditioned is factored from that matrix, which depends on the rotations
+only through the Gram of their entries (``_gram_factor``), with no stack
+formed; every other one collapses to min(T, S) virtual nodes for both d
+(``_virtual_nodes``), stacked and factored by QR.
 
 The d=2 invariant functions (the invariant design and the random targets of
 ``sampling``) are evaluated in each sample's pole frame (``_pole_frame``):
@@ -33,7 +36,8 @@ import numpy as np
 
 from .coupling import BasisSpec, invariant_couplings
 from .geometry import SO2, SO3, DimensionError, QuadratureRule, Rotation, sample_haar_many
-from .harmonics import _apply_entries, _trivial_entry, rotation_blocks, sph_harm_table
+from .harmonics import (_adjoint_sum, _apply_entries, _rotate_coefficients, _trivial_entry,
+                        _twirl, rotation_blocks, sph_harm_table)
 
 _MACHINE_FLOOR = 1e-13
 _UNIT_TOL = 1e-12
@@ -337,9 +341,11 @@ class DesignFactor:
     """[A | y] = Q r with orthonormal Q, for A = design_matrix(basis, data)
     and y = data.values.
 
-    ``r`` is the upper-trapezoidal QR factor, min(n, p+1) rows, for n the
-    row count of [A | y] (of the stack, for an augmented factor:
-    ``_augmented_factor``).  Because Q is shared by all columns, any product
+    ``r`` is upper trapezoidal: the QR factor, min(n, p+1) rows for n the
+    row count of [A | y].  An augmented factor (``_augmented_factor``) is
+    that of the stack, or, for a full-rank and well-conditioned stack, p+1
+    rows built from its normal matrix whatever the stack height, with the
+    same Gram matrix r^H r.  Because Q is shared by all columns, any product
     of column blocks (A_I^H A_N, ||A_N X||, ...) and any least-squares fit
     on leading columns can be read from ``r`` instead of A.
     """
@@ -484,7 +490,7 @@ def _compressed_stack(blocks) -> np.ndarray:
     return np.linalg.qr(buf[0] if len(buf) == 1 else np.concatenate(buf), mode="r")
 
 
-def _virtual_nodes(basis: BasisSpec, r: np.ndarray, v: np.ndarray):
+def _virtual_nodes(basis: BasisSpec, r: np.ndarray, nodes: np.ndarray):
     """Row blocks of the augmented stack, one per virtual node: min(T, S)
     blocks whatever the number T of rotations.
 
@@ -493,8 +499,8 @@ def _virtual_nodes(basis: BasisSpec, r: np.ndarray, v: np.ndarray):
     Q sqrt(w_t) [R_a D(Q_t) | r_y] with one orthonormal Q for every node.
     D(Q_t) is linear in the S irreducible entries of Q_t
     (``rotation_blocks``), and y sees only the trivial entry, 1.  With
-    ``v`` = V[t, e] = sqrt(w_t) entry_e(Q_t) = Q_V R_V, the plain stack is
-    (Q_V (x) Q) times the stack of the virtual nodes
+    V[t, e] = sqrt(w_t) entry_e(Q_t) = Q_V R_V and ``nodes`` = R_V, the plain
+    stack is (Q_V (x) Q) times the stack of the virtual nodes
     [R_a D_j | R_V[j, trivial] r_y], D_j the matrix whose entries are row j
     of R_V.  Q_V (x) Q has orthonormal columns, so the reduced stack keeps
     the singular values, minimum-norm solution and residual.
@@ -502,30 +508,91 @@ def _virtual_nodes(basis: BasisSpec, r: np.ndarray, v: np.ndarray):
     p = basis.size
     a, y = r[:, :p], r[:, p]
     trivial = _trivial_entry(basis)
-    for row in np.linalg.qr(v, mode="r"):
+    for row in nodes:
         yield np.concatenate([_apply_entries(basis, a, row), (row[trivial] * y)[:, None]], axis=1)
 
 
+def _gram_factor(basis: BasisSpec, r: np.ndarray, nodes: np.ndarray, mean: np.ndarray):
+    """(r, (s_max, s_min)): a triangular factor of the augmented stack F
+    built from its normal matrix, with the bounds of ``_triangle_inverse``
+    on it; None unless they prove it well conditioned.
+
+    ``r`` is [R_a | r_y] and ``nodes`` R_V, as in ``_virtual_nodes``.  F's
+    normal matrix M = sum_t w_t D_t^H G D_t, G = R_a^H R_a, depends on the
+    rotations only through the (S, S) Gram R_V^H R_V of their entries
+    (``harmonics._twirl``), and F^H y = Dbar^H R_a^H r_y through the mean.
+    M = U^H U by Cholesky, and U is F's triangle up to a unitary diagonal,
+    so a system that is full rank with kappa(U) <= ``_KAPPA_FAST``
+    (``_well_conditioned``) needs no stack.  Normal equations lose
+    kappa^2 eps, so beta takes one step of corrected seminormal equations
+    (Bjorck, "Stability analysis of the method of seminormal equations for
+    linear least squares problems", Linear Algebra Appl. 88/89, 1987): the
+    virtual nodes' residuals rho_j = R_V[j, trivial] r_y - R_a D_j beta come
+    from one product of R_a with the rows D_j beta, never from a stack, and
+    F^H rho from one with their adjoints.  The factor is [U | U beta; 0 | rho]
+    with rho = ||y - F beta|| at the refined beta: it has F's Gram matrix, so
+    the solves and the Schur bound read it as they read the stack's.
+
+    Fewer stack rows than columns, a failed Cholesky or a rejected bound
+    return None: the system is rank deficient or not provably well
+    conditioned.
+    """
+    p = basis.size
+    a, y = r[:, :p], r[:, p]
+    if nodes.shape[0] * a.shape[0] < p:
+        return None
+    try:
+        u = np.linalg.cholesky(_twirl(basis, a.conj().T @ a, nodes.conj().T @ nodes), upper=True)
+    except np.linalg.LinAlgError:
+        return None
+    inv, s_max, s_min = _triangle_inverse(u)
+    if inv is None or not _well_conditioned(s_max, s_min):
+        return None
+    trivial = _trivial_entry(basis)
+
+    def solve(g):  # inv(M) g
+        return inv @ (inv.conj().T @ g)
+
+    def residual(beta):  # row j: virtual node j's rows of y - F beta
+        return np.outer(nodes[:, trivial], y) - _rotate_coefficients(basis, nodes, beta) @ a.T
+
+    beta = solve(_adjoint_sum(basis, mean[None], (y @ a.conj())[None]))
+    beta = beta + solve(_adjoint_sum(basis, nodes, residual(beta) @ a.conj()))
+    out = np.zeros((p + 1, p + 1), dtype=complex)
+    out[:p, :p] = u
+    out[:p, p] = u @ beta
+    out[p, p] = np.linalg.norm(residual(beta))
+    return out, (s_max, s_min)
+
+
 def _augmented_factor(basis: BasisSpec, data: Dataset,
-                      scheme: AugmentationScheme) -> tuple[DesignFactor, np.ndarray]:
-    """(factor, mean): the factor of the reduced stack [sqrt(w_t) A D(Q_t) |
-    sqrt(w_t) y] of the symmetry-augmented least-squares problem, and the
-    entries sum_t w_t entry(Q_t) of the mean rotation Dbar = sum_t w_t D(Q_t).
+                      scheme: AugmentationScheme) -> tuple[DesignFactor, np.ndarray, tuple | None]:
+    """(factor, mean, bounds): a factor of the stack [sqrt(w_t) A D(Q_t) |
+    sqrt(w_t) y] of the symmetry-augmented least-squares problem, the
+    entries sum_t w_t entry(Q_t) of the mean rotation Dbar = sum_t w_t D(Q_t),
+    and the certified (s_max, s_min) bounds of the factor's triangle when the
+    build computed them (None otherwise).
 
     The problem minimizes (1/2) sum_t w_t ||A D(Q_t) beta - Y||^2: least
     squares on the row stack of the sqrt(w_t)-scaled rotated design blocks
     with the data vector replicated, never rotated.  The stack is reduced
-    exactly before it is factored: it starts from the min(n, p+1) rows of
-    the factor of [A | y] (``design_factor``) rather than A's n rows, and the
-    T rotations reach it only through their S irreducible entries (the
+    exactly before anything is factored: it starts from the min(n, p+1) rows
+    of the factor of [A | y] (``design_factor``) rather than A's n rows, and
+    the T rotations reach it only through their S irreducible entries (the
     charge phases on the circle, the Wigner entries of degree <= K on the
     sphere), evaluated once for the stack and the mean, so it collapses to
-    min(T, S) virtual nodes (``_virtual_nodes``).  Their rows end as one
-    triangular factor of at most p+1 rows (``_compressed_stack``), which
-    ``lsq_solve`` solves (by the triangle's inverse when that is provably
-    well-conditioned, by the SVD otherwise) and which gives the residual.
-    All reductions are orthogonal, so beta, the kept rank and the residual
-    are those of the plain stacked solve up to roundoff.
+    min(T, S) virtual nodes, the rows of R_V for V = Q_V R_V.
+
+    Two routes give the factor.  A system that is provably well conditioned
+    is factored from its normal matrix, which the entries give without any
+    stack (``_gram_factor``): p+1 rows, whatever the stack height.  Every
+    other one (rank deficient, or not provably well conditioned) stacks its
+    virtual nodes (``_virtual_nodes``) into one QR factor of
+    min(rows, p+1) rows (``_compressed_stack``).  Either is solved by
+    ``lsq_solve`` (by the triangle's inverse when that is provably
+    well-conditioned, by the SVD otherwise) and gives the residual; the
+    reductions are exact, so beta, the kept rank and the residual are those
+    of the plain stacked solve up to roundoff.
 
     The dataset caches the last build on it, keyed by the basis and scheme
     objects, so the solve and its Schur diagnostics share it; the old one is
@@ -538,12 +605,16 @@ def _augmented_factor(basis: BasisSpec, data: Dataset,
     object.__setattr__(data, "_augmented", None)
     weights, rotations = scheme.nodes(basis.d)
     entries = rotation_blocks(basis, rotations)
-    factor = DesignFactor(basis, _compressed_stack(_virtual_nodes(
-        basis, design_factor(basis, data).r, np.sqrt(weights)[:, None] * entries)))
     mean = weights @ entries
     mean.setflags(write=False)  # shared through the cache
-    object.__setattr__(data, "_augmented", (scheme, factor, mean))
-    return factor, mean
+    r = design_factor(basis, data).r
+    nodes = np.linalg.qr(np.sqrt(weights)[:, None] * entries, mode="r")
+    built = _gram_factor(basis, r, nodes, mean)
+    if built is None:
+        built = _compressed_stack(_virtual_nodes(basis, r, nodes)), None
+    factor, bounds = DesignFactor(basis, built[0]), built[1]
+    object.__setattr__(data, "_augmented", (scheme, factor, mean, bounds))
+    return factor, mean, bounds
 
 
 def augmented_lsq(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
@@ -594,19 +665,21 @@ class SchurDiagnostics:
     reason: str | None = None
 
 
-def _singular(r: np.ndarray) -> bool:
+def _singular(r: np.ndarray, bounds: tuple | None = None) -> bool:
     """Whether the SVD puts sigma_min of the upper-trapezoidal ``r`` (p
     columns, at least p rows, zero past row p) at or below ``_SINGULAR``.
 
-    The SVD runs only when the bounds of ``_triangle_inverse`` cannot
-    decide.  The computed sigma_min can sit c p eps sigma_max away from the
-    true one (LAPACK Users' Guide, sec. 4.9), and within the condition gate
-    the lower bound is accurate to about kappa p eps <= 1e-9 relative; a
-    bound above twice (threshold + p eps s_max) leaves room for both, so a
-    system the bound passes is one the SVD would also pass.
+    The SVD runs only when the (s_max, s_min) bounds of ``_triangle_inverse``
+    on r's triangle cannot decide; ``bounds`` hands in ones already computed
+    (by ``_gram_factor``), otherwise they are computed here.  The computed
+    sigma_min can sit c p eps sigma_max away from the true one (LAPACK Users'
+    Guide, sec. 4.9), and within the condition gate the lower bound is
+    accurate to about kappa p eps <= 1e-9 relative; a bound above twice
+    (threshold + p eps s_max) leaves room for both, so a system the bound
+    passes is one the SVD would also pass.
     """
     p = r.shape[1]
-    _, s_max, s_min = _triangle_inverse(r[:p])
+    s_max, s_min = _triangle_inverse(r[:p])[1:] if bounds is None else bounds
     clear = 2.0 * (_SINGULAR + p * np.finfo(float).eps * s_max)
     if _well_conditioned(s_max, s_min) and s_min > clear:
         return False
@@ -627,19 +700,20 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     The normal matrix is F^H F for the augmented stack F = Q R that the solve
     reduced (``_augmented_factor``, the same factor, not built again), so S =
     R_NN^H R_NN for the trailing block R_NN of its triangle and c2 =
-    sigma_min(R_NN)^2, with no normal equations formed (Golub & Van Loan,
-    Matrix Computations, sec. 5.3).  Dbar is the mean that the same build
-    kept, so no rotation is evaluated again.  ||A_N Dbar|| = ||R_N Dbar||
-    and the invariant residual are read from the factor of [A | y]
-    (``design_factor``); nothing is read from ``sol``.
+    sigma_min(R_NN)^2 (Golub & Van Loan, Matrix Computations, sec. 5.3).  A
+    factor built from the normal matrix comes with its triangle's bounds,
+    which the singularity test reads instead of inverting it again.  Dbar is
+    the mean that the same build kept, so no rotation is evaluated again.
+    ||A_N Dbar|| = ||R_N Dbar|| and the invariant residual are read from the
+    factor of [A | y] (``design_factor``); nothing is read from ``sol``.
     """
     p, n_inv = basis.size, basis.invariant_count
-    aug, mean = _augmented_factor(basis, data, scheme)
+    aug, mean, bounds = _augmented_factor(basis, data, scheme)
     factor = design_factor(basis, data)
     if n_inv == p:  # no non-invariant column: beta_N is empty, so eps_sym = 0
         return SchurDiagnostics(True, 0.0, 0.0, factor.leading_fit(p)[1], None)
     r = aug.r[:, :p]
-    if r.shape[0] < p or _singular(r):
+    if r.shape[0] < p or _singular(r, bounds):
         return SchurDiagnostics(False, None, None, None, None, "singular normal matrix")
     c2 = float(np.linalg.svd(r[n_inv:p, n_inv:], compute_uv=False)[-1]) ** 2
     a_d_bar = _apply_entries(basis, factor.r[:, :p], mean)

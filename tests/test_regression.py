@@ -451,7 +451,7 @@ def test_schur_availability_equals_the_svd_rule(monkeypatch, scale, dense):
     weights, rotations = scheme.nodes(1)
     mean = weights @ regression.rotation_blocks(basis, rotations)
     monkeypatch.setattr(regression, "_augmented_factor",
-                        lambda *args: (DesignFactor(basis, r), mean))
+                        lambda *args: (DesignFactor(basis, r), mean, None))
     diag = schur_diagnostics(basis, data, scheme, None)
     assert diag.available == expected
     assert diag.reason == (None if expected else "singular normal matrix")
@@ -481,6 +481,7 @@ def _oracle_case(d, k, dist, n, scheme, cutoff, seed):
     label = (d, k, dist, scheme.kind, scheme.t, cutoff)
     assert np.abs(sol.beta - ref).max() <= 1e-12 * np.abs(ref).max(), label
     assert abs(sol.train_residual - ref_res) <= 1e-12 * np.linalg.norm(data.values), label
+    return data
 
 
 @pytest.mark.parametrize("dist", ["UUU", "dUU"])
@@ -489,29 +490,163 @@ def test_augmented_lsq_matches_stacked_oracle(dist, cutoff, tmp_path):
     # d=1, K=5 has 11 charges: T=3 is below the charge count, T=64 far above;
     # so2_quadrature(m) has degree m-1, so m=3 is under-resolved (q=2 < K) and
     # m=6, 8 are exact (q=5, 7 >= K); so3_quadrature_euler(q) has degree q;
-    # dUU pins one particle, which makes the design matrix rank deficient
-    schemes1 = [AugmentationScheme("random", t=t, seed=42 + t) for t in (3, 16, 64)]
-    schemes1 += [AugmentationScheme("quadrature", rule=so2_quadrature(m)) for m in (3, 6, 8)]
-    for i, scheme in enumerate(schemes1):
-        _oracle_case(1, 5, dist, 80, scheme, cutoff, 300 + i)
+    # dUU pins one particle, which makes the design matrix rank deficient;
+    # routes collects (d, kind, below, normal-matrix route), below meaning
+    # T < S or a rule's degree q < K
+    routes = set()
+
+    def case(d, k, n, scheme, below, seed):
+        data = _oracle_case(d, k, dist, n, scheme, cutoff, seed)
+        routes.add((d, scheme.kind, below, data._augmented[3] is not None))
+
+    for i, t in enumerate((3, 16, 64)):
+        case(1, 5, 80, AugmentationScheme("random", t=t, seed=42 + t), t < 11, 300 + i)
+    for i, m in enumerate((3, 6, 8)):
+        case(1, 5, 80, AugmentationScheme("quadrature", rule=so2_quadrature(m)), m - 1 < 5, 303 + i)
     # d=1, K=3 has p=63: n=150 > p+1 builds the charge blocks from the
     # 64-row triangular factor of [A | y], not from A's n rows
-    schemes1 = [AugmentationScheme("random", t=t, seed=52 + t) for t in (3, 64)]
-    schemes1 += [AugmentationScheme("quadrature", rule=so2_quadrature(m)) for m in (3, 6)]
-    for i, scheme in enumerate(schemes1):
-        _oracle_case(1, 3, dist, 150, scheme, cutoff, 310 + i)
+    for i, t in enumerate((3, 64)):
+        case(1, 3, 150, AugmentationScheme("random", t=t, seed=52 + t), t < 7, 310 + i)
+    for i, m in enumerate((3, 6)):
+        case(1, 3, 150, AugmentationScheme("quadrature", rule=so2_quadrature(m)), m - 1 < 3, 312 + i)
     # d=2, K=2 has p=52 and S=35 irreducible entries: T=3 and 16 are below S,
     # T=35 equal, T=64 above; n=40 rotates the n rows themselves, n=80 > p+1
     # is cut to its 53-row triangular factor first; the loaded rule file is
     # the q=2 Euler rule read back from text
     path = tmp_path / "euler2.txt"
     write_quadrature_file(so3_quadrature_euler(2), path)
-    schemes2 = [AugmentationScheme("random", t=t, seed=42 + t) for t in (3, 16, 35, 64)]
-    schemes2 += [AugmentationScheme("quadrature", rule=so3_quadrature_euler(q)) for q in (1, 2)]
-    schemes2.append(AugmentationScheme("quadrature", rule=load_quadrature_file(path)))
-    for i, scheme in enumerate(schemes2):
-        _oracle_case(2, 2, dist, 40, scheme, cutoff, 320 + i)
-        _oracle_case(2, 2, dist, 80, scheme, cutoff, 330 + i)
+    schemes2 = [(AugmentationScheme("random", t=t, seed=42 + t), t < 35) for t in (3, 16, 35, 64)]
+    schemes2 += [(AugmentationScheme("quadrature", rule=so3_quadrature_euler(q)), q < 2) for q in (1, 2)]
+    schemes2.append((AugmentationScheme("quadrature", rule=load_quadrature_file(path)), False))
+    for i, (scheme, below) in enumerate(schemes2):
+        case(2, 2, 40, scheme, below, 320 + i)
+        case(2, 2, 80, scheme, below, 330 + i)
+    # the oracle held on both routes: every kind of UUU case, on both d, was
+    # factored from its normal matrix; pinned data stack every quadrature
+    # solve (aliased charges or weights), but not most random ones
+    gram = {key[:3] for key in routes if key[3]}
+    if dist == "UUU":
+        assert gram == {(d, kind, below) for d in (1, 2) for kind in ("random", "quadrature")
+                        for below in (True, False)}
+    else:
+        assert gram == {(1, "random", False), (2, "random", True), (2, "random", False)}
+    assert any(not key[3] for key in routes)
+
+
+def _watch_routes(monkeypatch) -> list:
+    """Calls of the steps of an augmented build, in order: 'cholesky' or
+    'cholesky failed', 'gate passed' or 'gate rejected' (the bounds of the
+    Cholesky factor), and 'stack' (the virtual-node fallback)."""
+    calls = []
+    cholesky, triangle_inverse, virtual_nodes = (np.linalg.cholesky, regression._triangle_inverse,
+                                                 regression._virtual_nodes)
+
+    def watched_cholesky(*args, **kwargs):
+        try:
+            out = cholesky(*args, **kwargs)
+        except np.linalg.LinAlgError:
+            calls.append("cholesky failed")
+            raise
+        calls.append("cholesky")
+        return out
+
+    def watched_inverse(t):
+        out = triangle_inverse(t)
+        if calls and calls[-1] == "cholesky":
+            passed = out[0] is not None and regression._well_conditioned(*out[1:])
+            calls.append("gate passed" if passed else "gate rejected")
+        return out
+
+    monkeypatch.setattr(np.linalg, "cholesky", watched_cholesky)
+    monkeypatch.setattr(regression, "_triangle_inverse", watched_inverse)
+    monkeypatch.setattr(regression, "_virtual_nodes",
+                        lambda *args: calls.append("stack") or virtual_nodes(*args))
+    return calls
+
+
+def test_augmented_route_per_case(monkeypatch):
+    calls = _watch_routes(monkeypatch)
+    sphere = enumerate_basis(2, 3, 2)
+    target2 = make_target(2, ExponentialDecay(2.0), 4, seed=91)
+    # full rank, kappa ~ 760, within the gate: the normal matrix, no stack;
+    # the seminormal equations alone miss the oracle by 5e-12 here, the
+    # corrected step meets it
+    circle = enumerate_basis(1, 3, 4)
+    target1 = make_target(1, ExponentialDecay(2.0), 6, seed=500)
+    data = sample_dataset(DistributionSpec(1, "UUU"), 20, np.random.default_rng(501), target1)
+    scheme = AugmentationScheme("random", t=8, seed=500)
+    sol = augmented_lsq(circle, data, scheme)
+    assert calls == ["cholesky", "gate passed"] and data._augmented[3] is not None
+    assert data._augmented[1].r.shape == (circle.size + 1, circle.size + 1)
+    ref, ref_res, _ = stacked_augmented_solve(circle, data, scheme)
+    assert np.abs(sol.beta - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert abs(sol.train_residual - ref_res) <= 1e-12 * np.linalg.norm(data.values)
+    calls.clear()
+    # a pinned particle and a rule of 3 nodes: charges equal modulo 3 stay
+    # indistinguishable, the normal matrix is singular and Cholesky fails
+    circle = enumerate_basis(1, 3, 3)
+    data = sample_dataset(DistributionSpec(1, "dUU"), 150, np.random.default_rng(421), target1)
+    augmented_lsq(circle, data, AugmentationScheme("quadrature", rule=so2_quadrature(3)))
+    assert calls == ["cholesky failed", "stack"] and data._augmented[3] is None
+    calls.clear()
+    # 8 random rotations of pinned d=2 data (S = 35 entries): the stack has
+    # one singular value at roundoff, which the Cholesky of the normal matrix
+    # does not detect but the gate's bounds do, so the SVD cuts it
+    data = sample_dataset(DistributionSpec(2, "dUU"), 100, np.random.default_rng(3), target2)
+    scheme = AugmentationScheme("random", t=8, seed=3)
+    sol = augmented_lsq(sphere, data, scheme)
+    assert calls == ["cholesky", "gate rejected", "stack"] and data._augmented[3] is None
+    sigma = np.linalg.svd(data._augmented[1].r[:, :sphere.size], compute_uv=False)
+    assert sigma[-1] <= 1e-13 * sigma[0] < sigma[-2]
+    ref = stacked_augmented_solve(sphere, data, scheme)[0]
+    assert np.abs(sol.beta - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_schur_reads_the_gram_routes_bounds(monkeypatch, d):
+    # a factor built from the normal matrix keeps its gate's bounds, so the
+    # singularity test does not invert its p x p triangle again; a stacked
+    # factor is inverted as before (the invariant residual's fit on the
+    # design factor inverts its own n_inv x n_inv triangle either way)
+    basis = enumerate_basis(d, 3, 3 if d == 1 else 2)
+    target = make_target(d, ExponentialDecay(2.0), 5, seed=430)
+    rule = so2_quadrature(3) if d == 1 else so3_quadrature_euler(1)
+    inversions = []
+    real = regression._triangle_inverse
+    for dist, gram in (("UUU", True), ("dUU", False)):
+        data = sample_dataset(DistributionSpec(d, dist), 90, np.random.default_rng(431), target)
+        scheme = AugmentationScheme("quadrature", rule=rule)
+        sol = augmented_lsq(basis, data, scheme)
+        assert (data._augmented[3] is not None) == gram, dist
+        monkeypatch.setattr(regression, "_triangle_inverse",
+                            lambda t: inversions.append(t.shape) or real(t))
+        diag = schur_diagnostics(basis, data, scheme, sol)
+        monkeypatch.undo()
+        ref = schur_from_design(basis, data, scheme)
+        assert (diag.available, diag.reason) == (ref.available, ref.reason), dist
+        if ref.available:
+            assert abs(diag.bound - ref.bound) <= 1e-12 * abs(ref.bound), dist
+        p = basis.size
+        assert inversions.count((p, p)) == (0 if gram else 1), dist
+        inversions.clear()
+
+
+@pytest.mark.parametrize("dist", ["UUU", "dUU"])
+def test_quadrature_below_k_zeroes_aliased_charges(dist):
+    # so2_quadrature(m) averages e^{i s alpha} to 0 unless s = 0 (mod m), so
+    # Dbar and the normal matrix split the columns by their charge modulo m and
+    # the data reach only the class s = 0: below resolution (m - 1 < K) every
+    # other coefficient vanishes.  UUU data take the normal-matrix route, the
+    # pinned dUU data the stacked minimum-norm solve.
+    basis = enumerate_basis(1, 3, 5)
+    target = make_target(1, ExponentialDecay(2.0), 8, seed=440)
+    data = sample_dataset(DistributionSpec(1, dist), 150, np.random.default_rng(441), target)
+    for m in (2, 3, 4, 5):
+        sol = augmented_lsq(basis, data, AugmentationScheme("quadrature", rule=so2_quadrature(m)))
+        assert (data._augmented[3] is not None) == (dist == "UUU"), m
+        aliased = basis.sums % m != 0
+        assert aliased.any()
+        assert np.abs(sol.beta[aliased]).max() <= 1e-12 * np.linalg.norm(sol.beta), m
 
 
 @settings(max_examples=15, deadline=None)
@@ -550,23 +685,45 @@ def test_augmented_rows_independent_of_t(monkeypatch):
     rows = _count_stack_rows(monkeypatch)
     target = make_target(1, ExponentialDecay(2.0), 8, seed=43)
     basis = enumerate_basis(1, 3, 5)
-    data = _uniform_data(1, 100, 44, target)
-    for t in (16, 256):
-        augmented_lsq(basis, data, AugmentationScheme("random", t=t, seed=45))
-    # [A | y] (100 rows, short of p+1 = 232) enters first
-    assert len(rows) == 3
-    assert rows[0] == 100 and rows[1] == rows[2] <= 11 * 100
+    for n in (100, 20):
+        data = _uniform_data(1, n, 44, target)
+        for t in (16, 256):
+            augmented_lsq(basis, data, AugmentationScheme("random", t=t, seed=45))
+            assert (data._augmented[3] is None) == (n == 20), (n, t)
+    # n = 100: [A | y] (100 rows, short of p+1 = 232) enters, and the full-rank
+    # augmented system is factored from its normal matrix, with no stack; n =
+    # 20: 11 charges times 20 rows, 220 < p, cannot have full rank, so min(T,
+    # S) = 11 virtual nodes of 20 rows are stacked for either T
+    assert rows == [100, 20, 11 * 20, 11 * 20]
+
+
+def _coincident_pair_data(n, seed, target):
+    """UUU points with the last two particles equal: the designs of any
+    rotation of them are rank deficient, so every augmented stack is too."""
+    data = _uniform_data(2, n, seed, target)
+    pts = data.points.copy()
+    pts[:, 2] = pts[:, 1]
+    return Dataset(2, pts, data.values)
 
 
 def test_augmented_rows_cut_to_p_plus_one_d2(monkeypatch):
     rows = _count_stack_rows(monkeypatch)
     target = make_target(2, ExponentialDecay(2.0), 4, seed=49)
     basis = enumerate_basis(2, 3, 2)
-    data = _uniform_data(2, 200, 50, target)
     rule = so3_quadrature_euler(2)
-    augmented_lsq(basis, data, AugmentationScheme("quadrature", rule=rule))
-    augmented_lsq(basis, data, AugmentationScheme("random", t=64, seed=48))
     assert (basis.size, len(rule)) == (52, 32)
+    schemes = (AugmentationScheme("quadrature", rule=rule),
+               AugmentationScheme("random", t=64, seed=48))
+    data = _uniform_data(2, 200, 50, target)
+    for scheme in schemes:  # full rank: the normal-matrix route stacks nothing
+        augmented_lsq(basis, data, scheme)
+        assert data._augmented[3] is not None and data._augmented[1].r.shape == (53, 53)
+    assert rows == [200]
+    rows.clear()
+    data = _coincident_pair_data(200, 50, target)
+    for scheme in schemes:
+        augmented_lsq(basis, data, scheme)
+        assert data._augmented[3] is None
     # [A | y] (200 rows) is cut first, then min(T, S) virtual nodes of 53 rows
     # are stacked, S = 35 Wigner entries of degree <= 2: all 32 nodes of the
     # rule, and 35 for the 64 random rotations
@@ -817,9 +974,10 @@ def _stacked_with_y(basis, data, scheme):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_every_factor_is_its_stacks_triangle(monkeypatch, d):
-    # every factor, design or augmented, short stack or tall, is the
-    # upper-trapezoidal QR factor of what entered the reducer, with the
-    # plain stack's Gram matrix
+    # every factor, design or augmented, short stack or tall, is upper
+    # trapezoidal with the plain stack's Gram matrix: the QR factor of what
+    # entered the reducer, or (a full-rank augmented system) the p+1 rows
+    # built from its normal matrix with no stack
     rows = _count_stack_rows(monkeypatch)
     basis = enumerate_basis(d, 3, 3 if d == 1 else 2)
     p = basis.size
@@ -828,22 +986,29 @@ def test_every_factor_is_its_stacks_triangle(monkeypatch, d):
     schemes = [AugmentationScheme("quadrature", rule=identity_rule(one_node.group)),
                AugmentationScheme("quadrature", rule=one_node),
                AugmentationScheme("random", t=5, seed=83)]
+    routes = set()
     for n in (p // 2, p + 1, 2 * p):
         data = _uniform_data(d, n, 84 + n, target)
+        design_factor(basis, data)
+        assert rows == [n]  # the design factor is built once per dataset
         plain_ay = np.column_stack([design_matrix(basis, data), data.values])
         for scheme in schemes:
             augmented_lsq(basis, data, scheme)
-            for factor, stack, stack_rows in ((data._factor, plain_ay, rows[0]),
-                                              (data._augmented[1],
-                                               _stacked_with_y(basis, data, scheme), rows[-1])):
+            gram = data._augmented[3] is not None
+            routes.add(gram)
+            assert len(rows) == (1 if gram else 2), (n, scheme.kind)
+            augmented_rows = p + 1 if gram else min(rows.pop(), p + 1)
+            for factor, stack, height in ((data._factor, plain_ay, min(n, p + 1)),
+                                          (data._augmented[1], _stacked_with_y(basis, data, scheme),
+                                           augmented_rows)):
                 r = factor.r
-                assert r.shape == (min(stack_rows, p + 1), p + 1), (n, scheme.kind)
+                assert r.shape == (height, p + 1), (n, scheme.kind)
                 assert not np.tril(r, -1).any(), (n, scheme.kind)
-                gram = r.conj().T @ r
+                gram_matrix = r.conj().T @ r
                 ref = stack.conj().T @ stack
-                assert np.abs(gram - ref).max() <= 1e-12 * np.abs(ref).max(), (n, scheme.kind)
-        assert rows[0] == n  # the design factor is built once per dataset
+                assert np.abs(gram_matrix - ref).max() <= 1e-12 * np.abs(ref).max(), (n, scheme.kind)
         rows.clear()
+    assert routes == {False, True}
 
 
 @pytest.mark.parametrize("d", [1, 2])
