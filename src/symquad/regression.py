@@ -6,7 +6,9 @@ Every fit of a (basis, dataset) pair reads one evaluation of its design:
 ``design_factor`` reduces [A | y] to its factor R once and the dataset keeps
 it, and the plain, invariant-leading and augmented solves and the Schur
 diagnostics all read R instead of evaluating A again.  The augmented solve
-and its Schur bound likewise share one factor of the rotated stack.
+and its Schur bound likewise share one factor of the rotated stack, and one
+inverse of that factor's triangle with its certified singular-value bounds
+(computed once per build, whichever route built the factor).
 
 Rotations reach both only through their irreducible entries
 (``harmonics.rotation_blocks``), evaluated once per augmented build
@@ -46,6 +48,10 @@ _GATHER_ENTRIES = 1 << 16  # (rows x terms) per chunk of the pole-frame product 
 _KAPPA_FAST = 1e4  # condition bound under which lsq_solve skips the SVD
 _INVERSE_LEAF = 32  # triangles up to this size are inverted by np.linalg.inv
 _SINGULAR = 1e-10  # sigma_min of the augmented system at or below which Schur is unavailable
+_LANCZOS_TOL = 1e-14  # top Ritz residual, relative to the Ritz value, at which Lanczos stops
+_LANCZOS_BLOCK = 32  # vectors by which the Lanczos basis grows
+_LANCZOS_SEED = 0  # the fixed start vector's seed, so reruns are byte-identical
+_DENSE_SIGMA = 128  # blocks of at most this many columns take sigma_max from their dense Gram
 
 
 @dataclass(frozen=True)
@@ -264,7 +270,8 @@ def _triangle_inverse(t: np.ndarray):
     singular).
 
     ||X||_2 <= sqrt(||X||_1 ||X||_inf) bounds sigma_max(T) from above and,
-    applied to inv(T), sigma_min(T) from below.  Nothing is cached.
+    applied to inv(T), sigma_min(T) from below.  Nothing is cached here; an
+    augmented build keeps the triple of its factor (``_augmented_factor``).
     """
     def norm_bound(x):  # ||x||_1 and ||x||_inf, the max column and row sums of |x|
         mag = np.abs(x)
@@ -286,10 +293,12 @@ def _well_conditioned(s_max, s_min) -> bool:
     return bool(np.isfinite(s_max) and s_max <= _KAPPA_FAST * s_min)
 
 
-def _triangular_solve(a: np.ndarray, y: np.ndarray, cutoff: float):
+def _triangular_solve(a: np.ndarray, y: np.ndarray, cutoff: float, triangle=None):
     """inv(T) y[:p] for an upper-trapezoidal ``a`` with leading triangle T,
     or None unless norm bounds prove condition number <= ``_KAPPA_FAST``
-    and that the cutoff keeps every singular value.
+    and that the cutoff keeps every singular value.  ``triangle`` is T's
+    ``_triangle_inverse`` triple when the caller holds it, else it is
+    computed here.
 
     Rows past p are zero, so they add only residual.  Within the gate
     inv(T) y and the SVD pseudo-inverse agree to about kappa * eps_mach.
@@ -297,13 +306,14 @@ def _triangular_solve(a: np.ndarray, y: np.ndarray, cutoff: float):
     p = a.shape[1]
     if a.shape[0] < p or p == 0 or np.tril(a, -1).any():
         return None
-    inv, s_max, s_min = _triangle_inverse(a[:p])
+    inv, s_max, s_min = _triangle_inverse(a[:p]) if triangle is None else triangle
     if inv is None or not (_well_conditioned(s_max, s_min) and s_min >= cutoff):
         return None
     return inv @ y[:p]
 
 
-def lsq_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0) -> np.ndarray:
+def lsq_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0, *,
+              triangle: tuple | None = None) -> np.ndarray:
     """Minimum-norm least-squares solution.
 
     Tall systems are first reduced to the triangular factor of [a | y].
@@ -316,7 +326,9 @@ def lsq_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0) -> np.ndarray:
     prove condition number <= 1e4 and that the cutoff discards nothing,
     beta = inv(T) y[:p] (``_triangular_solve``).  Every other system (wide,
     general, rank-deficient, ill-conditioned or cut) goes through the SVD
-    pseudo-inverse.
+    pseudo-inverse.  A caller that already holds the ``_triangle_inverse``
+    triple of an upper-trapezoidal ``a``'s triangle hands it in as
+    ``triangle``, and T is not inverted again.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] < 1:
@@ -325,7 +337,7 @@ def lsq_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0) -> np.ndarray:
     if a.shape[0] > p + 1:  # a factor handed in is solved as it is, not copied
         r = _compressed_stack([np.column_stack([a, y])])
         a, y = r[:, :p], r[:, p]
-    beta = _triangular_solve(a, y, cutoff)
+    beta = _triangular_solve(a, y, cutoff, triangle)
     if beta is not None:
         return beta
     u, s, vh = np.linalg.svd(a, full_matrices=False)
@@ -353,15 +365,19 @@ class DesignFactor:
     basis: BasisSpec
     r: np.ndarray
 
-    def leading_fit(self, k: int, cutoff: float = 0.0) -> tuple[np.ndarray, float]:
+    def leading_fit(self, k: int, cutoff: float = 0.0,
+                    triangle: tuple | None = None) -> tuple[np.ndarray, float]:
         """(beta, residual norm) of least squares of y on the first k columns of A.
 
         A_{:k} = Q r_{:k}.  Those columns of the triangle vanish below row k,
         so the fit reads the leading k+1 rows (all of r when k = p, where it
         is the plain solve); r's rows past them add only residual.
+        ``triangle`` is the ``_triangle_inverse`` triple of r's leading k x k
+        triangle when one is kept (an augmented build's), so that
+        ``lsq_solve`` does not invert it again.
         """
         r, p = self.r, self.basis.size
-        beta = lsq_solve(r[:k + 1, :k], r[:k + 1, p], cutoff)
+        beta = lsq_solve(r[:k + 1, :k], r[:k + 1, p], cutoff, triangle=triangle)
         return beta, float(np.linalg.norm(r[:, :k] @ beta - r[:, p]))
 
 
@@ -513,9 +529,9 @@ def _virtual_nodes(basis: BasisSpec, r: np.ndarray, nodes: np.ndarray):
 
 
 def _gram_factor(basis: BasisSpec, r: np.ndarray, nodes: np.ndarray, mean: np.ndarray):
-    """(r, (s_max, s_min)): a triangular factor of the augmented stack F
-    built from its normal matrix, with the bounds of ``_triangle_inverse``
-    on it; None unless they prove it well conditioned.
+    """(r, (inv, s_max, s_min)): a triangular factor of the augmented stack F
+    built from its normal matrix, with the ``_triangle_inverse`` triple of
+    its p x p triangle U; None unless the bounds prove it well conditioned.
 
     ``r`` is [R_a | r_y] and ``nodes`` R_V, as in ``_virtual_nodes``.  F's
     normal matrix M = sum_t w_t D_t^H G D_t, G = R_a^H R_a, depends on the
@@ -545,6 +561,9 @@ def _gram_factor(basis: BasisSpec, r: np.ndarray, nodes: np.ndarray, mean: np.nd
         u = np.linalg.cholesky(_twirl(basis, a.conj().T @ a, nodes.conj().T @ nodes), upper=True)
     except np.linalg.LinAlgError:
         return None
+    out = np.zeros((p + 1, p + 1), dtype=complex)
+    out[:p, :p] = u
+    u = out[:p, :p]  # the factor's triangle, held once
     inv, s_max, s_min = _triangle_inverse(u)
     if inv is None or not _well_conditioned(s_max, s_min):
         return None
@@ -558,20 +577,18 @@ def _gram_factor(basis: BasisSpec, r: np.ndarray, nodes: np.ndarray, mean: np.nd
 
     beta = solve(_adjoint_sum(basis, mean[None], (y @ a.conj())[None]))
     beta = beta + solve(_adjoint_sum(basis, nodes, residual(beta) @ a.conj()))
-    out = np.zeros((p + 1, p + 1), dtype=complex)
-    out[:p, :p] = u
     out[:p, p] = u @ beta
     out[p, p] = np.linalg.norm(residual(beta))
-    return out, (s_max, s_min)
+    return out, (inv, s_max, s_min)
 
 
 def _augmented_factor(basis: BasisSpec, data: Dataset,
                       scheme: AugmentationScheme) -> tuple[DesignFactor, np.ndarray, tuple | None]:
-    """(factor, mean, bounds): a factor of the stack [sqrt(w_t) A D(Q_t) |
+    """(factor, mean, triangle): a factor of the stack [sqrt(w_t) A D(Q_t) |
     sqrt(w_t) y] of the symmetry-augmented least-squares problem, the
     entries sum_t w_t entry(Q_t) of the mean rotation Dbar = sum_t w_t D(Q_t),
-    and the certified (s_max, s_min) bounds of the factor's triangle when the
-    build computed them (None otherwise).
+    and the ``_triangle_inverse`` triple (inv, s_max, s_min) of the factor's
+    p x p triangle (None for a factor of fewer than p rows).
 
     The problem minimizes (1/2) sum_t w_t ||A D(Q_t) beta - Y||^2: least
     squares on the row stack of the sqrt(w_t)-scaled rotated design blocks
@@ -594,6 +611,12 @@ def _augmented_factor(basis: BasisSpec, data: Dataset,
     reductions are exact, so beta, the kept rank and the residual are those
     of the plain stacked solve up to roundoff.
 
+    The triangle is inverted once per build: the normal-matrix route keeps
+    the inverse its gate computed, and a stacked factor is inverted as soon
+    as it is built, since the solve that follows every build reads it.  The
+    solve (``lsq_solve``), the singularity test and c2 of the Schur
+    diagnostics all read that one triple.
+
     The dataset caches the last build on it, keyed by the basis and scheme
     objects, so the solve and its Schur diagnostics share it; the old one is
     dropped before the next is built.
@@ -611,17 +634,21 @@ def _augmented_factor(basis: BasisSpec, data: Dataset,
     nodes = np.linalg.qr(np.sqrt(weights)[:, None] * entries, mode="r")
     built = _gram_factor(basis, r, nodes, mean)
     if built is None:
-        built = _compressed_stack(_virtual_nodes(basis, r, nodes)), None
-    factor, bounds = DesignFactor(basis, built[0]), built[1]
-    object.__setattr__(data, "_augmented", (scheme, factor, mean, bounds))
-    return factor, mean, bounds
+        stack = _compressed_stack(_virtual_nodes(basis, r, nodes))
+        p = basis.size
+        built = stack, (_triangle_inverse(stack[:p, :p]) if stack.shape[0] >= p else None)
+    factor, triangle = DesignFactor(basis, built[0]), built[1]
+    object.__setattr__(data, "_augmented", (scheme, factor, mean, triangle))
+    return factor, mean, triangle
 
 
 def augmented_lsq(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
                   cutoff: float = 0.0) -> RegressionSolution:
     """Symmetry-augmented least squares, solved on the factor of the
-    reduced rotated stack (``_augmented_factor``)."""
-    beta, res = _augmented_factor(basis, data, scheme)[0].leading_fit(basis.size, cutoff)
+    reduced rotated stack (``_augmented_factor``), whose kept triangle
+    inverse the solve reads."""
+    factor, _, triangle = _augmented_factor(basis, data, scheme)
+    beta, res = factor.leading_fit(basis.size, cutoff, triangle)
     return RegressionSolution(basis, beta, cutoff, res)
 
 
@@ -665,23 +692,86 @@ class SchurDiagnostics:
     reason: str | None = None
 
 
-def _singular(r: np.ndarray, bounds: tuple | None = None) -> bool:
+def _sigma_max(x: np.ndarray) -> float | None:
+    """sigma_max of a square matrix X by Lanczos on X^H X, or None when the
+    result cannot be trusted and the caller should take the SVD.
+
+    The Lanczos vectors are fully reorthogonalized (classical Gram-Schmidt,
+    twice) and start from a fixed seeded vector, so reruns are
+    byte-identical; the basis grows ``_LANCZOS_BLOCK`` vectors at a time.
+    The top Ritz value theta of the tridiagonal T_k is checked from k = 8
+    on (a residual of 1e-14 is rarely reached sooner), every k/4 steps so
+    that the checks cost a fraction of the steps.  It stops at k = m, or
+    once the residual of its Ritz pair, beta_k |s_k|, is at most
+    ``_LANCZOS_TOL`` theta, which puts an eigenvalue of X^H X within that of
+    theta (Parlett, The Symmetric Eigenvalue Problem, 1998, sec. 13.2; Golub
+    & Van Loan, Matrix Computations, sec. 10.1).  theta never exceeds
+    sigma_max^2, and neither does the squared norm of any column of X; a
+    theta below the largest one shows that the start missed the top singular
+    vector, and gives None.
+
+    A block of at most ``_DENSE_SIGMA`` columns takes sigma_max^2 as the top
+    ``eigvalsh`` eigenvalue of the dense X^H X instead, accurate to about m
+    eps relative: there the O(m^3) of the Gram matrix costs less than the
+    per-step overhead of Lanczos (one BLAS thread of a 2-vCPU x86_64 host:
+    0.15 against 1.3 ms at m = 48; they cross near m = 150).
+    """
+    m = x.shape[1]
+    if m <= _DENSE_SIGMA:
+        return math.sqrt(float(np.linalg.eigvalsh(x.conj().T @ x)[-1]))
+    floor = float(np.linalg.norm(x, axis=0).max())
+    v = np.random.default_rng(_LANCZOS_SEED).standard_normal(m).astype(np.result_type(x, 1.0))
+    v /= np.linalg.norm(v)
+    q = np.empty((0, m), v.dtype)  # rows: the orthonormal Lanczos vectors
+    alpha, beta = [], []
+    check = 8
+    for k in range(1, m + 1):
+        if k > q.shape[0]:
+            grow = np.empty((min(_LANCZOS_BLOCK, m - q.shape[0]), m), v.dtype)
+            q = np.concatenate([q, grow])
+        q[k - 1] = v
+        w = ((x @ v).conj() @ x).conj()  # X^H X v, without forming X^H
+        if beta:
+            w -= beta[-1] * prev
+        alpha.append(float(np.vdot(v, w).real))
+        w -= alpha[-1] * v
+        for _ in range(2):  # q_i^H w = conj(q_i^T conj(w)), without copying the basis
+            w -= (q[:k] @ w.conj()).conj() @ q[:k]
+        b = float(np.linalg.norm(w))
+        if k == m or b == 0.0 or k == check:
+            ritz, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            theta = ritz[-1]
+            if k == m or b * abs(vecs[-1, -1]) <= _LANCZOS_TOL * theta:
+                break
+            check = k + max(1, k // 4)
+        beta.append(b)
+        prev, v = v, w / b
+    return None if math.sqrt(max(theta, 0.0)) < floor else math.sqrt(theta)
+
+
+def _certified(p: int, s_max, s_min) -> bool:
+    """Whether the (s_max, s_min) bounds of ``_triangle_inverse`` on a p x p
+    triangle prove it well conditioned and sigma_min above ``_SINGULAR``.
+
+    The computed sigma_min can sit c p eps sigma_max away from the true one
+    (LAPACK Users' Guide, sec. 4.9), and within the condition gate the lower
+    bound is accurate to about kappa p eps <= 1e-9 relative; a bound above
+    twice (threshold + p eps s_max) leaves room for both, so a system the
+    bound passes is one the SVD would also pass.
+    """
+    clear = 2.0 * (_SINGULAR + p * np.finfo(float).eps * s_max)
+    return _well_conditioned(s_max, s_min) and s_min > clear
+
+
+def _singular(r: np.ndarray, bounds: tuple) -> bool:
     """Whether the SVD puts sigma_min of the upper-trapezoidal ``r`` (p
     columns, at least p rows, zero past row p) at or below ``_SINGULAR``.
 
-    The SVD runs only when the (s_max, s_min) bounds of ``_triangle_inverse``
-    on r's triangle cannot decide; ``bounds`` hands in ones already computed
-    (by ``_gram_factor``), otherwise they are computed here.  The computed
-    sigma_min can sit c p eps sigma_max away from the true one (LAPACK Users'
-    Guide, sec. 4.9), and within the condition gate the lower bound is
-    accurate to about kappa p eps <= 1e-9 relative; a bound above twice
-    (threshold + p eps s_max) leaves room for both, so a system the bound
-    passes is one the SVD would also pass.
+    ``bounds`` are the (s_max, s_min) of the ``_triangle_inverse`` triple
+    that the augmented build kept for r's triangle; the SVD runs only when
+    they cannot decide (``_certified``).
     """
-    p = r.shape[1]
-    s_max, s_min = _triangle_inverse(r[:p])[1:] if bounds is None else bounds
-    clear = 2.0 * (_SINGULAR + p * np.finfo(float).eps * s_max)
-    if _well_conditioned(s_max, s_min) and s_min > clear:
+    if _certified(r.shape[1], *bounds):
         return False
     return bool(np.linalg.svd(r, compute_uv=False)[-1] <= _SINGULAR)
 
@@ -700,23 +790,37 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     The normal matrix is F^H F for the augmented stack F = Q R that the solve
     reduced (``_augmented_factor``, the same factor, not built again), so S =
     R_NN^H R_NN for the trailing block R_NN of its triangle and c2 =
-    sigma_min(R_NN)^2 (Golub & Van Loan, Matrix Computations, sec. 5.3).  A
-    factor built from the normal matrix comes with its triangle's bounds,
-    which the singularity test reads instead of inverting it again.  Dbar is
-    the mean that the same build kept, so no rotation is evaluated again.
-    ||A_N Dbar|| = ||R_N Dbar|| and the invariant residual are read from the
-    factor of [A | y] (``design_factor``); nothing is read from ``sol``.
+    sigma_min(R_NN)^2 (Golub & Van Loan, Matrix Computations, sec. 5.3).  The
+    build kept its triangle's inverse and bounds, which the singularity test
+    and c2 read: the triangle is block upper triangular, so inv(R_NN) is the
+    trailing block X of the kept inverse, and c2 = 1 / sigma_max(X)^2 with
+    sigma_max by Lanczos, or from the dense Gram of a small block
+    (``_sigma_max``).  Only a system the bounds do not certify, or one where
+    Lanczos cannot vouch for its answer, takes the SVD of R_NN.  Dbar is the mean that the same build kept, so no rotation
+    is evaluated again.  ||A_N Dbar|| = ||R_N Dbar||, the square root of the
+    top eigenvalue of the smaller Gram matrix of R_N Dbar_N, and the
+    invariant residual are read from the factor of [A | y]
+    (``design_factor``); nothing is read from ``sol``.
     """
     p, n_inv = basis.size, basis.invariant_count
-    aug, mean, bounds = _augmented_factor(basis, data, scheme)
+    aug, mean, triangle = _augmented_factor(basis, data, scheme)
     factor = design_factor(basis, data)
     if n_inv == p:  # no non-invariant column: beta_N is empty, so eps_sym = 0
         return SchurDiagnostics(True, 0.0, 0.0, factor.leading_fit(p)[1], None)
     r = aug.r[:, :p]
-    if r.shape[0] < p or _singular(r, bounds):
+    if triangle is None and r.shape[0] >= p:  # a factor handed in without its triple
+        triangle = _triangle_inverse(r[:p])
+    if triangle is None or _singular(r, triangle[1:]):
         return SchurDiagnostics(False, None, None, None, None, "singular normal matrix")
-    c2 = float(np.linalg.svd(r[n_inv:p, n_inv:], compute_uv=False)[-1]) ** 2
-    a_d_bar = _apply_entries(basis, factor.r[:, :p], mean)
+    inv, s_max, s_min = triangle
+    sigma = _sigma_max(inv[n_inv:, n_inv:]) if _certified(p, s_max, s_min) else None
+    if sigma is None:
+        c2 = float(np.linalg.svd(r[n_inv:p, n_inv:], compute_uv=False)[-1]) ** 2
+    else:
+        c2 = 1.0 / sigma ** 2
+    r_d_bar = _apply_entries(basis, factor.r[:, :p], mean)[:, n_inv:]  # R_N Dbar_N
+    gram = (r_d_bar @ r_d_bar.conj().T if r_d_bar.shape[0] <= r_d_bar.shape[1]
+            else r_d_bar.conj().T @ r_d_bar)
+    d_bar_norm = math.sqrt(max(0.0, float(np.linalg.eigvalsh(gram)[-1])))
     inv_residual = factor.leading_fit(n_inv)[1]
-    d_bar_norm = float(np.linalg.norm(a_d_bar[:, n_inv:], ord=2))
     return SchurDiagnostics(True, d_bar_norm * inv_residual / c2, d_bar_norm, inv_residual, c2)

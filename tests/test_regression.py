@@ -24,6 +24,18 @@ def _uniform_data(d, n, seed, target=None):
     return sample_dataset(DistributionSpec(d, "UUU"), n, np.random.default_rng(seed), target)
 
 
+def _normal_route(data) -> bool:
+    """Whether the last augmented build on ``data`` was factored from its
+    normal matrix.  Only that route keeps a triangle whose bounds prove it
+    well conditioned: a stacked factor is built when the Cholesky fails (a
+    rank-deficient system) or the same bounds reject the Cholesky factor,
+    which has the stack's singular values, and a stack of fewer rows than
+    columns keeps no triangle."""
+    triangle = data._augmented[3]
+    return (triangle is not None and triangle[0] is not None
+            and regression._well_conditioned(*triangle[1:]))
+
+
 def test_dataset_rejects_unknown_dimension():
     for d in (0, 3):
         with pytest.raises(ValueError, match="d must be 1 or 2"):
@@ -458,18 +470,101 @@ def test_schur_availability_equals_the_svd_rule(monkeypatch, scale, dense):
 
 
 def test_schur_certified_bound_spares_the_full_svd(monkeypatch):
+    # a certified system: c2 comes from the kept inverse (by Lanczos, then by
+    # the dense Gram that a block this small takes by default) and ||A_N
+    # Dbar|| from a Gram eigenvalue, so neither the SVD nor the matrix 2-norm
+    # runs
     basis = enumerate_basis(1, 3, 3)
     data = _uniform_data(1, 200, 61, make_target(1, ExponentialDecay(2.0), 5, seed=62))
     scheme = AugmentationScheme("random", t=16, seed=63)
     sol = augmented_lsq(basis, data, scheme)
+    ref = schur_from_design(basis, data, scheme)
+    real_svd, real_norm = np.linalg.svd, np.linalg.norm
+    for dense in (0, regression._DENSE_SIGMA):
+        calls = []
+        monkeypatch.setattr(regression, "_DENSE_SIGMA", dense)
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(("svd", a.shape))
+                            or real_svd(a, *args, **kw))
+        monkeypatch.setattr(np.linalg, "norm", lambda x, ord=None, **kw: (
+            ord == 2 and calls.append(("norm", x.shape))) or real_norm(x, ord, **kw))
+        diag = schur_diagnostics(basis, data, scheme, sol)
+        monkeypatch.undo()
+        assert diag.available and calls == [], dense
+        for name in ("bound", "c2", "d_bar_norm"):
+            assert abs(getattr(diag, name) - getattr(ref, name)) <= 1e-12 * getattr(ref, name), name
+
+
+def _sigma_max_cases():
+    """(label, x) for ``_sigma_max``: sizes 1 and 2, a repeated and a nearly
+    repeated top singular value, a rank-one-dominated matrix, a graded
+    triangle of condition 1e4, dense complex triangles, and a matrix whose
+    top right singular vector is orthogonal to the fixed Lanczos start."""
+    rng = np.random.default_rng(470)
+
+    def unitary(m):
+        return np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
+
+    def with_sigma(s, v=None):
+        m = len(s)
+        return unitary(m) @ np.diag(s) @ (unitary(m) if v is None else v).conj().T
+
+    start = np.random.default_rng(regression._LANCZOS_SEED).standard_normal(60)
+    missed = np.linalg.qr(np.column_stack([start, rng.normal(size=(60, 59))]))[0]
+    missed = np.roll(missed, -1, axis=1)  # first column orthogonal to the start
+    cases = [("m=1", np.array([[3.0 - 4.0j]])),
+             ("m=2", np.triu(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))),
+             ("repeated-top", with_sigma(np.r_[2.0, 2.0, 2.0, np.linspace(1.5, 0.1, 37)])),
+             ("top-pair-1+-1e-12", with_sigma(np.r_[1 + 1e-12, 1 - 1e-12,
+                                                      np.linspace(0.9, 0.01, 48)])),
+             ("rank-one-dominated", 1e6 * np.outer(rng.normal(size=50), rng.normal(size=50))
+              + rng.normal(size=(50, 50))),
+             ("graded-kappa-1e4", np.triu(rng.normal(size=(80, 80)), 1) * 1e-3
+              + np.diag(np.geomspace(1.0, 1e-4, 80))),
+             ("start-orthogonal-to-top", with_sigma(np.r_[100.0, np.linspace(1.0, 0.5, 59)],
+                                                        missed.astype(complex)))]
+    for m in (33, 231):
+        t = np.triu(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))) + 3.0 * np.eye(m)
+        cases.append((f"complex-triangle-m={m}", np.linalg.inv(t)))
+    return cases
+
+
+@pytest.mark.parametrize("dense", [0, regression._DENSE_SIGMA], ids=["lanczos", "default"])
+@pytest.mark.parametrize("label", [label for label, _ in _sigma_max_cases()])
+def test_sigma_max_matches_the_svd(monkeypatch, label, dense):
+    # "lanczos" runs every case through Lanczos; "default" lets the small
+    # ones take the dense Gram
+    monkeypatch.setattr(regression, "_DENSE_SIGMA", dense)
+    x = dict(_sigma_max_cases())[label]
+    want = np.linalg.svd(x, compute_uv=False)[0]
+    got = regression._sigma_max(x)
+    if got is not None:  # None: the column-norm guard hands the case to the SVD
+        assert abs(got - want) <= 1e-13 * want, (label, got, want)
+    again = regression._sigma_max(x.copy())
+    assert (got is None and again is None) or got == again  # byte-identical reruns
+
+
+def test_sigma_max_guard_hands_a_miss_to_the_svd(monkeypatch):
+    # with no residual test Lanczos stops at its first check (k = 8), at a
+    # Ritz value below sigma_max of a spectrum of 200 close values; the
+    # longest column (here sigma_max itself) exposes it
+    monkeypatch.setattr(regression, "_LANCZOS_TOL", np.inf)
+    assert regression._sigma_max(np.diag(np.linspace(0.5, 1.0, 200))) is None
+    monkeypatch.undo()
+    # a miss sends c2 to the SVD of R_NN, as for a system the bounds do not certify
+    basis = enumerate_basis(1, 3, 3)
+    data = _uniform_data(1, 200, 61, make_target(1, ExponentialDecay(2.0), 5, seed=62))
+    scheme = AugmentationScheme("random", t=16, seed=63)
+    sol = augmented_lsq(basis, data, scheme)
+    ref = schur_from_design(basis, data, scheme)
     calls = []
     real_svd = np.linalg.svd
+    monkeypatch.setattr(regression, "_sigma_max", lambda x: None)
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(a.shape)
                         or real_svd(a, *args, **kw))
     diag = schur_diagnostics(basis, data, scheme, sol)
-    assert diag.available
-    n_inv = basis.invariant_count
-    assert calls == [(basis.size - n_inv, basis.size - n_inv)]  # R_NN only, for c2
+    m = basis.size - basis.invariant_count
+    assert calls == [(m, m)]
+    assert abs(diag.c2 - ref.c2) <= 1e-12 * ref.c2
 
 
 def _oracle_case(d, k, dist, n, scheme, cutoff, seed):
@@ -497,7 +592,7 @@ def test_augmented_lsq_matches_stacked_oracle(dist, cutoff, tmp_path):
 
     def case(d, k, n, scheme, below, seed):
         data = _oracle_case(d, k, dist, n, scheme, cutoff, seed)
-        routes.add((d, scheme.kind, below, data._augmented[3] is not None))
+        routes.add((d, scheme.kind, below, _normal_route(data)))
 
     for i, t in enumerate((3, 16, 64)):
         case(1, 5, 80, AugmentationScheme("random", t=t, seed=42 + t), t < 11, 300 + i)
@@ -576,7 +671,7 @@ def test_augmented_route_per_case(monkeypatch):
     data = sample_dataset(DistributionSpec(1, "UUU"), 20, np.random.default_rng(501), target1)
     scheme = AugmentationScheme("random", t=8, seed=500)
     sol = augmented_lsq(circle, data, scheme)
-    assert calls == ["cholesky", "gate passed"] and data._augmented[3] is not None
+    assert calls == ["cholesky", "gate passed"] and _normal_route(data)
     assert data._augmented[1].r.shape == (circle.size + 1, circle.size + 1)
     ref, ref_res, _ = stacked_augmented_solve(circle, data, scheme)
     assert np.abs(sol.beta - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -587,7 +682,7 @@ def test_augmented_route_per_case(monkeypatch):
     circle = enumerate_basis(1, 3, 3)
     data = sample_dataset(DistributionSpec(1, "dUU"), 150, np.random.default_rng(421), target1)
     augmented_lsq(circle, data, AugmentationScheme("quadrature", rule=so2_quadrature(3)))
-    assert calls == ["cholesky failed", "stack"] and data._augmented[3] is None
+    assert calls == ["cholesky failed", "stack"] and not _normal_route(data)
     calls.clear()
     # 8 random rotations of pinned d=2 data (S = 35 entries): the stack has
     # one singular value at roundoff, which the Cholesky of the normal matrix
@@ -595,7 +690,7 @@ def test_augmented_route_per_case(monkeypatch):
     data = sample_dataset(DistributionSpec(2, "dUU"), 100, np.random.default_rng(3), target2)
     scheme = AugmentationScheme("random", t=8, seed=3)
     sol = augmented_lsq(sphere, data, scheme)
-    assert calls == ["cholesky", "gate rejected", "stack"] and data._augmented[3] is None
+    assert calls == ["cholesky", "gate rejected", "stack"] and not _normal_route(data)
     sigma = np.linalg.svd(data._augmented[1].r[:, :sphere.size], compute_uv=False)
     assert sigma[-1] <= 1e-13 * sigma[0] < sigma[-2]
     ref = stacked_augmented_solve(sphere, data, scheme)[0]
@@ -603,32 +698,32 @@ def test_augmented_route_per_case(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_schur_reads_the_gram_routes_bounds(monkeypatch, d):
-    # a factor built from the normal matrix keeps its gate's bounds, so the
-    # singularity test does not invert its p x p triangle again; a stacked
-    # factor is inverted as before (the invariant residual's fit on the
-    # design factor inverts its own n_inv x n_inv triangle either way)
+def test_one_triangle_inverse_per_build(monkeypatch, d):
+    # the build inverts its p x p triangle once (the normal-matrix route in
+    # its gate, a stacked factor right after the QR) and keeps the inverse:
+    # the solve, the singularity test and c2 all read it, on either route
+    # (the invariant residual's fit inverts its own n_inv x n_inv triangle)
     basis = enumerate_basis(d, 3, 3 if d == 1 else 2)
+    p = basis.size
     target = make_target(d, ExponentialDecay(2.0), 5, seed=430)
-    rule = so2_quadrature(3) if d == 1 else so3_quadrature_euler(1)
     inversions = []
-    real = regression._triangle_inverse
+    real = regression._blocked_inverse
+    monkeypatch.setattr(regression, "_blocked_inverse",
+                        lambda t, *args: inversions.append(t.shape) or real(t, *args))
+    rule = so2_quadrature(3) if d == 1 else so3_quadrature_euler(1)
     for dist, gram in (("UUU", True), ("dUU", False)):
         data = sample_dataset(DistributionSpec(d, dist), 90, np.random.default_rng(431), target)
         scheme = AugmentationScheme("quadrature", rule=rule)
         sol = augmented_lsq(basis, data, scheme)
-        assert (data._augmented[3] is not None) == gram, dist
-        monkeypatch.setattr(regression, "_triangle_inverse",
-                            lambda t: inversions.append(t.shape) or real(t))
+        assert _normal_route(data) == gram, dist
+        assert data._augmented[1].r.shape[0] >= p  # a triangle to invert on both routes
         diag = schur_diagnostics(basis, data, scheme, sol)
-        monkeypatch.undo()
+        assert inversions.count((p, p)) == 1, (dist, inversions)
+        inversions.clear()
         ref = schur_from_design(basis, data, scheme)
         assert (diag.available, diag.reason) == (ref.available, ref.reason), dist
         if ref.available:
             assert abs(diag.bound - ref.bound) <= 1e-12 * abs(ref.bound), dist
-        p = basis.size
-        assert inversions.count((p, p)) == (0 if gram else 1), dist
-        inversions.clear()
 
 
 @pytest.mark.parametrize("dist", ["UUU", "dUU"])
@@ -643,7 +738,7 @@ def test_quadrature_below_k_zeroes_aliased_charges(dist):
     data = sample_dataset(DistributionSpec(1, dist), 150, np.random.default_rng(441), target)
     for m in (2, 3, 4, 5):
         sol = augmented_lsq(basis, data, AugmentationScheme("quadrature", rule=so2_quadrature(m)))
-        assert (data._augmented[3] is not None) == (dist == "UUU"), m
+        assert _normal_route(data) == (dist == "UUU"), m
         aliased = basis.sums % m != 0
         assert aliased.any()
         assert np.abs(sol.beta[aliased]).max() <= 1e-12 * np.linalg.norm(sol.beta), m
@@ -689,7 +784,7 @@ def test_augmented_rows_independent_of_t(monkeypatch):
         data = _uniform_data(1, n, 44, target)
         for t in (16, 256):
             augmented_lsq(basis, data, AugmentationScheme("random", t=t, seed=45))
-            assert (data._augmented[3] is None) == (n == 20), (n, t)
+            assert _normal_route(data) == (n == 100), (n, t)
     # n = 100: [A | y] (100 rows, short of p+1 = 232) enters, and the full-rank
     # augmented system is factored from its normal matrix, with no stack; n =
     # 20: 11 charges times 20 rows, 220 < p, cannot have full rank, so min(T,
@@ -717,13 +812,13 @@ def test_augmented_rows_cut_to_p_plus_one_d2(monkeypatch):
     data = _uniform_data(2, 200, 50, target)
     for scheme in schemes:  # full rank: the normal-matrix route stacks nothing
         augmented_lsq(basis, data, scheme)
-        assert data._augmented[3] is not None and data._augmented[1].r.shape == (53, 53)
+        assert _normal_route(data) and data._augmented[1].r.shape == (53, 53)
     assert rows == [200]
     rows.clear()
     data = _coincident_pair_data(200, 50, target)
     for scheme in schemes:
         augmented_lsq(basis, data, scheme)
-        assert data._augmented[3] is None
+        assert not _normal_route(data)
     # [A | y] (200 rows) is cut first, then min(T, S) virtual nodes of 53 rows
     # are stacked, S = 35 Wigner entries of degree <= 2: all 32 nodes of the
     # rule, and 35 for the 64 random rotations
@@ -994,7 +1089,7 @@ def test_every_factor_is_its_stacks_triangle(monkeypatch, d):
         plain_ay = np.column_stack([design_matrix(basis, data), data.values])
         for scheme in schemes:
             augmented_lsq(basis, data, scheme)
-            gram = data._augmented[3] is not None
+            gram = _normal_route(data)
             routes.add(gram)
             assert len(rows) == (1 if gram else 2), (n, scheme.kind)
             augmented_rows = p + 1 if gram else min(rows.pop(), p + 1)
