@@ -6,9 +6,10 @@ Every fit of a (basis, dataset) pair reads one evaluation of its design:
 ``design_factor`` reduces [A | y] to its factor R once and the dataset keeps
 it, and the plain, invariant-leading and augmented solves and the Schur
 diagnostics all read R instead of evaluating A again.  The augmented solve
-and its Schur bound likewise share one factor of the rotated stack, and one
-inverse of that factor's triangle with its certified singular-value bounds
-(computed once per build, whichever route built the factor).
+and its Schur bound likewise share one factor of the rotated stack and, when
+the factor was built from its normal matrix, the certificate of its triangle
+(``_triangle_inverse``: the inverse and singular-value bounds that prove it
+well conditioned), computed once by the gate that chose that route.
 
 Rotations reach both only through their irreducible entries
 (``harmonics.rotation_blocks``), evaluated once per augmented build
@@ -45,7 +46,7 @@ _MACHINE_FLOOR = 1e-13
 _UNIT_TOL = 1e-12
 _COMPRESS_ROWS = 16384
 _GATHER_ENTRIES = 1 << 16  # (rows x terms) per chunk of the pole-frame product gather
-_KAPPA_FAST = 1e4  # condition bound under which lsq_solve skips the SVD
+_KAPPA_FAST = 1e4  # condition bound that a triangle certificate proves (_triangle_inverse)
 _INVERSE_LEAF = 32  # triangles up to this size are inverted by np.linalg.inv
 _SINGULAR = 1e-10  # sigma_min of the augmented system at or below which Schur is unavailable
 _LANCZOS_TOL = 1e-14  # top Ritz residual, relative to the Ritz value, at which Lanczos stops
@@ -264,52 +265,35 @@ def _blocked_inverse(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 
 
 def _triangle_inverse(t: np.ndarray):
-    """(inv(T), s_max, s_min) for a square upper triangle T: its inverse
-    (``_blocked_inverse``, None when a diagonal entry is exactly zero), an
-    upper bound on sigma_max(T) and a lower bound on sigma_min(T) (0 when
-    singular).
+    """The certificate (inv(T), s_max, s_min) of a square upper triangle T
+    whose norm bounds prove condition number <= ``_KAPPA_FAST``, or None:
+    its inverse (``_blocked_inverse``), an upper bound on sigma_max(T) and a
+    lower bound on sigma_min(T).  Within the gate inv(T) is accurate to
+    about kappa * p * eps_mach relative, far below what any caller needs.
 
     ||X||_2 <= sqrt(||X||_1 ||X||_inf) bounds sigma_max(T) from above and,
-    applied to inv(T), sigma_min(T) from below.  Nothing is cached here; an
-    augmented build keeps the triple of its factor (``_augmented_factor``).
+    applied to inv(T), sigma_min(T) from below.  T's diagonal holds its
+    eigenvalues, so kappa(T) >= max|t_ii| / min|t_ii| (Higham, "A survey of
+    condition number estimation for triangular matrices", SIAM Rev. 29,
+    1987), and the bounds straddle both ends; a zero diagonal entry or a
+    ratio above 2 ``_KAPPA_FAST`` (the 2 absorbs the bounds' rounding) is
+    rejected before any inversion.  Nothing is cached here; an augmented
+    build keeps the certificate of its factor (``_augmented_factor``).
     """
     def norm_bound(x):  # ||x||_1 and ||x||_inf, the max column and row sums of |x|
         mag = np.abs(x)
         return np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max())
 
+    diag = np.abs(np.diagonal(t))
+    if not diag.min() > 0.0 or diag.max() > 2.0 * _KAPPA_FAST * diag.min():
+        return None
     with np.errstate(all="ignore"):
         s_max = norm_bound(t)
-        if not np.diagonal(t).all():
-            return None, s_max, 0.0
         inv = _blocked_inverse(t)
         s_min = 1.0 / norm_bound(inv)
+    if not (np.isfinite(s_max) and s_max <= _KAPPA_FAST * s_min):
+        return None
     return inv, s_max, s_min
-
-
-def _well_conditioned(s_max, s_min) -> bool:
-    """Whether the bounds of ``_triangle_inverse`` prove condition number
-    <= ``_KAPPA_FAST``; within it inv(T) is accurate to about kappa * p *
-    eps_mach relative, far below what either caller needs."""
-    return bool(np.isfinite(s_max) and s_max <= _KAPPA_FAST * s_min)
-
-
-def _triangular_solve(a: np.ndarray, y: np.ndarray, cutoff: float, triangle=None):
-    """inv(T) y[:p] for an upper-trapezoidal ``a`` with leading triangle T,
-    or None unless norm bounds prove condition number <= ``_KAPPA_FAST``
-    and that the cutoff keeps every singular value.  ``triangle`` is T's
-    ``_triangle_inverse`` triple when the caller holds it, else it is
-    computed here.
-
-    Rows past p are zero, so they add only residual.  Within the gate
-    inv(T) y and the SVD pseudo-inverse agree to about kappa * eps_mach.
-    """
-    p = a.shape[1]
-    if a.shape[0] < p or p == 0 or np.tril(a, -1).any():
-        return None
-    inv, s_max, s_min = _triangle_inverse(a[:p]) if triangle is None else triangle
-    if inv is None or not (_well_conditioned(s_max, s_min) and s_min >= cutoff):
-        return None
-    return inv @ y[:p]
 
 
 def lsq_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0, *,
@@ -317,29 +301,34 @@ def lsq_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0, *,
     """Minimum-norm least-squares solution.
 
     Tall systems are first reduced to the triangular factor of [a | y].
-    Singular values below the absolute threshold ``cutoff`` are discarded;
-    cutoff 0 keeps everything above the machine floor 1e-13 * sigma_max.
+    Singular values below the absolute threshold ``cutoff`` (finite, >= 0)
+    are discarded; cutoff 0 keeps everything above the machine floor
+    1e-13 * sigma_max.
 
     Two branches give that solution.  When ``a`` is upper trapezoidal (at
     least p rows, exact zeros below the diagonal, as every reduced tall
-    system is) and norm bounds on its triangle and the triangle's inverse
-    prove condition number <= 1e4 and that the cutoff discards nothing,
-    beta = inv(T) y[:p] (``_triangular_solve``).  Every other system (wide,
-    general, rank-deficient, ill-conditioned or cut) goes through the SVD
-    pseudo-inverse.  A caller that already holds the ``_triangle_inverse``
-    triple of an upper-trapezoidal ``a``'s triangle hands it in as
+    system is), its triangle T has a certificate (``_triangle_inverse``) and
+    the certified s_min shows that the cutoff discards nothing, beta =
+    inv(T) y[:p]: rows past p are zero and add only residual, and inv(T) y
+    agrees with the SVD pseudo-inverse to about kappa * eps_mach.  Every
+    other system (wide, general, rank-deficient, ill-conditioned or cut)
+    goes through the SVD pseudo-inverse.  A caller that holds the
+    certificate of an upper-trapezoidal ``a``'s triangle hands it in as
     ``triangle``, and T is not inverted again.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] < 1:
         raise ValueError("empty least-squares system")
+    if not 0.0 <= cutoff < math.inf:
+        raise ValueError(f"cutoff must be finite and >= 0, got {cutoff!r}")
     p = a.shape[1]
     if a.shape[0] > p + 1:  # a factor handed in is solved as it is, not copied
         r = _compressed_stack([np.column_stack([a, y])])
         a, y = r[:, :p], r[:, p]
-    beta = _triangular_solve(a, y, cutoff, triangle)
-    if beta is not None:
-        return beta
+    if triangle is None and 0 < p <= a.shape[0] and not np.tril(a, -1).any():
+        triangle = _triangle_inverse(a[:p])
+    if triangle is not None and triangle[2] >= cutoff:
+        return triangle[0] @ y[:p]
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros(a.shape[1], dtype=complex)
@@ -365,19 +354,15 @@ class DesignFactor:
     basis: BasisSpec
     r: np.ndarray
 
-    def leading_fit(self, k: int, cutoff: float = 0.0,
-                    triangle: tuple | None = None) -> tuple[np.ndarray, float]:
+    def leading_fit(self, k: int, cutoff: float = 0.0) -> tuple[np.ndarray, float]:
         """(beta, residual norm) of least squares of y on the first k columns of A.
 
         A_{:k} = Q r_{:k}.  Those columns of the triangle vanish below row k,
         so the fit reads the leading k+1 rows (all of r when k = p, where it
         is the plain solve); r's rows past them add only residual.
-        ``triangle`` is the ``_triangle_inverse`` triple of r's leading k x k
-        triangle when one is kept (an augmented build's), so that
-        ``lsq_solve`` does not invert it again.
         """
         r, p = self.r, self.basis.size
-        beta = lsq_solve(r[:k + 1, :k], r[:k + 1, p], cutoff, triangle=triangle)
+        beta = lsq_solve(r[:k + 1, :k], r[:k + 1, p], cutoff)
         return beta, float(np.linalg.norm(r[:, :k] @ beta - r[:, p]))
 
 
@@ -529,17 +514,17 @@ def _virtual_nodes(basis: BasisSpec, r: np.ndarray, nodes: np.ndarray):
 
 
 def _gram_factor(basis: BasisSpec, r: np.ndarray, nodes: np.ndarray, mean: np.ndarray):
-    """(r, (inv, s_max, s_min)): a triangular factor of the augmented stack F
-    built from its normal matrix, with the ``_triangle_inverse`` triple of
-    its p x p triangle U; None unless the bounds prove it well conditioned.
+    """(r, certificate): a triangular factor of the augmented stack F built
+    from its normal matrix, with the certificate (``_triangle_inverse``) of
+    its p x p triangle U; None when U has none.
 
     ``r`` is [R_a | r_y] and ``nodes`` R_V, as in ``_virtual_nodes``.  F's
     normal matrix M = sum_t w_t D_t^H G D_t, G = R_a^H R_a, depends on the
     rotations only through the (S, S) Gram R_V^H R_V of their entries
     (``harmonics._twirl``), and F^H y = Dbar^H R_a^H r_y through the mean.
     M = U^H U by Cholesky, and U is F's triangle up to a unitary diagonal,
-    so a system that is full rank with kappa(U) <= ``_KAPPA_FAST``
-    (``_well_conditioned``) needs no stack.  Normal equations lose
+    so a system that is full rank with kappa(U) <= ``_KAPPA_FAST`` needs no
+    stack.  Normal equations lose
     kappa^2 eps, so beta takes one step of corrected seminormal equations
     (Bjorck, "Stability analysis of the method of seminormal equations for
     linear least squares problems", Linear Algebra Appl. 88/89, 1987): the
@@ -549,7 +534,7 @@ def _gram_factor(basis: BasisSpec, r: np.ndarray, nodes: np.ndarray, mean: np.nd
     with rho = ||y - F beta|| at the refined beta: it has F's Gram matrix, so
     the solves and the Schur bound read it as they read the stack's.
 
-    Fewer stack rows than columns, a failed Cholesky or a rejected bound
+    Fewer stack rows than columns, a failed Cholesky or no certificate
     return None: the system is rank deficient or not provably well
     conditioned.
     """
@@ -564,9 +549,10 @@ def _gram_factor(basis: BasisSpec, r: np.ndarray, nodes: np.ndarray, mean: np.nd
     out = np.zeros((p + 1, p + 1), dtype=complex)
     out[:p, :p] = u
     u = out[:p, :p]  # the factor's triangle, held once
-    inv, s_max, s_min = _triangle_inverse(u)
-    if inv is None or not _well_conditioned(s_max, s_min):
+    certificate = _triangle_inverse(u)
+    if certificate is None:
         return None
+    inv = certificate[0]
     trivial = _trivial_entry(basis)
 
     def solve(g):  # inv(M) g
@@ -579,7 +565,7 @@ def _gram_factor(basis: BasisSpec, r: np.ndarray, nodes: np.ndarray, mean: np.nd
     beta = beta + solve(_adjoint_sum(basis, nodes, residual(beta) @ a.conj()))
     out[:p, p] = u @ beta
     out[p, p] = np.linalg.norm(residual(beta))
-    return out, (inv, s_max, s_min)
+    return out, certificate
 
 
 def _augmented_factor(basis: BasisSpec, data: Dataset,
@@ -587,8 +573,9 @@ def _augmented_factor(basis: BasisSpec, data: Dataset,
     """(factor, mean, triangle): a factor of the stack [sqrt(w_t) A D(Q_t) |
     sqrt(w_t) y] of the symmetry-augmented least-squares problem, the
     entries sum_t w_t entry(Q_t) of the mean rotation Dbar = sum_t w_t D(Q_t),
-    and the ``_triangle_inverse`` triple (inv, s_max, s_min) of the factor's
-    p x p triangle (None for a factor of fewer than p rows).
+    and the certificate (inv, s_max, s_min) of the factor's p x p triangle
+    (``_triangle_inverse``) on the normal-matrix route, None on the stacked
+    one.
 
     The problem minimizes (1/2) sum_t w_t ||A D(Q_t) beta - Y||^2: least
     squares on the row stack of the sqrt(w_t)-scaled rotated design blocks
@@ -606,16 +593,16 @@ def _augmented_factor(basis: BasisSpec, data: Dataset,
     other one (rank deficient, or not provably well conditioned) stacks its
     virtual nodes (``_virtual_nodes``) into one QR factor of
     min(rows, p+1) rows (``_compressed_stack``).  Either is solved by
-    ``lsq_solve`` (by the triangle's inverse when that is provably
-    well-conditioned, by the SVD otherwise) and gives the residual; the
-    reductions are exact, so beta, the kept rank and the residual are those
-    of the plain stacked solve up to roundoff.
+    ``lsq_solve`` and gives the residual; the reductions are exact, so beta,
+    the kept rank and the residual are those of the plain stacked solve up
+    to roundoff.
 
-    The triangle is inverted once per build: the normal-matrix route keeps
-    the inverse its gate computed, and a stacked factor is inverted as soon
-    as it is built, since the solve that follows every build reads it.  The
-    solve (``lsq_solve``), the singularity test and c2 of the Schur
-    diagnostics all read that one triple.
+    Only the normal-matrix route keeps a certificate, the one its gate
+    computed: the solve and the Schur diagnostics read it, and nothing
+    inverts that triangle again.  A stacked factor keeps None, since its
+    triangle has the singular values of the one the gate rejected (or of a
+    normal matrix whose Cholesky failed); a kept certificate therefore
+    marks the normal-matrix route.
 
     The dataset caches the last build on it, keyed by the basis and scheme
     objects, so the solve and its Schur diagnostics share it; the old one is
@@ -633,10 +620,8 @@ def _augmented_factor(basis: BasisSpec, data: Dataset,
     r = design_factor(basis, data).r
     nodes = np.linalg.qr(np.sqrt(weights)[:, None] * entries, mode="r")
     built = _gram_factor(basis, r, nodes, mean)
-    if built is None:
-        stack = _compressed_stack(_virtual_nodes(basis, r, nodes))
-        p = basis.size
-        built = stack, (_triangle_inverse(stack[:p, :p]) if stack.shape[0] >= p else None)
+    if built is None:  # its triangle is one the certificate rejected: it keeps none
+        built = _compressed_stack(_virtual_nodes(basis, r, nodes)), None
     factor, triangle = DesignFactor(basis, built[0]), built[1]
     object.__setattr__(data, "_augmented", (scheme, factor, mean, triangle))
     return factor, mean, triangle
@@ -645,11 +630,12 @@ def _augmented_factor(basis: BasisSpec, data: Dataset,
 def augmented_lsq(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
                   cutoff: float = 0.0) -> RegressionSolution:
     """Symmetry-augmented least squares, solved on the factor of the
-    reduced rotated stack (``_augmented_factor``), whose kept triangle
-    inverse the solve reads."""
+    reduced rotated stack (``_augmented_factor``) by ``lsq_solve``, which
+    reads the build's certificate when it kept one."""
     factor, _, triangle = _augmented_factor(basis, data, scheme)
-    beta, res = factor.leading_fit(basis.size, cutoff, triangle)
-    return RegressionSolution(basis, beta, cutoff, res)
+    a, y = factor.r[:, :basis.size], factor.r[:, basis.size]
+    beta = lsq_solve(a, y, cutoff, triangle=triangle)
+    return RegressionSolution(basis, beta, cutoff, float(np.linalg.norm(a @ beta - y)))
 
 
 def l2_test_errors(basis: BasisSpec, betas, target, test_data: Dataset) -> list[float]:
@@ -749,33 +735,6 @@ def _sigma_max(x: np.ndarray) -> float | None:
     return None if math.sqrt(max(theta, 0.0)) < floor else math.sqrt(theta)
 
 
-def _certified(p: int, s_max, s_min) -> bool:
-    """Whether the (s_max, s_min) bounds of ``_triangle_inverse`` on a p x p
-    triangle prove it well conditioned and sigma_min above ``_SINGULAR``.
-
-    The computed sigma_min can sit c p eps sigma_max away from the true one
-    (LAPACK Users' Guide, sec. 4.9), and within the condition gate the lower
-    bound is accurate to about kappa p eps <= 1e-9 relative; a bound above
-    twice (threshold + p eps s_max) leaves room for both, so a system the
-    bound passes is one the SVD would also pass.
-    """
-    clear = 2.0 * (_SINGULAR + p * np.finfo(float).eps * s_max)
-    return _well_conditioned(s_max, s_min) and s_min > clear
-
-
-def _singular(r: np.ndarray, bounds: tuple) -> bool:
-    """Whether the SVD puts sigma_min of the upper-trapezoidal ``r`` (p
-    columns, at least p rows, zero past row p) at or below ``_SINGULAR``.
-
-    ``bounds`` are the (s_max, s_min) of the ``_triangle_inverse`` triple
-    that the augmented build kept for r's triangle; the SVD runs only when
-    they cannot decide (``_certified``).
-    """
-    if _certified(r.shape[1], *bounds):
-        return False
-    return bool(np.linalg.svd(r, compute_uv=False)[-1] <= _SINGULAR)
-
-
 def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
                       sol: RegressionSolution) -> SchurDiagnostics:
     """Schur-complement bound for the augmented solve that produced ``sol``:
@@ -783,24 +742,29 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     non-invariant rotation block Dbar = sum_t w_t D_{t,N} and c2 the smallest
     eigenvalue of the Schur complement S = D - C^H B^{-1} C of the augmented
     normal matrix on its non-invariant block.  A singular augmented system
-    (sigma_min <= 1e-10, ``_singular``: the triangle's certified bound, the
-    SVD only where the bound cannot decide) yields an unavailable diagnostic
-    instead of a crash.
+    (sigma_min <= 1e-10) yields an unavailable diagnostic instead of a crash.
 
     The normal matrix is F^H F for the augmented stack F = Q R that the solve
     reduced (``_augmented_factor``, the same factor, not built again), so S =
     R_NN^H R_NN for the trailing block R_NN of its triangle and c2 =
-    sigma_min(R_NN)^2 (Golub & Van Loan, Matrix Computations, sec. 5.3).  The
-    build kept its triangle's inverse and bounds, which the singularity test
-    and c2 read: the triangle is block upper triangular, so inv(R_NN) is the
-    trailing block X of the kept inverse, and c2 = 1 / sigma_max(X)^2 with
-    sigma_max by Lanczos, or from the dense Gram of a small block
-    (``_sigma_max``).  Only a system the bounds do not certify, or one where
-    Lanczos cannot vouch for its answer, takes the SVD of R_NN.  Dbar is the mean that the same build kept, so no rotation
-    is evaluated again.  ||A_N Dbar|| = ||R_N Dbar||, the square root of the
-    top eigenvalue of the smaller Gram matrix of R_N Dbar_N, and the
-    invariant residual are read from the factor of [A | y]
-    (``design_factor``); nothing is read from ``sol``.
+    sigma_min(R_NN)^2 (Golub & Van Loan, Matrix Computations, sec. 5.3).
+
+    A kept certificate whose s_min exceeds twice (1e-10 + p eps s_max)
+    decides both without an SVD.  The computed sigma_min can sit c p eps
+    sigma_max away from the true one (LAPACK Users' Guide, sec. 4.9), and
+    within the condition gate the bound is accurate to about kappa p eps <=
+    1e-9 relative; the factor 2 leaves room for both, so a system it passes
+    is one the SVD would also pass.  The triangle is block upper triangular,
+    so inv(R_NN) is the trailing block X of the kept inverse, and c2 = 1 /
+    sigma_max(X)^2 with sigma_max by Lanczos, or from the dense Gram of a
+    small block (``_sigma_max``).  Every other system (a stacked factor,
+    which keeps no certificate, or one too close to the threshold) lets the
+    SVD of R decide singularity, and c2 is then, as when Lanczos cannot
+    vouch for its answer, the SVD's of R_NN.  Dbar is the mean that the same
+    build kept, so no rotation is evaluated again.  ||A_N Dbar|| = ||R_N
+    Dbar||, the square root of the top eigenvalue of the smaller Gram matrix
+    of R_N Dbar_N, and the invariant residual are read from the factor of
+    [A | y] (``design_factor``); nothing is read from ``sol``.
     """
     p, n_inv = basis.size, basis.invariant_count
     aug, mean, triangle = _augmented_factor(basis, data, scheme)
@@ -808,12 +772,12 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     if n_inv == p:  # no non-invariant column: beta_N is empty, so eps_sym = 0
         return SchurDiagnostics(True, 0.0, 0.0, factor.leading_fit(p)[1], None)
     r = aug.r[:, :p]
-    if triangle is None and r.shape[0] >= p:  # a factor handed in without its triple
-        triangle = _triangle_inverse(r[:p])
-    if triangle is None or _singular(r, triangle[1:]):
+    sigma = None
+    if triangle is not None and triangle[2] > 2.0 * (_SINGULAR + p * np.finfo(float).eps
+                                                     * triangle[1]):
+        sigma = _sigma_max(triangle[0][n_inv:, n_inv:])
+    elif r.shape[0] < p or np.linalg.svd(r, compute_uv=False)[-1] <= _SINGULAR:
         return SchurDiagnostics(False, None, None, None, None, "singular normal matrix")
-    inv, s_max, s_min = triangle
-    sigma = _sigma_max(inv[n_inv:, n_inv:]) if _certified(p, s_max, s_min) else None
     if sigma is None:
         c2 = float(np.linalg.svd(r[n_inv:p, n_inv:], compute_uv=False)[-1]) ** 2
     else:

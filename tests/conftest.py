@@ -1,5 +1,13 @@
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread per test process unless the caller chose otherwise: the
+# suite's matrices are small, so threaded BLAS buys little wall time and
+# spends CPU contending with other jobs on the host.  It takes effect because
+# pytest loads this file before anything imports numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 sys.path.insert(0, str(Path(__file__).parent))
 

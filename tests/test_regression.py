@@ -26,14 +26,8 @@ def _uniform_data(d, n, seed, target=None):
 
 def _normal_route(data) -> bool:
     """Whether the last augmented build on ``data`` was factored from its
-    normal matrix.  Only that route keeps a triangle whose bounds prove it
-    well conditioned: a stacked factor is built when the Cholesky fails (a
-    rank-deficient system) or the same bounds reject the Cholesky factor,
-    which has the stack's singular values, and a stack of fewer rows than
-    columns keeps no triangle."""
-    triangle = data._augmented[3]
-    return (triangle is not None and triangle[0] is not None
-            and regression._well_conditioned(*triangle[1:]))
+    normal matrix: only that route keeps a certificate of its triangle."""
+    return data._augmented[3] is not None
 
 
 def test_dataset_rejects_unknown_dimension():
@@ -223,6 +217,26 @@ def test_lsq_solve_cutoff_discards_directions():
     assert abs(v[:, 2] @ beta) < 1e-12
     with pytest.raises(ValueError):
         lsq_solve(np.zeros((0, 2)), np.zeros(0))
+
+
+@pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf, -1e-3])
+def test_every_solve_rejects_a_bad_cutoff(cutoff):
+    # a NaN or infinite cutoff would discard every singular value and return
+    # beta = 0; a negative one would keep the zero singular value of this
+    # rank-deficient system and miss its minimum-norm solution (0.5, 0.5, 1)
+    a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    y = np.ones(3)
+    assert np.abs(lsq_solve(a, y) - [0.5, 0.5, 1.0]).max() <= 1e-14
+    basis = enumerate_basis(1, 3, 2)
+    data = _uniform_data(1, 40, 9, make_target(1, ExponentialDecay(2.0), 3, seed=9))
+    scheme = AugmentationScheme("random", t=4, seed=9)
+    for solve in (lambda: lsq_solve(a, y, cutoff),
+                  lambda: full_lsq(basis, data, cutoff),
+                  lambda: invariant_lsq(basis, data, cutoff),
+                  lambda: augmented_lsq(basis, data, scheme, cutoff),
+                  lambda: design_factor(basis, data).leading_fit(3, cutoff)):
+        with pytest.raises(ValueError, match="cutoff"):
+            solve()
 
 
 def test_invariant_lsq_recovers_invariant_target():
@@ -444,6 +458,62 @@ def _triangle_with_sigma(s, dense, rng):
     return np.linalg.qr(u @ np.diag(s) @ v.conj().T, mode="r")
 
 
+def _unscreened_certificate(t):
+    """``_triangle_inverse`` without its diagonal screen: the blocked inverse
+    and the two norm bounds, accepted when they prove condition number <=
+    ``_KAPPA_FAST``; an exactly singular leaf is rejected."""
+    def norm_bound(x):
+        mag = np.abs(x)
+        return np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max())
+
+    with np.errstate(all="ignore"):
+        try:
+            inv = _blocked_inverse(t)
+        except np.linalg.LinAlgError:
+            return None
+        s_max, s_min = norm_bound(t), 1.0 / norm_bound(inv)
+    if not (np.isfinite(s_max) and s_max <= regression._KAPPA_FAST * s_min):
+        return None
+    return inv, s_max, s_min
+
+
+def test_triangle_screen_rejects_only_what_the_bounds_reject(monkeypatch):
+    # kappa from 1 to 1e6 every 0.2 decades, on dense QR factors and on
+    # row-graded triangles diag(s) (I + 1e-3 U), whose bounds are tight
+    # enough to accept diagonal ratios just under 1e4, at sizes below and
+    # above the 32-row leaves; then an exactly zero diagonal entry and the
+    # all-zero triangle.  The diagonal screen may only spare inversions: the
+    # certificate is the unscreened gate's, bit for bit, whenever that
+    # accepts, and None whenever it rejects.
+    rng = np.random.default_rng(480)
+    cases = []
+    for p in (5, 40):
+        upper = np.triu(rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p)), 1)
+        for kappa in np.geomspace(1.0, 1e6, 31):
+            s = np.geomspace(1.0, 1.0 / kappa, p)
+            cases.append((f"dense p={p} kappa={kappa:.3g}", _triangle_with_sigma(s, True, rng)))
+            cases.append((f"graded p={p} kappa={kappa:.3g}", s[:, None] * (np.eye(p) + 1e-3 * upper)))
+        zero = _triangle_with_sigma(np.geomspace(1.0, 0.1, p), True, rng)
+        zero[p - 3, p - 3] = 0.0
+        cases += [(f"zero diagonal p={p}", zero), (f"all-zero p={p}", np.zeros((p, p), complex))]
+    inversions = []
+    real = regression._blocked_inverse
+    monkeypatch.setattr(regression, "_blocked_inverse",
+                        lambda t, *args: inversions.append(t.shape) or real(t, *args))
+    outcomes = []
+    for label, t in cases:
+        inversions.clear()
+        got = regression._triangle_inverse(t)
+        inverted = t.shape in inversions
+        ref = _unscreened_certificate(t)
+        assert (got is None) == (ref is None), label
+        if ref is not None:
+            assert np.array_equal(got[0], ref[0]) and got[1:] == ref[1:], label
+        outcomes.append("accepted" if got is not None else
+                        "bounds rejected" if inverted else "screened")
+    assert {"accepted", "bounds rejected", "screened"} <= set(outcomes), outcomes
+
+
 @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
 @pytest.mark.parametrize("scale", [1 - 0.5, 1 - 1e-6, 1 + 1e-6, 1 + 0.5, 3.0, 10.0])
 def test_schur_availability_equals_the_svd_rule(monkeypatch, scale, dense):
@@ -462,8 +532,12 @@ def test_schur_availability_equals_the_svd_rule(monkeypatch, scale, dense):
     scheme = AugmentationScheme("random", t=4, seed=60)
     weights, rotations = scheme.nodes(1)
     mean = weights @ regression.rotation_blocks(basis, rotations)
+    # the certificate an augmented build of r would keep, so that the
+    # certified decision is checked against the SVD rule, not the SVD itself
+    triangle = regression._triangle_inverse(r[:p, :p])
+    assert triangle is not None
     monkeypatch.setattr(regression, "_augmented_factor",
-                        lambda *args: (DesignFactor(basis, r), mean, None))
+                        lambda *args: (DesignFactor(basis, r), mean, triangle))
     diag = schur_diagnostics(basis, data, scheme, None)
     assert diag.available == expected
     assert diag.reason == (None if expected else "singular normal matrix")
@@ -648,8 +722,7 @@ def _watch_routes(monkeypatch) -> list:
     def watched_inverse(t):
         out = triangle_inverse(t)
         if calls and calls[-1] == "cholesky":
-            passed = out[0] is not None and regression._well_conditioned(*out[1:])
-            calls.append("gate passed" if passed else "gate rejected")
+            calls.append("gate passed" if out is not None else "gate rejected")
         return out
 
     monkeypatch.setattr(np.linalg, "cholesky", watched_cholesky)
@@ -699,10 +772,11 @@ def test_augmented_route_per_case(monkeypatch):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_one_triangle_inverse_per_build(monkeypatch, d):
-    # the build inverts its p x p triangle once (the normal-matrix route in
-    # its gate, a stacked factor right after the QR) and keeps the inverse:
-    # the solve, the singularity test and c2 all read it, on either route
-    # (the invariant residual's fit inverts its own n_inv x n_inv triangle)
+    # the normal-matrix route inverts its p x p triangle once, in its gate,
+    # and keeps the certificate: the solve, the singularity test and c2 all
+    # read it; the pinned data's stacked fallback keeps none and inverts no
+    # p x p triangle at all (the invariant residual's fit inverts its own
+    # n_inv x n_inv triangle)
     basis = enumerate_basis(d, 3, 3 if d == 1 else 2)
     p = basis.size
     target = make_target(d, ExponentialDecay(2.0), 5, seed=430)
@@ -716,9 +790,9 @@ def test_one_triangle_inverse_per_build(monkeypatch, d):
         scheme = AugmentationScheme("quadrature", rule=rule)
         sol = augmented_lsq(basis, data, scheme)
         assert _normal_route(data) == gram, dist
-        assert data._augmented[1].r.shape[0] >= p  # a triangle to invert on both routes
+        assert data._augmented[1].r.shape[0] >= p  # a p x p triangle on both routes
         diag = schur_diagnostics(basis, data, scheme, sol)
-        assert inversions.count((p, p)) == 1, (dist, inversions)
+        assert inversions.count((p, p)) == (1 if gram else 0), (dist, inversions)
         inversions.clear()
         ref = schur_from_design(basis, data, scheme)
         assert (diag.available, diag.reason) == (ref.available, ref.reason), dist
