@@ -5,11 +5,13 @@ Schur-complement diagnostics.
 Every fit of a (basis, dataset) pair reads one evaluation of its design:
 ``design_factor`` reduces [A | y] to its factor R once and the dataset keeps
 it, and the plain, invariant-leading and augmented solves and the Schur
-diagnostics all read R instead of evaluating A again.  The augmented solve
-and its Schur bound likewise share one factor of the rotated stack and, when
-the factor was built from its normal matrix, the certificate of its triangle
-(``_triangle_inverse``: the inverse and singular-value bounds that prove it
-well conditioned), computed once by the gate that chose that route.
+diagnostics all read R instead of evaluating A again.  Every fit on a factor
+is one solve, ``DesignFactor.leading_fit``, and the factor owns the
+certificate of its triangle (``DesignFactor.certificate``, from
+``_triangle_inverse``: the inverse and singular-value bounds that prove it
+well conditioned), computed at most once.  The augmented solve and its Schur
+bound share one factor of the rotated stack and so that certificate, which
+the build supplies: the gate that chose the normal-matrix route computed it.
 
 Rotations reach both only through their irreducible entries
 (``harmonics.rotation_blocks``), evaluated once per augmented build
@@ -266,7 +268,8 @@ def _blocked_inverse(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 
 def _triangle_inverse(t: np.ndarray):
     """The certificate (inv(T), s_max, s_min) of a square upper triangle T
-    whose norm bounds prove condition number <= ``_KAPPA_FAST``, or None:
+    whose norm bounds prove condition number <= ``_KAPPA_FAST``, or None
+    (also for a non-square or empty block):
     its inverse (``_blocked_inverse``), an upper bound on sigma_max(T) and a
     lower bound on sigma_min(T).  Within the gate inv(T) is accurate to
     about kappa * p * eps_mach relative, far below what any caller needs.
@@ -277,13 +280,15 @@ def _triangle_inverse(t: np.ndarray):
     condition number estimation for triangular matrices", SIAM Rev. 29,
     1987), and the bounds straddle both ends; a zero diagonal entry or a
     ratio above 2 ``_KAPPA_FAST`` (the 2 absorbs the bounds' rounding) is
-    rejected before any inversion.  Nothing is cached here; an augmented
-    build keeps the certificate of its factor (``_augmented_factor``).
+    rejected before any inversion.  Nothing is cached here; a factor keeps
+    the certificate of its triangle (``DesignFactor.certificate``).
     """
     def norm_bound(x):  # ||x||_1 and ||x||_inf, the max column and row sums of |x|
         mag = np.abs(x)
         return np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max())
 
+    if t.shape[0] != t.shape[1] or t.size == 0:
+        return None
     diag = np.abs(np.diagonal(t))
     if not diag.min() > 0.0 or diag.max() > 2.0 * _KAPPA_FAST * diag.min():
         return None
@@ -298,34 +303,36 @@ def _triangle_inverse(t: np.ndarray):
 
 def lsq_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0, *,
               triangle: tuple | None = None) -> np.ndarray:
-    """Minimum-norm least-squares solution.
+    """Minimum-norm least-squares solution of a beta = y, for y of shape
+    (a.shape[0],).
 
-    Tall systems are first reduced to the triangular factor of [a | y].
     Singular values below the absolute threshold ``cutoff`` (finite, >= 0)
     are discarded; cutoff 0 keeps everything above the machine floor
     1e-13 * sigma_max.
 
-    Two branches give that solution.  When ``a`` is upper trapezoidal (at
-    least p rows, exact zeros below the diagonal, as every reduced tall
-    system is), its triangle T has a certificate (``_triangle_inverse``) and
-    the certified s_min shows that the cutoff discards nothing, beta =
-    inv(T) y[:p]: rows past p are zero and add only residual, and inv(T) y
-    agrees with the SVD pseudo-inverse to about kappa * eps_mach.  Every
-    other system (wide, general, rank-deficient, ill-conditioned or cut)
-    goes through the SVD pseudo-inverse.  A caller that holds the
+    Two branches give that solution.  A tall system (more than p+1 rows) is
+    first reduced to the upper-trapezoidal factor of [a | y], and its p x p
+    triangle T is certified (``_triangle_inverse``); a caller that holds the
     certificate of an upper-trapezoidal ``a``'s triangle hands it in as
-    ``triangle``, and T is not inverted again.
+    ``triangle``.  When the certified s_min shows that the cutoff discards
+    nothing, beta = inv(T) y[:p]: rows past p are zero and add only
+    residual, and inv(T) y agrees with the SVD pseudo-inverse to about
+    kappa * eps_mach.  Every other system (wide, general, uncertified,
+    rank-deficient, ill-conditioned or cut) goes through the SVD
+    pseudo-inverse.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] < 1:
         raise ValueError("empty least-squares system")
     if not 0.0 <= cutoff < math.inf:
         raise ValueError(f"cutoff must be finite and >= 0, got {cutoff!r}")
+    y = np.asarray(y)
+    if y.shape != (a.shape[0],):
+        raise ValueError(f"y must have shape ({a.shape[0]},) to match a, got {y.shape}")
     p = a.shape[1]
     if a.shape[0] > p + 1:  # a factor handed in is solved as it is, not copied
         r = _compressed_stack([np.column_stack([a, y])])
         a, y = r[:, :p], r[:, p]
-    if triangle is None and 0 < p <= a.shape[0] and not np.tril(a, -1).any():
         triangle = _triangle_inverse(a[:p])
     if triangle is not None and triangle[2] >= cutoff:
         return triangle[0] @ y[:p]
@@ -348,21 +355,34 @@ class DesignFactor:
     rows built from its normal matrix whatever the stack height, with the
     same Gram matrix r^H r.  Because Q is shared by all columns, any product
     of column blocks (A_I^H A_N, ||A_N X||, ...) and any least-squares fit
-    on leading columns can be read from ``r`` instead of A.
+    on leading columns can be read from ``r`` instead of A, and every fit is
+    one ``leading_fit``.
     """
 
     basis: BasisSpec
     r: np.ndarray
+
+    @functools.cached_property
+    def certificate(self) -> tuple | None:
+        """The certificate of r's p x p triangle (``_triangle_inverse``), or
+        None, computed at most once.  A plain factor computes it on the first
+        full fit; an augmented build supplies it: the normal-matrix route its
+        gate's, the stacked fallback None (``_augmented_factor``)."""
+        p = self.basis.size
+        return _triangle_inverse(self.r[:p, :p])
 
     def leading_fit(self, k: int, cutoff: float = 0.0) -> tuple[np.ndarray, float]:
         """(beta, residual norm) of least squares of y on the first k columns of A.
 
         A_{:k} = Q r_{:k}.  Those columns of the triangle vanish below row k,
         so the fit reads the leading k+1 rows (all of r when k = p, where it
-        is the plain solve); r's rows past them add only residual.
+        is the full solve); r's rows past them add only residual.  The fit
+        hands ``lsq_solve`` the certificate of its k x k triangle: the
+        factor's own when k = p, a new one otherwise.
         """
         r, p = self.r, self.basis.size
-        beta = lsq_solve(r[:k + 1, :k], r[:k + 1, p], cutoff)
+        triangle = self.certificate if k == p else _triangle_inverse(r[:k, :k])
+        beta = lsq_solve(r[:k + 1, :k], r[:k + 1, p], cutoff, triangle=triangle)
         return beta, float(np.linalg.norm(r[:, :k] @ beta - r[:, p]))
 
 
@@ -372,8 +392,11 @@ def design_factor(basis: BasisSpec, data: Dataset) -> DesignFactor:
 
     The dataset keeps the last factor built on it, keyed by the basis object,
     so the solves and diagnostics of a pair share it and no other dataset
-    can read it.  Only r is kept, never the n x p design.
+    can read it.  Only r is kept, never the n x p design.  Unlabeled data
+    (``values`` None) has nothing to fit and is rejected.
     """
+    if data.values is None:
+        raise ValueError("the dataset has no target values to fit")
     kept = data._factor
     if kept is not None and kept.basis is basis:
         return kept
@@ -424,6 +447,8 @@ def invariant_lsq(basis: BasisSpec, data: Dataset, cutoff: float = 0.0) -> Regre
     """
     if basis.invariant_count < 1:
         raise ValueError("basis has no invariant functions")
+    if data.values is None:
+        raise ValueError("the dataset has no target values to fit")
     a_inv = invariant_design_matrix(basis, data)
     beta_inv = lsq_solve(a_inv, data.values, cutoff)
     beta = np.zeros(basis.size, dtype=complex)
@@ -450,10 +475,10 @@ class AugmentationScheme:
             if self.rule is None:
                 raise ValueError("quadrature scheme needs a rule")
         elif self.kind == "random":
-            if self.t is None or self.t < 1:
-                raise ValueError("random scheme needs t >= 1")
-            if self.seed is None:
-                raise ValueError("random scheme needs a seed")
+            if not _is_integer(self.t) or self.t < 1:
+                raise ValueError(f"random scheme needs an integer t >= 1, got {self.t!r}")
+            if not _is_integer(self.seed):
+                raise ValueError(f"random scheme needs an integer seed, got {self.seed!r}")
         else:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
 
@@ -468,6 +493,11 @@ class AugmentationScheme:
             return self.rule.weights, self.rule.rotations
         rots = sample_haar_many(group, self.t, np.random.default_rng(self.seed))
         return np.full(self.t, 1.0 / self.t), rots
+
+
+def _is_integer(x) -> bool:
+    """Whether x is a Python or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _compressed_stack(blocks) -> np.ndarray:
@@ -513,10 +543,11 @@ def _virtual_nodes(basis: BasisSpec, r: np.ndarray, nodes: np.ndarray):
         yield np.concatenate([_apply_entries(basis, a, row), (row[trivial] * y)[:, None]], axis=1)
 
 
-def _gram_factor(basis: BasisSpec, r: np.ndarray, nodes: np.ndarray, mean: np.ndarray):
-    """(r, certificate): a triangular factor of the augmented stack F built
-    from its normal matrix, with the certificate (``_triangle_inverse``) of
-    its p x p triangle U; None when U has none.
+def _gram_factor(basis: BasisSpec, r: np.ndarray, nodes: np.ndarray,
+                 mean: np.ndarray) -> DesignFactor | None:
+    """A factor of the augmented stack F built from its normal matrix, which
+    keeps the certificate (``_triangle_inverse``) of its p x p triangle U
+    that its gate computed; None when U has none.
 
     ``r`` is [R_a | r_y] and ``nodes`` R_V, as in ``_virtual_nodes``.  F's
     normal matrix M = sum_t w_t D_t^H G D_t, G = R_a^H R_a, depends on the
@@ -532,7 +563,8 @@ def _gram_factor(basis: BasisSpec, r: np.ndarray, nodes: np.ndarray, mean: np.nd
     from one product of R_a with the rows D_j beta, never from a stack, and
     F^H rho from one with their adjoints.  The factor is [U | U beta; 0 | rho]
     with rho = ||y - F beta|| at the refined beta: it has F's Gram matrix, so
-    the solves and the Schur bound read it as they read the stack's.
+    the solve and the Schur bound read it, and its certificate, as they read
+    the stack's.
 
     Fewer stack rows than columns, a failed Cholesky or no certificate
     return None: the system is rank deficient or not provably well
@@ -565,17 +597,16 @@ def _gram_factor(basis: BasisSpec, r: np.ndarray, nodes: np.ndarray, mean: np.nd
     beta = beta + solve(_adjoint_sum(basis, nodes, residual(beta) @ a.conj()))
     out[:p, p] = u @ beta
     out[p, p] = np.linalg.norm(residual(beta))
-    return out, certificate
+    factor = DesignFactor(basis, out)
+    object.__setattr__(factor, "certificate", certificate)
+    return factor
 
 
 def _augmented_factor(basis: BasisSpec, data: Dataset,
-                      scheme: AugmentationScheme) -> tuple[DesignFactor, np.ndarray, tuple | None]:
-    """(factor, mean, triangle): a factor of the stack [sqrt(w_t) A D(Q_t) |
-    sqrt(w_t) y] of the symmetry-augmented least-squares problem, the
-    entries sum_t w_t entry(Q_t) of the mean rotation Dbar = sum_t w_t D(Q_t),
-    and the certificate (inv, s_max, s_min) of the factor's p x p triangle
-    (``_triangle_inverse``) on the normal-matrix route, None on the stacked
-    one.
+                      scheme: AugmentationScheme) -> tuple[DesignFactor, np.ndarray]:
+    """(factor, mean): a factor of the stack [sqrt(w_t) A D(Q_t) | sqrt(w_t)
+    y] of the symmetry-augmented least-squares problem and the entries
+    sum_t w_t entry(Q_t) of the mean rotation Dbar = sum_t w_t D(Q_t).
 
     The problem minimizes (1/2) sum_t w_t ||A D(Q_t) beta - Y||^2: least
     squares on the row stack of the sqrt(w_t)-scaled rotated design blocks
@@ -592,17 +623,16 @@ def _augmented_factor(basis: BasisSpec, data: Dataset,
     stack (``_gram_factor``): p+1 rows, whatever the stack height.  Every
     other one (rank deficient, or not provably well conditioned) stacks its
     virtual nodes (``_virtual_nodes``) into one QR factor of
-    min(rows, p+1) rows (``_compressed_stack``).  Either is solved by
-    ``lsq_solve`` and gives the residual; the reductions are exact, so beta,
-    the kept rank and the residual are those of the plain stacked solve up
-    to roundoff.
+    min(rows, p+1) rows (``_compressed_stack``).  The reductions are exact,
+    so beta, the kept rank and the residual are those of the plain stacked
+    solve up to roundoff.
 
-    Only the normal-matrix route keeps a certificate, the one its gate
-    computed: the solve and the Schur diagnostics read it, and nothing
-    inverts that triangle again.  A stacked factor keeps None, since its
+    The build supplies the factor's certificate (``DesignFactor.certificate``)
+    and nothing inverts that triangle again: the normal-matrix route keeps
+    the one its gate computed, and a stacked factor keeps None, since its
     triangle has the singular values of the one the gate rejected (or of a
-    normal matrix whose Cholesky failed); a kept certificate therefore
-    marks the normal-matrix route.
+    normal matrix whose Cholesky failed).  ``factor.certificate is not None``
+    therefore marks the normal-matrix route.
 
     The dataset caches the last build on it, keyed by the basis and scheme
     objects, so the solve and its Schur diagnostics share it; the old one is
@@ -613,29 +643,27 @@ def _augmented_factor(basis: BasisSpec, data: Dataset,
         return kept[1:]
     del kept  # with the slot cleared below, the old factor is freed before the build
     object.__setattr__(data, "_augmented", None)
+    r = design_factor(basis, data).r
     weights, rotations = scheme.nodes(basis.d)
     entries = rotation_blocks(basis, rotations)
     mean = weights @ entries
     mean.setflags(write=False)  # shared through the cache
-    r = design_factor(basis, data).r
     nodes = np.linalg.qr(np.sqrt(weights)[:, None] * entries, mode="r")
-    built = _gram_factor(basis, r, nodes, mean)
-    if built is None:  # its triangle is one the certificate rejected: it keeps none
-        built = _compressed_stack(_virtual_nodes(basis, r, nodes)), None
-    factor, triangle = DesignFactor(basis, built[0]), built[1]
-    object.__setattr__(data, "_augmented", (scheme, factor, mean, triangle))
-    return factor, mean, triangle
+    factor = _gram_factor(basis, r, nodes, mean)
+    if factor is None:  # its triangle is one the certificate rejected: it keeps none
+        factor = DesignFactor(basis, _compressed_stack(_virtual_nodes(basis, r, nodes)))
+        object.__setattr__(factor, "certificate", None)
+    object.__setattr__(data, "_augmented", (scheme, factor, mean))
+    return factor, mean
 
 
 def augmented_lsq(basis: BasisSpec, data: Dataset, scheme: AugmentationScheme,
                   cutoff: float = 0.0) -> RegressionSolution:
-    """Symmetry-augmented least squares, solved on the factor of the
-    reduced rotated stack (``_augmented_factor``) by ``lsq_solve``, which
-    reads the build's certificate when it kept one."""
-    factor, _, triangle = _augmented_factor(basis, data, scheme)
-    a, y = factor.r[:, :basis.size], factor.r[:, basis.size]
-    beta = lsq_solve(a, y, cutoff, triangle=triangle)
-    return RegressionSolution(basis, beta, cutoff, float(np.linalg.norm(a @ beta - y)))
+    """Symmetry-augmented least squares: ``full_lsq`` on the factor of the
+    reduced rotated stack (``_augmented_factor``), whose certificate the
+    build supplied."""
+    beta, res = _augmented_factor(basis, data, scheme)[0].leading_fit(basis.size, cutoff)
+    return RegressionSolution(basis, beta, cutoff, res)
 
 
 def l2_test_errors(basis: BasisSpec, betas, target, test_data: Dataset) -> list[float]:
@@ -749,30 +777,31 @@ def schur_diagnostics(basis: BasisSpec, data: Dataset, scheme: AugmentationSchem
     R_NN^H R_NN for the trailing block R_NN of its triangle and c2 =
     sigma_min(R_NN)^2 (Golub & Van Loan, Matrix Computations, sec. 5.3).
 
-    A kept certificate whose s_min exceeds twice (1e-10 + p eps s_max)
-    decides both without an SVD.  The computed sigma_min can sit c p eps
-    sigma_max away from the true one (LAPACK Users' Guide, sec. 4.9), and
-    within the condition gate the bound is accurate to about kappa p eps <=
-    1e-9 relative; the factor 2 leaves room for both, so a system it passes
-    is one the SVD would also pass.  The triangle is block upper triangular,
-    so inv(R_NN) is the trailing block X of the kept inverse, and c2 = 1 /
-    sigma_max(X)^2 with sigma_max by Lanczos, or from the dense Gram of a
-    small block (``_sigma_max``).  Every other system (a stacked factor,
-    which keeps no certificate, or one too close to the threshold) lets the
-    SVD of R decide singularity, and c2 is then, as when Lanczos cannot
-    vouch for its answer, the SVD's of R_NN.  Dbar is the mean that the same
+    A certificate on the factor (``DesignFactor.certificate``) whose s_min
+    exceeds twice (1e-10 + p eps s_max) decides both without an SVD.  The
+    computed sigma_min can sit c p eps sigma_max away from the true one
+    (LAPACK Users' Guide, sec. 4.9), and within the condition gate the bound
+    is accurate to about kappa p eps <= 1e-9 relative; the factor 2 leaves
+    room for both, so a system it passes is one the SVD would also pass.
+    The triangle is block upper triangular, so inv(R_NN) is the trailing
+    block X of the certified inverse, and c2 = 1 / sigma_max(X)^2 with
+    sigma_max by Lanczos, or from the dense Gram of a small block
+    (``_sigma_max``).  Every other system (a stacked factor, whose
+    certificate is None, or one too close to the threshold) lets the SVD of
+    R decide singularity, and c2 is then, as when Lanczos cannot vouch for
+    its answer, the SVD's of R_NN.  Dbar is the mean that the same
     build kept, so no rotation is evaluated again.  ||A_N Dbar|| = ||R_N
     Dbar||, the square root of the top eigenvalue of the smaller Gram matrix
     of R_N Dbar_N, and the invariant residual are read from the factor of
     [A | y] (``design_factor``); nothing is read from ``sol``.
     """
     p, n_inv = basis.size, basis.invariant_count
-    aug, mean, triangle = _augmented_factor(basis, data, scheme)
+    aug, mean = _augmented_factor(basis, data, scheme)
     factor = design_factor(basis, data)
     if n_inv == p:  # no non-invariant column: beta_N is empty, so eps_sym = 0
         return SchurDiagnostics(True, 0.0, 0.0, factor.leading_fit(p)[1], None)
     r = aug.r[:, :p]
-    sigma = None
+    sigma, triangle = None, aug.certificate
     if triangle is not None and triangle[2] > 2.0 * (_SINGULAR + p * np.finfo(float).eps
                                                      * triangle[1]):
         sigma = _sigma_max(triangle[0][n_inv:, n_inv:])

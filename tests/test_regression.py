@@ -27,7 +27,7 @@ def _uniform_data(d, n, seed, target=None):
 def _normal_route(data) -> bool:
     """Whether the last augmented build on ``data`` was factored from its
     normal matrix: only that route keeps a certificate of its triangle."""
-    return data._augmented[3] is not None
+    return data._augmented[1].certificate is not None
 
 
 def test_dataset_rejects_unknown_dimension():
@@ -219,6 +219,50 @@ def test_lsq_solve_cutoff_discards_directions():
         lsq_solve(np.zeros((0, 2)), np.zeros(0))
 
 
+def test_lsq_solve_rejects_a_mismatched_y():
+    # y must hold one value per row of a, on either branch: a certified
+    # triangle once solved y[:3] of a longer y, and the SVD of a singular
+    # one failed inside its products
+    t = np.triu(np.arange(1.0, 10.0).reshape(3, 3)) + 4.0 * np.eye(3)
+    certificate = regression._triangle_inverse(t)
+    assert certificate is not None
+    singular = t.copy()
+    singular[2, 2] = 0.0
+    tall = np.vstack([t, t, t])
+    for a, triangle in ((t, certificate), (singular, None), (tall, None)):
+        assert lsq_solve(a, np.ones(a.shape[0]), triangle=triangle).shape == (3,)
+        for y in (np.arange(a.shape[0] + 2.0), np.arange(a.shape[0] - 1.0),
+                  np.ones((a.shape[0], 1)), np.ones((a.shape[0], 2))):
+            with pytest.raises(ValueError, match="y must have shape"):
+                lsq_solve(a, y, triangle=triangle)
+
+
+def test_unlabeled_data_is_rejected_before_any_design(monkeypatch):
+    # a dataset without target values (a distribution preview) has nothing
+    # to fit: every solve and the Schur diagnostics say so before the design
+    # is evaluated
+    for d, k in ((1, 3), (2, 2)):
+        basis = enumerate_basis(d, 3, k)
+        data = _uniform_data(d, 30, 12)
+        assert data.values is None
+        scheme = AugmentationScheme("random", t=4, seed=12)
+
+        def no_design(*args):
+            raise AssertionError("design evaluated")
+
+        monkeypatch.setattr(regression, "design_matrix", no_design)
+        monkeypatch.setattr(regression, "invariant_design_matrix", no_design)
+        for call in (lambda: design_factor(basis, data),
+                     lambda: design_factor(basis, data).leading_fit(2),
+                     lambda: full_lsq(basis, data),
+                     lambda: invariant_lsq(basis, data),
+                     lambda: augmented_lsq(basis, data, scheme),
+                     lambda: schur_diagnostics(basis, data, scheme, None)):
+            with pytest.raises(ValueError, match="no target values"):
+                call()
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf, -1e-3])
 def test_every_solve_rejects_a_bad_cutoff(cutoff):
     # a NaN or infinite cutoff would discard every singular value and return
@@ -288,6 +332,13 @@ def test_augmented_scheme_validation():
         AugmentationScheme("quadrature")
     with pytest.raises(ValueError):
         AugmentationScheme("bogus")
+    # t and the seed are integers when the scheme is built, not at its first
+    # solve; numpy integers count
+    for t, seed in ((2.5, 1), (True, 1), (4.0, 1), ("4", 1), (4, 1.5), (4, True), (4, "1")):
+        with pytest.raises(ValueError, match="integer"):
+            AugmentationScheme("random", t=t, seed=seed)
+    scheme = AugmentationScheme("random", t=np.int64(4), seed=np.int32(1))
+    assert len(scheme.nodes(1)[1]) == 4
     basis = enumerate_basis(2, 3, 1)
     data = _uniform_data(2, 5, 15)
     scheme = AugmentationScheme("quadrature", rule=so2_quadrature(3))
@@ -532,12 +583,12 @@ def test_schur_availability_equals_the_svd_rule(monkeypatch, scale, dense):
     scheme = AugmentationScheme("random", t=4, seed=60)
     weights, rotations = scheme.nodes(1)
     mean = weights @ regression.rotation_blocks(basis, rotations)
-    # the certificate an augmented build of r would keep, so that the
-    # certified decision is checked against the SVD rule, not the SVD itself
-    triangle = regression._triangle_inverse(r[:p, :p])
-    assert triangle is not None
-    monkeypatch.setattr(regression, "_augmented_factor",
-                        lambda *args: (DesignFactor(basis, r), mean, triangle))
+    # a factor of r certifies its own triangle, as the normal-matrix route's
+    # does, so that the certified decision is checked against the SVD rule,
+    # not the SVD itself
+    factor = DesignFactor(basis, r)
+    assert factor.certificate is not None
+    monkeypatch.setattr(regression, "_augmented_factor", lambda *args: (factor, mean))
     diag = schur_diagnostics(basis, data, scheme, None)
     assert diag.available == expected
     assert diag.reason == (None if expected else "singular normal matrix")
@@ -732,17 +783,41 @@ def _watch_routes(monkeypatch) -> list:
     return calls
 
 
-def test_augmented_route_per_case(monkeypatch):
-    calls = _watch_routes(monkeypatch)
+def _route_cases() -> dict:
+    """(basis, data, scheme) of one augmented build per route, by the steps
+    ``_watch_routes`` records."""
     sphere = enumerate_basis(2, 3, 2)
     target2 = make_target(2, ExponentialDecay(2.0), 4, seed=91)
-    # full rank, kappa ~ 760, within the gate: the normal matrix, no stack;
-    # the seminormal equations alone miss the oracle by 5e-12 here, the
-    # corrected step meets it
     circle = enumerate_basis(1, 3, 4)
     target1 = make_target(1, ExponentialDecay(2.0), 6, seed=500)
-    data = sample_dataset(DistributionSpec(1, "UUU"), 20, np.random.default_rng(501), target1)
-    scheme = AugmentationScheme("random", t=8, seed=500)
+    return {
+        # full rank, kappa ~ 760, within the gate: the normal matrix, no
+        # stack; the seminormal equations alone miss the oracle by 5e-12
+        # here, the corrected step meets it
+        "gate passed": (circle, sample_dataset(DistributionSpec(1, "UUU"), 20,
+                                               np.random.default_rng(501), target1),
+                        AugmentationScheme("random", t=8, seed=500)),
+        # a pinned particle and a rule of 3 nodes: charges equal modulo 3
+        # stay indistinguishable, the normal matrix is singular and Cholesky
+        # fails
+        "cholesky failed": (enumerate_basis(1, 3, 3),
+                            sample_dataset(DistributionSpec(1, "dUU"), 150,
+                                           np.random.default_rng(421), target1),
+                            AugmentationScheme("quadrature", rule=so2_quadrature(3))),
+        # 8 random rotations of pinned d=2 data (S = 35 entries): the stack
+        # has one singular value at roundoff, which the Cholesky of the
+        # normal matrix does not detect but the gate's bounds do, so the SVD
+        # cuts it
+        "gate rejected": (sphere, sample_dataset(DistributionSpec(2, "dUU"), 100,
+                                                 np.random.default_rng(3), target2),
+                          AugmentationScheme("random", t=8, seed=3)),
+    }
+
+
+def test_augmented_route_per_case(monkeypatch):
+    calls = _watch_routes(monkeypatch)
+    cases = _route_cases()
+    circle, data, scheme = cases["gate passed"]
     sol = augmented_lsq(circle, data, scheme)
     assert calls == ["cholesky", "gate passed"] and _normal_route(data)
     assert data._augmented[1].r.shape == (circle.size + 1, circle.size + 1)
@@ -750,24 +825,35 @@ def test_augmented_route_per_case(monkeypatch):
     assert np.abs(sol.beta - ref).max() <= 1e-12 * np.abs(ref).max()
     assert abs(sol.train_residual - ref_res) <= 1e-12 * np.linalg.norm(data.values)
     calls.clear()
-    # a pinned particle and a rule of 3 nodes: charges equal modulo 3 stay
-    # indistinguishable, the normal matrix is singular and Cholesky fails
-    circle = enumerate_basis(1, 3, 3)
-    data = sample_dataset(DistributionSpec(1, "dUU"), 150, np.random.default_rng(421), target1)
-    augmented_lsq(circle, data, AugmentationScheme("quadrature", rule=so2_quadrature(3)))
-    assert calls == ["cholesky failed", "stack"] and not _normal_route(data)
+    augmented_lsq(*cases["cholesky failed"])
+    assert calls == ["cholesky failed", "stack"] and not _normal_route(cases["cholesky failed"][1])
     calls.clear()
-    # 8 random rotations of pinned d=2 data (S = 35 entries): the stack has
-    # one singular value at roundoff, which the Cholesky of the normal matrix
-    # does not detect but the gate's bounds do, so the SVD cuts it
-    data = sample_dataset(DistributionSpec(2, "dUU"), 100, np.random.default_rng(3), target2)
-    scheme = AugmentationScheme("random", t=8, seed=3)
+    sphere, data, scheme = cases["gate rejected"]
     sol = augmented_lsq(sphere, data, scheme)
     assert calls == ["cholesky", "gate rejected", "stack"] and not _normal_route(data)
     sigma = np.linalg.svd(data._augmented[1].r[:, :sphere.size], compute_uv=False)
     assert sigma[-1] <= 1e-13 * sigma[0] < sigma[-2]
     ref = stacked_augmented_solve(sphere, data, scheme)[0]
     assert np.abs(sol.beta - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case, gates", [("gate passed", 1), ("gate rejected", 1),
+                                         ("cholesky failed", 0)])
+def test_one_gate_per_augmented_triangle(monkeypatch, case, gates):
+    # a solve and its Schur bound certify the p x p triangle of the
+    # augmented system at most once, in the gate of the normal-matrix route:
+    # the factor keeps that gate's result, None on a stacked fallback, and
+    # no solve certifies a triangle that it was not handed
+    basis, data, scheme = _route_cases()[case]
+    p = basis.size
+    gated = []
+    real = regression._triangle_inverse
+    monkeypatch.setattr(regression, "_triangle_inverse",
+                        lambda t: gated.append(t.shape) or real(t))
+    sol = augmented_lsq(basis, data, scheme)
+    schur_diagnostics(basis, data, scheme, sol)
+    assert gated.count((p, p)) == gates, gated
+    assert _normal_route(data) == (case == "gate passed")
 
 
 @pytest.mark.parametrize("d", [1, 2])
