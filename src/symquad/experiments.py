@@ -125,7 +125,8 @@ def config_from_items(experiment: str, name: str, items: dict) -> ExperimentConf
 
 # field -> the least value it (or every entry of it) may take in any experiment
 _MINIMUM = {"trials": 1, "degrees": 0, "quad_degrees": 0, "t_list": 1, "target_degree": 0,
-            "preview_size": 1, "alpha": 0}  # the target's envelope e^{-alpha s} is a decay
+            "preview_size": 1, "alpha": 0,  # the target's envelope e^{-alpha s} is a decay
+            "seed": 0}  # numpy's SeedSequence takes no negative entropy
 
 
 def _validate(cfg: ExperimentConfig):

@@ -2,11 +2,17 @@
 invariant / augmented solves with an absolute SVD cutoff and
 Schur-complement diagnostics.
 
+Every basis function, invariant or not, is a product over particles of one
+entry of a per-particle table (a phase e^{i k theta} for d=1, a harmonic
+Y_l^m for d=2), and one gather (``_products``) evaluates them all: the
+designs, the invariant designs and the random targets of ``sampling``.
+
 Every fit of a (basis, dataset) pair reads one evaluation of its design:
 ``design_factor`` reduces [A | y] to its factor R once and the dataset keeps
 it, and the plain, invariant-leading and augmented solves and the Schur
-diagnostics all read R instead of evaluating A again.  Every fit on a factor
-is one solve, ``DesignFactor.leading_fit``, and the factor owns the
+diagnostics all read R instead of evaluating A again.  Every fit, the
+invariant reference ``invariant_lsq`` included, is one solve on a factor,
+``DesignFactor.leading_fit``, and the factor owns the
 certificate of its triangle (``DesignFactor.certificate``, from
 ``_triangle_inverse``: the inverse and singular-value bounds that prove it
 well conditioned), computed at most once.  The augmented solve and its Schur
@@ -29,7 +35,8 @@ The d=2 invariant functions (the invariant design and the random targets of
 being invariant, they take the same value once the sample is rotated so
 that its last particle sits on +z, where Y_l^m(z) = delta_{m0}
 sqrt((2l+1)/4pi) leaves only the m_N = 0 terms of the couplings, a product
-over the other N-1 particles' harmonic tables (``_pole_terms``)."""
+over the other N-1 particles' harmonic tables (``_pole_terms``), gathered
+by the same ``_products``."""
 
 from __future__ import annotations
 
@@ -39,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import BasisSpec, invariant_couplings
+from .coupling import BasisSpec, _m_grid, invariant_couplings
 from .geometry import SO2, SO3, DimensionError, QuadratureRule, Rotation, sample_haar_many
 from .harmonics import (_adjoint_sum, _apply_entries, _rotate_coefficients, _trivial_entry,
                         _twirl, rotation_blocks, sph_harm_table)
@@ -117,20 +124,31 @@ def rotate_dataset(q: Rotation, data: Dataset) -> Dataset:
 # Design matrices
 # ---------------------------------------------------------------------------
 
+def _products(tables, cols: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Columns prod_p tables[p][rows, cols[p]]: the one evaluator of
+    tensor-product functions, one per-particle table entry per factor.
+
+    ``tables`` holds one (n, entries) table per particle (phases
+    e^{i k theta} for d=1, harmonics Y_l^m for d=2) and ``cols`` (particles,
+    columns) the entry each column reads from each table.  The result is
+    column-major, as the gathers leave it; the layout decides the BLAS
+    summation order of products taken with it.
+    """
+    a = tables[0][rows, cols[0]]
+    for table, c in zip(tables[1:], cols[1:]):
+        a *= table[rows, c]
+    return a
+
+
 def _phase_product(points: np.ndarray, keys, degree: int) -> np.ndarray:
     """Columns prod_p e^{i k_p theta_p} at (n, N) angles, one per multi-index
-    k in ``keys`` (all |k_p| <= degree): the d=1 basis evaluator.
-
-    The result is column-major, as the gathers leave it; the layout decides
-    the BLAS summation order of products taken with it.
+    k in ``keys`` (all |k_p| <= degree): the d=1 basis evaluator, a gather
+    (``_products``) from one phase table per particle.
     """
     karr = np.array(keys, dtype=int)
     ks = np.arange(-degree, degree + 1)
     tables = [np.exp(1j * points[:, p, None] * ks[None, :]) for p in range(karr.shape[1])]
-    a = tables[0][:, karr[:, 0] + degree]
-    for p in range(1, karr.shape[1]):
-        a *= tables[p][:, karr[:, p] + degree]
-    return a
+    return _products(tables, karr.T + degree)
 
 
 @functools.lru_cache(maxsize=None)  # one entry per (N, K), built on first use
@@ -173,9 +191,10 @@ def _pole_frame(points: np.ndarray, degree: int, cols: np.ndarray,
     which takes its last particle (polar angle theta, azimuth phi) to +z;
     at the poles phi is arbitrary and R is still such a rotation.  The other
     N-1 particles then need one degree-K harmonic table each, and the
-    column products ``cols`` reduce to the result by one matrix product with
-    ``weights``, (terms,) for one function or (terms, k) for k columns; the
-    products are gathered in row chunks of at most ``_GATHER_ENTRIES``.
+    column products ``cols`` (``_products``) reduce to the result by one
+    matrix product with ``weights``, (terms,) for one function or (terms, k)
+    for k columns; the products are gathered in row chunks of at most
+    ``_GATHER_ENTRIES``.
     """
     x, y, z = points[:, -1].T
     rho = np.hypot(x, y)
@@ -194,9 +213,7 @@ def _pole_frame(points: np.ndarray, degree: int, cols: np.ndarray,
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
         if tables:
-            prod = tables[0][rows, cols[0]]
-            for table, c in zip(tables[1:], cols[1:]):
-                prod *= table[rows, c]
+            prod = _products(tables, cols, rows)
         else:  # one particle: every term is the constant at the pole
             prod = np.ones((min(step, n - lo), terms), dtype=complex)
         out[rows] = prod @ weights
@@ -204,7 +221,14 @@ def _pole_frame(points: np.ndarray, degree: int, cols: np.ndarray,
 
 
 def design_matrix(basis: BasisSpec, data: Dataset) -> np.ndarray:
-    """n x p evaluations of the working basis functions, in basis order."""
+    """n x p evaluations of the working basis functions, in basis order.
+
+    d=1 gathers the phase products of the indices (``_phase_product``).  d=2
+    gathers, per l-tuple block, the harmonic products of its m-tuples
+    (``_products`` with columns l*l + l + m from ``coupling._m_grid``, the
+    order ``basis.indices`` lists them in) and recombines them by the
+    block's irrep-adapted ``u``.
+    """
     if data.d != basis.d or data.n_particles != basis.n_particles:
         raise ValueError("dataset and basis dimensions do not match")
     if basis.d == 1:  # row-major, like the d=2 matrices
@@ -213,11 +237,8 @@ def design_matrix(basis: BasisSpec, data: Dataset) -> np.ndarray:
                 for p in range(basis.n_particles)]
     out = np.empty((data.n, basis.size), dtype=complex)
     for blk in basis.blocks:
-        cols = np.ones((data.n, blk.dim), dtype=complex)
-        for p, lp in enumerate(blk.l):
-            ms = np.array([m[p] for (_, m) in basis.indices[blk.start:blk.stop]])
-            cols *= y_tables[p][:, lp * lp + lp + ms]
-        out[:, blk.work_cols] = cols @ blk.u
+        l = np.array(blk.l)[:, None]
+        out[:, blk.work_cols] = _products(y_tables, l * l + l + _m_grid(blk.l).T) @ blk.u
     return out
 
 
@@ -310,16 +331,15 @@ def lsq_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0, *,
     are discarded; cutoff 0 keeps everything above the machine floor
     1e-13 * sigma_max.
 
-    Two branches give that solution.  A tall system (more than p+1 rows) is
-    first reduced to the upper-trapezoidal factor of [a | y], and its p x p
-    triangle T is certified (``_triangle_inverse``); a caller that holds the
-    certificate of an upper-trapezoidal ``a``'s triangle hands it in as
-    ``triangle``.  When the certified s_min shows that the cutoff discards
-    nothing, beta = inv(T) y[:p]: rows past p are zero and add only
+    Two branches give that solution.  A caller that holds the certificate
+    of an upper-trapezoidal ``a``'s p x p triangle T (``_triangle_inverse``)
+    hands it in as ``triangle``; when its s_min shows that the cutoff
+    discards nothing, beta = inv(T) y[:p]: rows past p are zero and add only
     residual, and inv(T) y agrees with the SVD pseudo-inverse to about
-    kappa * eps_mach.  Every other system (wide, general, uncertified,
+    kappa * eps_mach.  Every other system (tall, wide, general, uncertified,
     rank-deficient, ill-conditioned or cut) goes through the SVD
-    pseudo-inverse.
+    pseudo-inverse of ``a`` as given; reducing a tall system to its factor
+    first is the caller's job (``DesignFactor``).
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] < 1:
@@ -329,13 +349,8 @@ def lsq_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0, *,
     y = np.asarray(y)
     if y.shape != (a.shape[0],):
         raise ValueError(f"y must have shape ({a.shape[0]},) to match a, got {y.shape}")
-    p = a.shape[1]
-    if a.shape[0] > p + 1:  # a factor handed in is solved as it is, not copied
-        r = _compressed_stack([np.column_stack([a, y])])
-        a, y = r[:, :p], r[:, p]
-        triangle = _triangle_inverse(a[:p])
     if triangle is not None and triangle[2] >= cutoff:
-        return triangle[0] @ y[:p]
+        return triangle[0] @ y[:a.shape[1]]
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros(a.shape[1], dtype=complex)
@@ -346,11 +361,13 @@ def lsq_solve(a: np.ndarray, y: np.ndarray, cutoff: float = 0.0, *,
 
 @dataclass(frozen=True, eq=False)
 class DesignFactor:
-    """[A | y] = Q r with orthonormal Q, for A = design_matrix(basis, data)
+    """[A | y] = Q r with orthonormal Q, for A a design over ``basis``
+    (``design_matrix``, or the invariant columns alone in ``invariant_lsq``)
     and y = data.values.
 
     ``r`` is upper trapezoidal: the QR factor, min(n, p+1) rows for n the
-    row count of [A | y].  An augmented factor (``_augmented_factor``) is
+    row count of [A | y]; its width, not the basis, gives p = r.shape[1] - 1
+    the columns of A.  An augmented factor (``_augmented_factor``) is
     that of the stack, or, for a full-rank and well-conditioned stack, p+1
     rows built from its normal matrix whatever the stack height, with the
     same Gram matrix r^H r.  Because Q is shared by all columns, any product
@@ -368,7 +385,7 @@ class DesignFactor:
         None, computed at most once.  A plain factor computes it on the first
         full fit; an augmented build supplies it: the normal-matrix route its
         gate's, the stacked fallback None (``_augmented_factor``)."""
-        p = self.basis.size
+        p = self.r.shape[1] - 1
         return _triangle_inverse(self.r[:p, :p])
 
     def leading_fit(self, k: int, cutoff: float = 0.0) -> tuple[np.ndarray, float]:
@@ -380,7 +397,7 @@ class DesignFactor:
         hands ``lsq_solve`` the certificate of its k x k triangle: the
         factor's own when k = p, a new one otherwise.
         """
-        r, p = self.r, self.basis.size
+        r, p = self.r, self.r.shape[1] - 1
         triangle = self.certificate if k == p else _triangle_inverse(r[:k, :k])
         beta = lsq_solve(r[:k + 1, :k], r[:k + 1, p], cutoff, triangle=triangle)
         return beta, float(np.linalg.norm(r[:, :k] @ beta - r[:, p]))
@@ -442,18 +459,19 @@ def invariant_lsq(basis: BasisSpec, data: Dataset, cutoff: float = 0.0) -> Regre
     It evaluates the invariant design itself (``invariant_design_matrix``;
     d=2 in each sample's pole frame, from the m_N = 0 terms of the couplings),
     independent of the factor the other solves share, so it can serve as
-    their reference; the same fit from the factor is
-    ``design_factor(basis, data).leading_fit(n_inv)``.
+    their reference: the factor of [A_I | y] (``_compressed_stack``), fit by
+    ``DesignFactor.leading_fit`` like every other solve.  The same fit from
+    the shared factor is ``design_factor(basis, data).leading_fit(n_inv)``.
     """
     if basis.invariant_count < 1:
         raise ValueError("basis has no invariant functions")
     if data.values is None:
         raise ValueError("the dataset has no target values to fit")
-    a_inv = invariant_design_matrix(basis, data)
-    beta_inv = lsq_solve(a_inv, data.values, cutoff)
+    n_inv = basis.invariant_count
+    r = _compressed_stack([np.column_stack([invariant_design_matrix(basis, data), data.values])])
+    beta_inv, res = DesignFactor(basis, r).leading_fit(n_inv, cutoff)
     beta = np.zeros(basis.size, dtype=complex)
-    beta[:basis.invariant_count] = beta_inv
-    res = float(np.linalg.norm(a_inv @ beta_inv - data.values))
+    beta[:n_inv] = beta_inv
     return RegressionSolution(basis, beta, cutoff, res)
 
 
@@ -462,7 +480,7 @@ class AugmentationScheme:
     """Rotation set used to augment the least-squares system.
 
     kind="quadrature" carries a QuadratureRule; kind="random" draws t iid
-    Haar rotations (weights 1/t) from the given seed.
+    Haar rotations (weights 1/t) from the given seed (an integer >= 0).
     """
 
     kind: str
@@ -477,8 +495,8 @@ class AugmentationScheme:
         elif self.kind == "random":
             if not _is_integer(self.t) or self.t < 1:
                 raise ValueError(f"random scheme needs an integer t >= 1, got {self.t!r}")
-            if not _is_integer(self.seed):
-                raise ValueError(f"random scheme needs an integer seed, got {self.seed!r}")
+            if not _is_integer(self.seed) or self.seed < 0:  # numpy seeds are >= 0
+                raise ValueError(f"random scheme needs an integer seed >= 0, got {self.seed!r}")
         else:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
 
@@ -672,10 +690,13 @@ def l2_test_errors(basis: BasisSpec, betas, target, test_data: Dataset) -> list[
     of the test design.
 
     Truth values come from ``test_data.values`` when present, otherwise from
-    calling ``target`` on the test points.
+    calling ``target`` on the test points; a test set with neither is
+    rejected before its design is evaluated.
     """
     if test_data.n < 1:
         raise ValueError("empty test set")
+    if test_data.values is None and target is None:
+        raise ValueError("the test set has no truth values: no values and no target")
     a = design_matrix(basis, test_data)
     truth = test_data.values if test_data.values is not None else target(test_data)
     return [float(np.sqrt(np.mean(np.abs(a @ beta - truth) ** 2))) for beta in betas]

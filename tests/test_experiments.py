@@ -518,6 +518,7 @@ def test_cli_list_and_errors(tmp_path, capsys):
                         ("preview_size", "[distributions-preview]\nd = 1\npreview_size = 0\n"),
                         ("alpha", "[approx-rates]\nd = 1\nalpha = -30\n"),
                         ("hit_targets", "[drift]\neps_list = 0.1\nhit_targets = -1 0\n"),
+                        ("seed", "[random-sweep]\nd = 1\nseed = -1\n"),
                         # a section name is a file name under outdir/<experiment>
                         ("approx-rates.../../../escaped",
                          "[approx-rates.../../../escaped]\nd = 1\n"),
@@ -552,7 +553,7 @@ def test_cli_run_and_verify(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["config-not-utf8", "rule-not-utf8", "rule-is-directory",
                                   "run-outdir-under-file", "drift-outdir-under-file",
-                                  "negative-lmax"])
+                                  "negative-lmax", "drift-negative-seed"])
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     from symquad.geometry import so3_quadrature_euler, write_quadrature_file
 
@@ -573,7 +574,10 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, case):
             "run-outdir-under-file": ["run", str(ini), "--outdir", str(blocker / "out")],
             "drift-outdir-under-file": ["drift", "--eps", "0.01", "--steps", "20",
                                         "--record-every", "10", "--outdir", str(blocker)],
-            "negative-lmax": ["verify-quadrature", str(rule_path), "--lmax", "-3"]}[case]
+            "negative-lmax": ["verify-quadrature", str(rule_path), "--lmax", "-3"],
+            "drift-negative-seed": ["drift", "--eps", "0.01", "--steps", "20", "--record-every",
+                                    "10", "--seed", "-3", "--trials", "2",
+                                    "--outdir", str(tmp_path / "out")]}[case]
     assert main(argv) == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()

@@ -193,6 +193,24 @@ def test_circle_evaluator_bitwise_and_row_major():
     assert np.abs(target(data) - inv @ target.coeffs).max() < 1e-12
 
 
+@pytest.mark.parametrize("degree", [2, 4])
+def test_sphere_design_is_the_per_block_product(degree):
+    # the d=2 design written out: per l-tuple block, the product over
+    # particles of the harmonic columns of its m-tuples, from a column of
+    # ones, recombined by the block's u; the gather must give the same bits
+    basis = enumerate_basis(2, 3, degree)
+    data = _uniform_data(2, 300, 40 + degree)
+    tables = [sph_harm_table(degree, data.points[:, p]) for p in range(3)]
+    expect = np.empty((data.n, basis.size), dtype=complex)
+    for blk in basis.blocks:
+        cols = np.ones((data.n, blk.dim), dtype=complex)
+        for p, lp in enumerate(blk.l):
+            ms = np.array([m[p] for (_, m) in basis.indices[blk.start:blk.stop]])
+            cols *= tables[p][:, lp * lp + lp + ms]
+        expect[:, blk.work_cols] = cols @ blk.u
+    assert np.array_equal(design_matrix(basis, data), expect)
+
+
 def test_lsq_solve_identity():
     y = np.array([1.0 + 2j, -0.5, 3.0])
     beta = lsq_solve(np.eye(3), y, 0.0)
@@ -337,6 +355,10 @@ def test_augmented_scheme_validation():
     for t, seed in ((2.5, 1), (True, 1), (4.0, 1), ("4", 1), (4, 1.5), (4, True), (4, "1")):
         with pytest.raises(ValueError, match="integer"):
             AugmentationScheme("random", t=t, seed=seed)
+    # a negative seed fails in numpy's SeedSequence at the first solve
+    for seed in (-1, np.int64(-3)):
+        with pytest.raises(ValueError, match="seed >= 0"):
+            AugmentationScheme("random", t=4, seed=seed)
     scheme = AugmentationScheme("random", t=np.int64(4), seed=np.int32(1))
     assert len(scheme.nodes(1)[1]) == 4
     basis = enumerate_basis(2, 3, 1)
@@ -374,6 +396,23 @@ def test_l2_test_error_zero_cases():
     assert l2_test_error(sol, None, test) == 0.0
     with pytest.raises(ValueError):
         l2_test_error(sol, None, Dataset(1, np.zeros((0, 3)), np.zeros(0, dtype=complex)))
+
+
+def test_l2_test_errors_without_truth_values_is_rejected(monkeypatch):
+    # an unlabeled test set and no target: nothing to compare with, said
+    # before the design is evaluated
+    basis = enumerate_basis(1, 3, 2)
+    unlabeled = _uniform_data(1, 20, 17)
+    beta = np.zeros(basis.size, dtype=complex)
+
+    def no_design(*args):
+        raise AssertionError("design evaluated")
+
+    monkeypatch.setattr(regression, "design_matrix", no_design)
+    for call in (lambda: l2_test_errors(basis, [beta], None, unlabeled),
+                 lambda: l2_test_error(RegressionSolution(basis, beta, 0.0, 0.0), None, unlabeled)):
+        with pytest.raises(ValueError, match="no truth values"):
+            call()
 
 
 def test_l2_test_error_matches_tail_estimate():
@@ -422,7 +461,7 @@ def test_compressed_stack_equals_direct(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
-def test_lsq_solve_qr_first_matches_svd_pseudo_inverse():
+def test_lsq_solve_and_factor_fit_match_svd_pseudo_inverse():
     rng = np.random.default_rng(41)
 
     def cmat(m, n):
@@ -453,27 +492,45 @@ def test_lsq_solve_qr_first_matches_svd_pseudo_inverse():
                "well-conditioned": triangle(np.geomspace(4.0, 0.1, 6))}
     for name, a in systems.items():
         y = cmat(a.shape[0], 1)[:, 0]
+        # the factor of [a | y] certifies its triangle as every fit's factor
+        # does, so the kappa 9.9e3 / 1.01e4 systems straddle that gate; the
+        # factor's width is read from r, the basis only keys caches
+        factor = DesignFactor(None, _compressed_stack([np.column_stack([a, y])]))
         for cutoff in (0.0, 1e-3, 0.3):
             ref = pinv_solve(a, y, cutoff)
-            beta = lsq_solve(a, y, cutoff)
-            assert np.abs(beta - ref).max() <= 1e-12 * np.abs(ref).max(), (name, cutoff)
+            for via, beta in (("lsq_solve", lsq_solve(a, y, cutoff)),
+                              ("leading_fit", factor.leading_fit(a.shape[1], cutoff)[0])):
+                assert np.abs(beta - ref).max() <= 1e-12 * np.abs(ref).max(), (name, cutoff, via)
 
 
-def test_lsq_solve_well_conditioned_skips_svd(monkeypatch):
+def test_lsq_solve_takes_the_svd_unless_handed_a_certificate(monkeypatch):
+    # lsq_solve reduces nothing itself: a certificate handed in solves by
+    # the inverse, and every system without one, tall ones included, takes
+    # the SVD of a as given
     rng = np.random.default_rng(43)
     a = rng.normal(size=(60, 8)) + 1j * rng.normal(size=(60, 8))
     y = rng.normal(size=60) + 1j * rng.normal(size=60)
     ref = pinv_solve(a, y)
+    r = _compressed_stack([np.column_stack([a, y])])
+    certificate = regression._triangle_inverse(r[:8, :8])
+    assert certificate is not None
+    a[:, 7] = a[:, 6]  # rank deficient: only the SVD decides what to drop
+    deficient = _compressed_stack([np.column_stack([a, y])])
+    assert regression._triangle_inverse(deficient[:8, :8]) is None
 
     def no_svd(*args, **kwargs):
         raise AssertionError("svd called")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    beta = lsq_solve(a, y)
+    beta = lsq_solve(r[:, :8], r[:, 8], triangle=certificate)
     assert np.abs(beta - ref).max() <= 1e-12 * np.abs(ref).max()
-    a[:, 7] = a[:, 6]  # rank deficient: only the SVD decides what to drop
-    with pytest.raises(AssertionError, match="svd called"):
-        lsq_solve(a, y)
+    for call in (lambda: lsq_solve(a, y),  # tall, no certificate
+                 lambda: lsq_solve(r[:, :8], r[:, 8]),  # the factor, no certificate
+                 lambda: lsq_solve(r[:, :8], r[:, 8], 2.0 * certificate[2],
+                                   triangle=certificate),  # a cutoff that discards
+                 lambda: DesignFactor(None, deficient).leading_fit(8)):
+        with pytest.raises(AssertionError, match="svd called"):
+            call()
 
 
 @pytest.mark.parametrize("p", [1, 2, 31, 32, 33, 64, 65, 231, 553])

@@ -98,3 +98,28 @@ def test_shipped_configs_found():
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: str(path.relative_to(ROOT)))
 def test_shipped_config_loads(path):
     assert load_configs(path)
+
+
+def test_toy_configs_solve_on_factors_and_gather_once(tmp_path, monkeypatch):
+    # every fit hands lsq_solve a factor (at most p+1 rows), never a tall
+    # design, and both d evaluate their basis through the one gather
+    from symquad.experiments import run_config_file
+
+    lsq_solve, products = regression.lsq_solve, regression._products
+    excess, gathers = [], {}
+
+    def counted_solve(a, y, *args, **kwargs):
+        excess.append(np.shape(a)[0] - np.shape(a)[1])
+        return lsq_solve(a, y, *args, **kwargs)
+
+    def counted_products(*args, **kwargs):
+        gathers[d] = gathers.get(d, 0) + 1
+        return products(*args, **kwargs)
+
+    monkeypatch.setattr(regression, "lsq_solve", counted_solve)
+    monkeypatch.setattr(regression, "_products", counted_products)
+    for path in sorted(PERFBENCH.glob("configs/toy/*.ini")):
+        (d,) = {cfg.d for cfg in load_configs(path)}  # one d per toy config
+        run_config_file(path, tmp_path / path.stem)
+    assert excess and max(excess) <= 1
+    assert gathers.get(1) and gathers.get(2)
