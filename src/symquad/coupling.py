@@ -59,8 +59,6 @@ def invariant_indices_circle(n_particles: int, degree: int) -> list[tuple[int, .
     if n_particles < 1 or degree < 0:
         raise ValueError("need n_particles >= 1 and degree >= 0")
     out = []
-    if n_particles == 1:
-        return [(0,)]
     span = range(-degree, degree + 1)
     for head in itertools.product(span, repeat=n_particles - 1):
         last = -sum(head)

@@ -126,7 +126,8 @@ def config_from_items(experiment: str, name: str, items: dict) -> ExperimentConf
 # field -> the least value it (or every entry of it) may take in any experiment
 _MINIMUM = {"trials": 1, "degrees": 0, "quad_degrees": 0, "t_list": 1, "target_degree": 0,
             "preview_size": 1, "alpha": 0,  # the target's envelope e^{-alpha s} is a decay
-            "seed": 0}  # numpy's SeedSequence takes no negative entropy
+            "seed": 0,  # numpy's SeedSequence takes no negative entropy
+            "sigma": 0, "steps": 1, "record_every": 1, "eps_list": 0}
 
 
 def _validate(cfg: ExperimentConfig):
@@ -144,8 +145,6 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"[{cfg.name}] field 'd' must be 1 or 2")
         if cfg.kappa <= 0.0:
             raise ConfigError(f"[{cfg.name}] field 'kappa' must be > 0")
-        if cfg.sigma < 0.0:
-            raise ConfigError(f"[{cfg.name}] field 'sigma' must be >= 0")
     for key, low in _MINIMUM.items():
         value = getattr(cfg, key)
         if min(value if isinstance(value, tuple) else (value,), default=low) < low:
@@ -163,16 +162,10 @@ def _validate(cfg: ExperimentConfig):
         except ValueError as exc:
             raise ConfigError(f"[{cfg.name}] field 'distribution': {exc}") from exc
     if cfg.experiment == "drift":
-        if cfg.steps < 1:
-            raise ConfigError(f"[{cfg.name}] field 'steps' must be >= 1")
         if cfg.dt <= 0:
             raise ConfigError(f"[{cfg.name}] field 'dt' must be > 0")
-        if cfg.record_every < 1:
-            raise ConfigError(f"[{cfg.name}] field 'record_every' must be >= 1")
         if cfg.record_every > cfg.steps:  # else no step is simulated
             raise ConfigError(f"[{cfg.name}] field 'record_every' must be <= steps")
-        if min(cfg.eps_list) < 0.0:
-            raise ConfigError(f"[{cfg.name}] field 'eps_list' must be >= 0")
         if min(cfg.hit_targets, default=1.0) <= 0.0:  # |J| >= 0 would hit at the first record
             raise ConfigError(f"[{cfg.name}] field 'hit_targets' must be > 0")
     if cfg.cutoff != "auto":
@@ -287,12 +280,6 @@ def _config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _new_table(cfg: ExperimentConfig) -> ResultTable:
-    return ResultTable(cfg.experiment, cfg.name,
-                       {"config_hash": _config_hash(cfg), "seed": cfg.seed,
-                        "version": __version__})
-
-
 def _rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed,) + path))
 
@@ -327,8 +314,9 @@ def _make_rule(d: int, degree: int):
 
 def _setup(cfg: ExperimentConfig, target=None, test: bool = True):
     """Shared set-up of the regression runners: size defaults, cutoff, target
-    (the exponential-decay one unless given) and a generator of the trials'
-    (trial, train, test) triples.
+    (the exponential-decay one unless given), the basis of each model degree
+    in ``cfg.degrees`` over the target's particles, and a generator of the
+    trials' (trial, train, test) triples.
 
     Each pair is drawn when its trial starts, train from seed path
     (2, trial) and test from the uniform distribution on (3, trial); test is
@@ -343,6 +331,7 @@ def _setup(cfg: ExperimentConfig, target=None, test: bool = True):
     if target is None:
         target = make_target(cfg.d, ExponentialDecay(cfg.alpha), _target_degree(cfg),
                              _int_seed(cfg.seed, 1))
+    bases = [enumerate_basis(cfg.d, target.n_particles, k) for k in cfg.degrees]
     dist = DistributionSpec(cfg.d, cfg.distribution, cfg.kappa, cfg.sigma)
     uniform = DistributionSpec(cfg.d, "UUU")
     trials = ((trial,
@@ -350,14 +339,18 @@ def _setup(cfg: ExperimentConfig, target=None, test: bool = True):
                sample_dataset(uniform, cfg.test_size, _rng(cfg.seed, 3, trial), target)
                if test else None)
               for trial in range(cfg.trials))
-    return cfg, _resolve_cutoff(cfg), target, trials
+    return cfg, _resolve_cutoff(cfg), target, bases, trials
 
 
 def _collected(cfg: ExperimentConfig, values: dict) -> ResultTable:
-    """The result table of per-trial values collected under (sweep, metric)
-    keys, one row per key; a third key entry keeps apart the rows of one
-    sweep and metric (compare's quadrature degrees of equal budget)."""
-    table = _new_table(cfg)
+    """The result table of every runner: the per-trial values collected under
+    (sweep, metric) keys, one row per key in insertion order, with the
+    config's provenance.  A third key entry keeps apart the rows of one sweep
+    and metric: compare's quadrature degrees of equal budget, drift's hitting
+    targets that print alike."""
+    table = ResultTable(cfg.experiment, cfg.name,
+                        {"config_hash": _config_hash(cfg), "seed": cfg.seed,
+                         "version": __version__})
     for (sweep, metric, *_), vals in values.items():
         table.add(sweep, metric, vals)
     return table
@@ -373,8 +366,7 @@ def run_approx_rates(cfg: ExperimentConfig) -> ResultTable:
     The invariant fit is the leading fit of the training factor the full fit
     read, and the three fits share one evaluation of the test design.
     """
-    cfg, cutoff, target, trials = _setup(cfg)
-    bases = [enumerate_basis(cfg.d, 3, k) for k in cfg.degrees]
+    cfg, cutoff, target, bases, trials = _setup(cfg)
     values = defaultdict(list)
     for _, train, test in trials:
         for k, basis in zip(cfg.degrees, bases):
@@ -398,8 +390,7 @@ def run_approx_rates(cfg: ExperimentConfig) -> ResultTable:
               "quad_degrees": tuple(range(10))})
 def run_quad_sweep(cfg: ExperimentConfig) -> ResultTable:
     """eps_sym and test error vs quadrature degree, per model degree."""
-    cfg, cutoff, target, trials = _setup(cfg)
-    bases = [enumerate_basis(cfg.d, 3, k) for k in cfg.degrees]
+    cfg, cutoff, target, bases, trials = _setup(cfg)
     rules = [_make_rule(cfg.d, q) for q in cfg.quad_degrees]
     values = defaultdict(list)
     for _, train, test in trials:
@@ -424,8 +415,7 @@ def run_quad_sweep(cfg: ExperimentConfig) -> ResultTable:
               "t_list": (4, 8, 16, 32, 64, 128, 256)})
 def run_random_sweep(cfg: ExperimentConfig) -> ResultTable:
     """eps_sym (with Schur bound) vs number of random rotations."""
-    cfg, cutoff, target, trials = _setup(cfg)
-    bases = [enumerate_basis(cfg.d, 3, k) for k in cfg.degrees]
+    cfg, cutoff, target, bases, trials = _setup(cfg)
     values = defaultdict(list)
     for trial, train, test in trials:
         for k, basis in zip(cfg.degrees, bases):
@@ -455,8 +445,7 @@ def run_compare(cfg: ExperimentConfig) -> ResultTable:
     Values are keyed by q as well as by budget: on the sphere two degrees
     can share a node count (q = 2 and 3 both give 32), and each keeps its rows.
     """
-    cfg, cutoff, _, trials = _setup(cfg, test=False)
-    bases = [enumerate_basis(cfg.d, 3, k) for k in cfg.degrees]
+    cfg, cutoff, _, bases, trials = _setup(cfg, test=False)
     rules = [_make_rule(cfg.d, q) for q in cfg.quad_degrees]
     values = defaultdict(list)
     for trial, train, _ in trials:
@@ -483,20 +472,17 @@ def run_compare(cfg: ExperimentConfig) -> ResultTable:
              {"trials": 5}, required="eps_list")
 def run_drift(cfg: ExperimentConfig, write_trajectories: bool = True) -> ResultTable:
     """Angular-momentum drift per perturbation strength; emits trajectory CSVs."""
-    table = _new_table(cfg)
     theta0 = np.array([0.1, 2.2, 4.0])
     p0 = np.array([0.3, -0.1, -0.2])  # sums to zero
     inits = [(theta0, p0)]
     for trial in range(1, cfg.trials):
         rng = _rng(cfg.seed, 6, trial)
-        th = rng.uniform(0.0, 2.0 * math.pi, 3)
-        mo = rng.normal(size=3)
+        th = rng.uniform(0.0, 2.0 * math.pi, theta0.size)
+        mo = rng.normal(size=theta0.size)
         mo -= mo.mean()  # vanishing initial total angular momentum
         inits.append((th, mo))
-    outdir = None
-    if write_trajectories:
-        outdir = os.path.join(cfg.outdir, cfg.experiment)
-        os.makedirs(outdir, exist_ok=True)
+    outdir = _experiment_dir(cfg) if write_trajectories else None
+    values = {}
     for eps in cfg.eps_list:
         pot = default_potential(eps)
         traj = simulate_batch(pot, np.stack([i[0] for i in inits]),
@@ -515,9 +501,9 @@ def run_drift(cfg: ExperimentConfig, write_trajectories: bool = True) -> ResultT
             for trial in range(cfg.trials):
                 idx = hitting_time(traj.angular_momentum[trial], target)
                 hits.append(math.nan if idx is None else float(traj.steps[idx]))
-            table.add(eps, f"hit_step[target={target:g}]", hits)
-        table.add(eps, "max_abs_J", np.abs(traj.angular_momentum).max(axis=1))
-    return table
+            values[eps, f"hit_step[target={target:g}]", target] = hits
+        values[eps, "max_abs_J"] = np.abs(traj.angular_momentum).max(axis=1)
+    return _collected(cfg, values)
 
 
 def regularity_target(d: int, power: float, degree: int, seed: int):
@@ -536,12 +522,11 @@ def regularity_target(d: int, power: float, degree: int, seed: int):
               "t_list": (16, 64, 256), "powers": (0.5, 1.0, 2.0, 3.0), "target_degree": 30})
 def run_regularity_sweep(cfg: ExperimentConfig) -> ResultTable:
     """Random-augmentation eps_sym across algebraic smoothness classes."""
-    bases = [enumerate_basis(cfg.d, 3, k) for k in cfg.degrees]
     values = defaultdict(list)
     for pi, power in enumerate(cfg.powers):
         target = regularity_target(cfg.d, power, _target_degree(cfg),
                                    _int_seed(cfg.seed, 1, pi))
-        _, cutoff, _, trials = _setup(cfg, target, test=False)
+        _, cutoff, _, bases, trials = _setup(cfg, target, test=False)
         for trial, train, _ in trials:
             for k, basis in zip(cfg.degrees, bases):
                 for ti, t in enumerate(cfg.t_list):
@@ -557,27 +542,33 @@ def run_regularity_sweep(cfg: ExperimentConfig) -> ResultTable:
              "raw samples from each named data distribution", {})
 def run_distributions_preview(cfg: ExperimentConfig) -> ResultTable:
     """Dump raw samples of every distribution defined for this d."""
-    table = _new_table(cfg)
     names = _CIRCLE_ROLES if cfg.d == 1 else _SPHERE_ROLES
-    outdir = os.path.join(cfg.outdir, cfg.experiment)
-    os.makedirs(outdir, exist_ok=True)
+    outdir = _experiment_dir(cfg)
+    values = {}
     for i, name in enumerate(names):
         spec = DistributionSpec(cfg.d, name, cfg.kappa, cfg.sigma)
         data = sample_dataset(spec, cfg.preview_size, _rng(cfg.seed, 8, i))
         export_dataset(data, os.path.join(outdir, f"{cfg.name}_{name}.csv"))
-        table.add(i, f"n_samples[{name}]", [float(data.n)])
-    return table
+        values[i, f"n_samples[{name}]"] = [float(data.n)]
+    return _collected(cfg, values)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     return _EXPERIMENTS[cfg.experiment].runner(cfg)
 
 
+def _experiment_dir(cfg: ExperimentConfig) -> str:
+    """``outdir/<experiment>``, created if missing: the one directory every
+    output of a section goes to."""
+    path = os.path.join(cfg.outdir, cfg.experiment)
+    os.makedirs(path, exist_ok=True)
+    return path
+
+
 def _write_outputs(cfg: ExperimentConfig, table: ResultTable) -> list[str]:
-    """Write ``outdir/<experiment>/<name>.csv`` and, when there is anything to
-    plot, the matching ``.svg``; returns the paths written."""
-    stem = os.path.join(cfg.outdir, cfg.experiment, cfg.name)
-    os.makedirs(os.path.dirname(stem), exist_ok=True)
+    """Write ``<name>.csv`` and, when there is anything to plot, the matching
+    ``.svg`` into ``_experiment_dir``; returns the paths written."""
+    stem = os.path.join(_experiment_dir(cfg), cfg.name)
     table.to_csv(stem + ".csv")
     written = [stem + ".csv"]
     if emit_plot(table, _EXPERIMENTS[cfg.experiment].plot, stem + ".svg") is not None:
@@ -591,8 +582,7 @@ def run_config_file(path, outdir_override=None) -> list[str]:
     for cfg in load_configs(path):
         if outdir_override:
             cfg = replace(cfg, outdir=outdir_override)
-        # an unusable outdir fails here, before the sweep, not after it
-        os.makedirs(os.path.join(cfg.outdir, cfg.experiment), exist_ok=True)
+        _experiment_dir(cfg)  # an unusable outdir fails here, before the sweep, not after it
         written += _write_outputs(cfg, run_experiment(cfg))
     return written
 

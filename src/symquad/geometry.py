@@ -220,7 +220,7 @@ def so3_quadrature_euler(n: int) -> QuadratureRule:
     if n < 0:
         raise ValueError("degree must be >= 0")
     n_ang = _pow2_at_least(n + 1)
-    n_beta = (n + 2) // 2 if n > 0 else 1
+    n_beta = (n + 2) // 2
     x, wb = np.polynomial.legendre.leggauss(n_beta)
     alphas = TWO_PI * np.arange(n_ang) / n_ang
     betas = np.arccos(x)
@@ -316,27 +316,24 @@ def write_quadrature_file(rule: QuadratureRule, path) -> None:
 def verify_exactness(rule: QuadratureRule, l_max: int) -> int:
     """Largest l <= l_max with max |sum_t w_t D^l'(Q_t)| < 1e-10 for all l' <= l.
 
-    Returns 0 if even l = 1 fails.  For SO(2) the checked quantities are the
-    weighted sums of e^{i k alpha_t}, 1 <= k <= l.
+    Returns 0 if even l = 1 fails.  D^l is the Wigner block of a zyz
+    rotation for SO(3) and the 1 x 1 phase e^{i l alpha} of a rotation by
+    alpha for SO(2); one degree loop checks both.
     """
-    if rule.group == SO2:
-        angles = np.array([rot.angle for rot in rule.rotations])
-        best = 0
-        for k in range(1, l_max + 1):
-            if abs(np.sum(rule.weights * np.exp(1j * k * angles))) >= _VERIFY_TOL:
-                break
-            best = k
-        return best
-
     from .harmonics import wigner_block  # deferred: harmonics depends on geometry
 
-    eulers = np.array([rot.euler_zyz() for rot in rule.rotations])
+    if rule.group == SO2:
+        params = np.array([[rot.angle] for rot in rule.rotations])
+        block, entries = (lambda l, alpha: np.exp(1j * l * alpha)), (lambda l: 1)
+    else:
+        params = np.array([rot.euler_zyz() for rot in rule.rotations])
+        block, entries = wigner_block, (lambda l: (2 * l + 1) ** 2)
     best = 0
     for l in range(1, l_max + 1):
         # all nodes in one broadcast call, split only where the block array
         # would pass _VERIFY_ENTRIES entries (large loaded rules)
-        step = max(1, _VERIFY_ENTRIES // (2 * l + 1) ** 2)
-        acc = sum(np.tensordot(rule.weights[i:i + step], wigner_block(l, *eulers[i:i + step].T), 1)
+        step = max(1, _VERIFY_ENTRIES // entries(l))
+        acc = sum(np.tensordot(rule.weights[i:i + step], block(l, *params[i:i + step].T), 1)
                   for i in range(0, len(rule), step))
         if np.abs(acc).max() >= _VERIFY_TOL:
             break

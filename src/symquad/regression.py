@@ -72,7 +72,8 @@ class Dataset:
     ``values`` is None for unlabeled data (e.g. distribution previews).
     It caches the last ``DesignFactor`` built on it and the last augmented
     build (``design_factor``, ``_augmented_factor``), so that the fits of one
-    (basis, dataset) pair share one design evaluation.
+    (basis, dataset) pair share one design evaluation.  Both arrays are
+    read-only copies of the inputs, so no write can leave those caches stale.
     """
 
     d: int
@@ -84,7 +85,7 @@ class Dataset:
     def __post_init__(self):
         if self.d not in (1, 2):
             raise ValueError(f"d must be 1 or 2, got {self.d!r}")
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
         if self.d == 1 and pts.ndim != 2:
             raise ValueError("d=1 expects an (n, N) array of angles")
         if self.d == 2 and (pts.ndim != 3 or pts.shape[2] != 3):
@@ -93,13 +94,15 @@ class Dataset:
             raise ValueError("points must be finite")
         if self.d == 2 and np.any(np.abs(np.linalg.norm(pts, axis=2) - 1.0) > _UNIT_TOL):
             raise ValueError("d=2 points must be unit vectors (||r|| = 1 within 1e-12)")
+        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.values is not None:
-            vals = np.asarray(self.values, dtype=complex)
+            vals = np.array(self.values, dtype=complex)
             if vals.shape != (pts.shape[0],):
                 raise ValueError("values length must match the number of configurations")
             if not np.all(np.isfinite(vals)):
                 raise ValueError("values must be finite")
+            vals.setflags(write=False)
             object.__setattr__(self, "values", vals)
 
     @property
@@ -398,6 +401,8 @@ class DesignFactor:
         factor's own when k = p, a new one otherwise.
         """
         r, p = self.r, self.r.shape[1] - 1
+        if not 0 <= k <= p:
+            raise ValueError(f"k = {k} is outside [0, p] for p = {p} columns")
         triangle = self.certificate if k == p else _triangle_inverse(r[:k, :k])
         beta = lsq_solve(r[:k + 1, :k], r[:k + 1, p], cutoff, triangle=triangle)
         return beta, float(np.linalg.norm(r[:, :k] @ beta - r[:, p]))

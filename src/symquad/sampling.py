@@ -73,7 +73,10 @@ def sample_points(spec: DistributionSpec, n: int, rng: np.random.Generator) -> n
     """n three-particle samples; (n, 3) angles for d=1, (n, 3, 3) for d=2.
 
     Particle roles are fixed (particle 1 carries the constraint); the draw
-    order is fixed so equal seeds give identical datasets.
+    order is fixed so equal seeds give identical datasets.  For d=2 a role is
+    a base, uniform (U), the point mass at the pole (D, V) or the x-z
+    geodesic (G, H), and V and H mollify theirs: a geodesic draws its
+    parameter first, a mollified role its normals after it.
     """
     if spec.d == 1:
         cols = []
@@ -89,19 +92,13 @@ def sample_points(spec: DistributionSpec, n: int, rng: np.random.Generator) -> n
     cols = []
     for role in spec.roles:
         if role == "U":
-            cols.append(_uniform_sphere(n, rng))
-        elif role == "D":
-            cols.append(np.tile([0.0, 0.0, 1.0], (n, 1)))
-        elif role == "V":
-            pole = np.tile([0.0, 0.0, 1.0], (n, 1))
-            cols.append(_mollify_sphere(pole, spec.sigma, rng))
-        elif role == "G":  # uniform on the x-z great circle through the pole
+            base = _uniform_sphere(n, rng)
+        elif role in "DV":  # the point mass at the pole
+            base = np.tile([0.0, 0.0, 1.0], (n, 1))
+        else:  # G, H: uniform on the x-z great circle through the pole
             t = rng.uniform(0.0, TWO_PI, n)
-            cols.append(np.stack([np.sin(t), np.zeros(n), np.cos(t)], axis=1))
-        else:  # H: mollified geodesic
-            t = rng.uniform(0.0, TWO_PI, n)
-            circle = np.stack([np.sin(t), np.zeros(n), np.cos(t)], axis=1)
-            cols.append(_mollify_sphere(circle, spec.sigma, rng))
+            base = np.stack([np.sin(t), np.zeros(n), np.cos(t)], axis=1)
+        cols.append(_mollify_sphere(base, spec.sigma, rng) if role in "VH" else base)
     return np.stack(cols, axis=1)
 
 

@@ -380,6 +380,25 @@ def test_drift_single_run_single_file(tmp_path):
     assert len(os.listdir(tmp_path / "drift")) == 1
 
 
+def test_drift_rows_keep_run_order_and_write_nothing_without_trajectories(tmp_path):
+    cfg = _cfg("drift", eps_list="0.0 0.01", steps=200, record_every=10, trials=1,
+               hit_targets="1e-3 1e-1", seed=16, outdir=tmp_path / "out")
+    table = run_drift(cfg, write_trajectories=False)
+    assert not (tmp_path / "out").exists()
+    assert [row[:2] for row in table.rows] == [
+        (eps, metric) for eps in (0.0, 0.01)
+        for metric in ("hit_step[target=0.001]", "hit_step[target=0.1]", "max_abs_J")]
+
+
+@pytest.mark.parametrize("experiment, key, bad, low", [
+    ("drift", "sigma", "-1", 0), ("quad-sweep", "steps", "0", 1),
+    ("approx-rates", "record_every", "0", 1), ("random-sweep", "eps_list", "0 -0.1", 0)])
+def test_field_bounds_hold_in_every_experiment(experiment, key, bad, low):
+    items = {"eps_list": "0.1"} if experiment == "drift" else {"d": "1"}
+    with pytest.raises(ConfigError, match=f"field '{key}' must be >= {low}$"):
+        config_from_items(experiment, experiment, {**items, key: bad})
+
+
 def test_regularity_sweep_single_cell(tmp_path):
     cfg = _cfg("regularity-sweep", d=1, degrees="2", t_list="8", powers="1.0",
                trials=2, train_size=40, test_size=20, target_degree=10, seed=17,

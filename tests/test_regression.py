@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import pinv_solve, random_units, schur_from_design, stacked_augmented_solve
 from symquad import coupling, regression, sampling
 from symquad.coupling import enumerate_basis, eval_coupled, invariant_couplings, sym_coeffs
-from symquad.geometry import (SO2, identity_rule, load_quadrature_file, sample_haar,
+from symquad.geometry import (SO2, SO3, identity_rule, load_quadrature_file, sample_haar,
                               so2_quadrature, so3_quadrature_euler, write_quadrature_file)
 from symquad.harmonics import generalized_d, sph_harm_table
 from symquad.regression import (AugmentationScheme, Dataset, RegressionSolution,
@@ -1274,6 +1274,46 @@ def test_design_factor_keyed_by_basis_and_data():
     assert design_factor(small, other) is not factor and data._factor is factor
     # an equal basis that is another object builds its own factor
     assert design_factor(enumerate_basis(2, 3, 1), data) is not factor
+
+
+def test_dataset_arrays_are_read_only_copies(tmp_path):
+    # a dataset caches its factors, so its arrays must not change under them:
+    # neither through the dataset nor through the caller's own arrays
+    target = make_target(1, ExponentialDecay(2.0), 6, seed=71)
+    points = np.random.default_rng(72).uniform(0.0, 2.0 * np.pi, (60, 3))
+    values = target.evaluate(points)
+    data = Dataset(1, points, values)
+    basis = enumerate_basis(1, 3, 2)
+    beta = full_lsq(basis, data).beta
+    for array in (data.points, data.values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:] = 0
+    points[:], values[:] = 0.0, 0.0
+    assert np.all(data.points != 0.0) and np.all(data.values != 0.0)
+    assert np.array_equal(full_lsq(basis, data).beta, beta)
+    # the functions that build datasets from others still work
+    spec = DistributionSpec(2, "dUU")
+    sampled = sample_dataset(spec, 20, np.random.default_rng(73),
+                             make_target(2, ExponentialDecay(2.0), 3, seed=74))
+    rotated = rotate_dataset(sample_haar(SO3, np.random.default_rng(75)), sampled)
+    assert not rotated.points.flags.writeable and not rotated.values.flags.writeable
+    sampling.export_dataset(rotated, tmp_path / "data.csv")
+    loaded = sampling.import_dataset(tmp_path / "data.csv")
+    assert np.array_equal(loaded.points, rotated.points)
+    assert np.array_equal(loaded.values, rotated.values)
+
+
+def test_leading_fit_rejects_k_outside_the_columns():
+    target = make_target(1, ExponentialDecay(2.0), 6, seed=76)
+    data = _uniform_data(1, 60, 77, target)
+    factor = design_factor(enumerate_basis(1, 3, 2), data)
+    p = factor.r.shape[1] - 1
+    for k in (-1, p + 1):
+        with pytest.raises(ValueError, match=rf"k = {k} .* p = {p}"):
+            factor.leading_fit(k)
+    beta, residual = factor.leading_fit(0)  # no columns: the residual is all of y
+    assert beta.shape == (0,)
+    assert residual == pytest.approx(np.linalg.norm(factor.r[:, p]), rel=1e-15)
 
 
 def _stacked_with_y(basis, data, scheme):

@@ -123,3 +123,22 @@ def test_toy_configs_solve_on_factors_and_gather_once(tmp_path, monkeypatch):
         run_config_file(path, tmp_path / path.stem)
     assert excess and max(excess) <= 1
     assert gathers.get(1) and gathers.get(2)
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("configs/toy/*.ini")),
+                         ids=lambda path: path.stem)
+def test_toy_workload_passes_the_benchmark_checks(path, tmp_path, monkeypatch):
+    # the benchmark's ok_frac is the share of its operations that pass
+    # checks.check_solves (with the stacked-solve oracle) and
+    # checks.check_outputs; a toy run through the same entry point must pass both
+    import argparse
+
+    import symquad
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = importlib.import_module("workload")
+    args = argparse.Namespace(config=str(path), outdir=str(tmp_path), oracle=True,
+                              trace=None, run_id="tier1")
+    result = workload.execute(symquad, load_configs(path), args)
+    assert result["attempted"] >= 1
+    assert result["failed"] == 0, result["failures"]
